@@ -9,9 +9,11 @@ Four independent routes to the same physics cross-validate each other:
 * :mod:`groverline.genfun` evaluates the closed forms of those functions,
   including the square-root branch bookkeeping on the unit circle and the
   two-boundary transfer-matrix solution;
-* :mod:`groverline.absorb` turns them into absorption probabilities by
-  circle-averaging quadrature, and :mod:`groverline.localize` extracts
-  the trapped-mass observables from long simulator runs.
+* :mod:`groverline.absorb` turns them into absorption probabilities:
+  exactly on a finite strip, by one Stein solve on the strip's
+  contraction, and by circle-averaging quadrature for one boundary and as
+  the two-boundary cross-check; :mod:`groverline.localize` extracts the
+  trapped-mass observables from long simulator runs.
 """
 
 from .absorb import (
@@ -21,6 +23,7 @@ from .absorb import (
     Table1Row,
     ToleranceError,
     absorption_answer,
+    absorption_matrices,
     integrate_periodic,
     prob_one_boundary,
     prob_one_boundary_right,
@@ -93,6 +96,7 @@ __all__ = [
     "WalkState",
     "WindowWalk",
     "absorption_answer",
+    "absorption_matrices",
     "apply_evolution",
     "decay_slope",
     "delta",

@@ -1,15 +1,28 @@
-"""Absorption probabilities via unit-circle integrals of generating functions.
+"""Absorption probabilities: exact on a finite strip, by circle quadrature otherwise.
 
-The total absorption probability is the sum of squared first-hit
-amplitudes, i.e. the Hadamard square of a generating function evaluated
-at 1, which turns into the circle average (1/2pi) int |f(e^{i theta})|^2.
-Two integrators cover the two integrand families:
+Two boundaries (production route): between the boundaries one step of the
+walk is a real contraction on the interior amplitudes, so each side's
+absorption probability is a Hermitian form psi^H X psi whose matrix solves
+a Stein equation, and the never-absorbed mass is the form of the
+projection onto the eigenvalue-1 flat band.  :func:`absorption_matrices`
+returns the three start-site blocks; one linear solve answers every
+spinor of a geometry.
+
+Circle quadrature: the total absorption probability is also the sum of
+squared first-hit amplitudes, i.e. the Hadamard square of a generating
+function evaluated at 1, which turns into the circle average
+(1/2pi) int |f(e^{i theta})|^2.  It is the production route for one
+boundary and the cross-check route for two (pass a
+:class:`QuadratureSpec`).  Two integrators cover the two integrand
+families:
 
 * two-boundary integrands are rational with every pole strictly outside
   the closed disk, so the periodic midpoint trapezoid rule with doubling
-  converges spectrally and reaches ~1e-13 absolute error cheaply; nodes
-  are offset by half a cell so theta = 0 (a removable 0/0 point of the
-  widening recursion) is never sampled;
+  converges spectrally and reaches ~1e-13 absolute error; nodes are
+  offset by half a cell so theta = 0 (a removable 0/0 point of the
+  widening recursion) is never sampled.  The node count grows quickly
+  with the strip width, because the strip's slowest decay rates crowd
+  the unit circle;
 * one-boundary integrands carry square-root corners at the two branch
   angles of Delta, so adaptive quadrature split at exactly those angles
   is used instead.
@@ -34,6 +47,7 @@ from .genfun import (
     s_closed,
     r_closed,
 )
+from .walk import grover_coin, validate_input
 
 __all__ = [
     "ToleranceError",
@@ -45,14 +59,12 @@ __all__ = [
     "prob_one_boundary",
     "prob_one_boundary_right",
     "prob_two_boundary",
+    "absorption_matrices",
     "absorption_answer",
     "theorem4_sequence",
     "theorem4_crosscheck",
     "table1",
 ]
-
-SPINOR_NORM_TOL = 1e-9
-
 
 class ToleranceError(RuntimeError):
     """Quadrature could not meet the requested tolerance.
@@ -166,14 +178,7 @@ class AbsorptionQuery:
     def __post_init__(self):
         if self.left is None and self.right is None:
             raise ValueError("at least one boundary is required")
-        for name, v in (("left", self.left), ("right", self.right)):
-            if v is not None and v < 1:
-                raise ValueError(f"{name} boundary must be >= 1")
-        if len(self.spinor) != 3:
-            raise ValueError("spinor needs exactly three components")
-        n2 = sum(abs(c) ** 2 for c in self.spinor)
-        if abs(n2 - 1.0) > SPINOR_NORM_TOL:
-            raise ValueError(f"spinor must be normalized, got squared norm {n2!r}")
+        validate_input(self.spinor, left=self.left, right=self.right)
 
     @property
     def reversed_spinor(self) -> tuple[complex, complex, complex]:
@@ -227,9 +232,7 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
 
 
 def _one_boundary_value(m, spinor, spec=None) -> tuple[float, float]:
-    if m < 1:
-        raise ValueError("boundary distance must be >= 1")
-    _check_spinor(spinor)
+    validate_input(spinor, m=m)
     spec = spec or _ONE_BOUNDARY_SPEC
     return integrate_periodic(_one_boundary_integrand(m, spinor), spec)
 
@@ -241,18 +244,11 @@ def prob_one_boundary_right(m: int, spinor, spec: QuadratureSpec | None = None) 
     computation with the spinor reversed.  m = 0 means a boundary at the
     start itself, whose first-hit functions are identically zero.
     """
-    if m == 0:
+    if m == 0 and not isinstance(m, bool):
+        validate_input(spinor)
         return 0.0
     a, b, g = spinor
     return prob_one_boundary(m, (g, b, a), spec)
-
-
-def _check_spinor(spinor) -> None:
-    if len(spinor) != 3:
-        raise ValueError("spinor needs exactly three components")
-    n2 = sum(abs(c) ** 2 for c in spinor)
-    if abs(n2 - 1.0) > SPINOR_NORM_TOL:
-        raise ValueError(f"spinor must be normalized, got squared norm {n2!r}")
 
 
 def _two_boundary_integrand(m: int, n: int, spinor):
@@ -271,20 +267,100 @@ def _two_boundary_integrand(m: int, n: int, spinor):
     return f
 
 
+def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start-site blocks ``(X_left, X_right, P_trapped)`` for boundaries at -m and +n.
+
+    Between the boundaries one step (coin, then shift) is a real
+    contraction A on the 3(m+n-1) amplitudes at sites -m+1..n-1.  The
+    amplitude absorbed at -m on step t+1 is c_L A^t psi, with c_L the L row
+    of the coin at site -m+1 (c_R: the R row at site n-1), so
+    p_left = psi^H X_L psi, where X_L = sum_t (A^t)^T c_L^T c_L A^t solves
+    the Stein equation X = A^T X A + c_L^T c_L.  A keeps the eigenvalue-1
+    flat band (the compactly supported states that never reach a boundary,
+    dimension m+n-2); a contraction's unitary part reduces it, so the band
+    is projected out orthogonally, leaving strictly stable Stein equations,
+    and its projection P is the trapped mass.  The kernel comes from an SVD
+    (rank-revealing), not from an eigenvalue threshold.
+
+    Each block is real symmetric, in ``(L, S, R)`` order, and for every unit
+    spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to rounding, so
+    one call answers every spinor of the geometry.
+    """
+    import scipy.linalg as sla
+
+    validate_input(left=m, right=n)
+    coin = grover_coin()
+    width = m + n - 1
+    size = 3 * width
+    # site-major amplitudes (index 3 * site + coin); L moves one site left,
+    # S stays, R moves one site right
+    a = sum(
+        np.kron(np.eye(width, k=shift), np.outer(np.eye(3)[c], coin[c]))
+        for c, shift in ((0, 1), (1, 0), (2, -1))
+    )
+    c_left, c_right = np.zeros(size), np.zeros(size)
+    c_left[:3], c_right[-3:] = coin[0], coin[2]
+    # one SVD splits the space into ker(A - I) and its complement; the rank
+    # cutoff is scipy.linalg.null_space's default
+    _, sv, vt = sla.svd(a - np.eye(size))
+    rank = int(np.sum(sv > sv[0] * size * np.finfo(float).eps))
+    rest, kernel = vt[:rank].T, vt[rank:].T
+    a_rest = rest.T @ a @ rest
+    start = slice(3 * (m - 1), 3 * m)
+    blocks = []
+    for c in (c_left, c_right):
+        c_rest = c @ rest
+        x = sla.solve_discrete_lyapunov(a_rest.T, np.outer(c_rest, c_rest))
+        blocks.append(rest[start] @ x @ rest[start].T)
+    blocks.append(kernel[start] @ kernel[start].T)
+    return tuple(0.5 * (b + b.T) for b in blocks)
+
+
+def _form(x: np.ndarray, spinor) -> float:
+    psi = np.asarray(spinor, dtype=complex)
+    return float(np.real(np.conj(psi) @ x @ psi))
+
+
+def _exact_two_boundary(query: AbsorptionQuery) -> tuple[AbsorptionAnswer, float]:
+    """The exact-strip answer plus the directly computed trapped mass."""
+    x_left, x_right, trapped = absorption_matrices(query.left, query.right)
+    p_left, p_right, p_trapped = (
+        _form(x, query.spinor) for x in (x_left, x_right, trapped)
+    )
+    total = p_left + p_right
+    answer = AbsorptionAnswer(
+        p_left=p_left,
+        p_right=p_right,
+        total=total,
+        deficit=1.0 - total,
+        error_estimate=abs(total + p_trapped - 1.0),
+    )
+    return answer, p_trapped
+
+
 def prob_two_boundary(
     query: AbsorptionQuery, spec: QuadratureSpec | None = None
 ) -> AbsorptionAnswer:
     """Both-sided absorption for boundaries at -M and +N.
 
-    The left probability integrates |alpha l_N + beta s_N + gamma r_N|^2
-    times the product of |l_(N+k)|^2 for the extra M-1 leftward legs; the
-    right probability reuses the same code through the mirror swap
-    (M, N, spinor) -> (N, M, reversed spinor).  The deficit 1 - sum is the
-    localized mass that neither boundary ever absorbs.
+    With ``spec=None`` (production) both sides are the forms psi^H X psi of
+    :func:`absorption_matrices`, and ``error_estimate`` is the ledger
+    residual |psi^H (X_left + X_right + P_trapped) psi - 1|.
+
+    With a :class:`QuadratureSpec` the circle quadrature answers instead,
+    as an independent cross-check: the left probability integrates
+    |alpha l_N + beta s_N + gamma r_N|^2 times the product of |l_(N+k)|^2
+    for the extra M-1 leftward legs, the right probability reuses the same
+    code through the mirror swap (M, N, spinor) -> (N, M, reversed spinor),
+    and ``error_estimate`` sums the two quadrature estimates.
+
+    Either way the deficit 1 - total is the localized mass that neither
+    boundary ever absorbs.
     """
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
-    spec = spec or _TWO_BOUNDARY_SPEC
+    if spec is None:
+        return _exact_two_boundary(query)[0]
     m, n = query.left, query.right
     p_left, err_left = integrate_periodic(
         _two_boundary_integrand(m, n, query.spinor), spec
@@ -305,7 +381,11 @@ def prob_two_boundary(
 def absorption_answer(
     query: AbsorptionQuery, spec: QuadratureSpec | None = None
 ) -> AbsorptionAnswer:
-    """Dispatch a query to the right pipeline and fill an answer record."""
+    """Dispatch a query to the right pipeline and fill an answer record.
+
+    Two boundaries go to :func:`prob_two_boundary` (the exact strip route
+    unless ``spec`` is given), one boundary to the circle quadrature.
+    """
     if query.left is not None and query.right is not None:
         return prob_two_boundary(query, spec)
     if query.left is not None:
@@ -339,11 +419,16 @@ def theorem4_sequence(max_n: int) -> np.ndarray:
 
 
 def theorem4_crosscheck(n: int, spec: QuadratureSpec | None = None) -> float:
-    """|quadrature - recurrence| for p_n; two fully independent routes."""
+    """|quadrature - recurrence| for p_n; two fully independent routes.
+
+    The circle quadrature always runs here (the default trapezoid spec when
+    ``spec`` is None), never the exact strip route.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     answer = prob_two_boundary(
-        AbsorptionQuery(spinor=(0, 0, 1), left=1, right=n), spec
+        AbsorptionQuery(spinor=(0, 0, 1), left=1, right=n),
+        spec or _TWO_BOUNDARY_SPEC,
     )
     return float(abs(answer.p_left - theorem4_sequence(n)[n]))
 
@@ -355,7 +440,9 @@ class Table1Row:
     ``deficit_scaled`` is (s(n) - s(n+1)) * 1e12, the localization deficit
     step between consecutive strip widths; it needs the next row's sum, so
     the widest row carries None.  ``precision_ok`` flags whether the
-    quadrature error stayed within the 1e-12 the deficit column needs.
+    answer's error estimate (the ledger residual of the exact route, or
+    the quadrature estimate) stayed within the 1e-12 the deficit column
+    needs.
     """
 
     n: int
@@ -374,28 +461,36 @@ def table1(
     """Left/right/total absorption for right boundaries 1..max_n, coin R.
 
     The deficit column is scaled by 1e12 and reported with its log2, per
-    the reference table's convention.
+    the reference table's convention.  With ``spec=None`` the exact strip
+    route answers, and the deficit step s(n) - s(n+1) is taken as the
+    difference of the directly computed trapped masses, which loses less
+    to cancellation than the difference of the totals.  With a
+    :class:`QuadratureSpec` the circle quadrature answers and the step is
+    the difference of the totals.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    spec = spec or QuadratureSpec(method="trapezoid", abs_tol=1e-13)
-    answers = [
-        prob_two_boundary(AbsorptionQuery(spinor=(0, 0, 1), left=left, right=n), spec)
+    queries = [
+        AbsorptionQuery(spinor=(0, 0, 1), left=left, right=n)
         for n in range(1, max_n + 1)
     ]
+    if spec is None:
+        answers, trapped = zip(*(_exact_two_boundary(q) for q in queries))
+        steps = [b - a for a, b in zip(trapped, trapped[1:])]
+    else:
+        answers = [prob_two_boundary(q, spec) for q in queries]
+        steps = [a.total - b.total for a, b in zip(answers, answers[1:])]
     rows = []
     for i, ans in enumerate(answers):
-        n = i + 1
-        if n < max_n:
-            step = answers[i].total - answers[i + 1].total
-            scaled = step * 1e12
+        if i < len(steps):
+            scaled = steps[i] * 1e12
             log2s = float(np.log2(scaled)) if scaled > 0 else None
         else:
             scaled = None
             log2s = None
         rows.append(
             Table1Row(
-                n=n,
+                n=i + 1,
                 left=ans.p_left,
                 right=ans.p_right,
                 total=ans.total,

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -30,7 +31,7 @@ from .absorb import (
     theorem4_sequence,
 )
 from .localize import oscillation_trace
-from .walk import BoundarySpec, CoinSpinor, WindowWalk
+from .walk import BoundarySpec, CoinSpinor, WindowWalk, validate_input
 
 __all__ = ["main"]
 
@@ -98,12 +99,21 @@ def _parse_spinor(text: str) -> tuple[complex, complex, complex]:
             ) from None
 
     spinor = tuple(one(p) for p in parts)
-    n2 = sum(abs(c) ** 2 for c in spinor)
-    if abs(n2 - 1.0) > 1e-9:
-        raise argparse.ArgumentTypeError(
-            f"spinor must be normalized; squared norm is {n2:.12g}"
-        )
+    try:
+        validate_input(spinor)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return spinor
+
+
+def _positive_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"value must be finite and > 0, got {text!r}")
+    return v
 
 
 def _positive_int(text: str) -> int:
@@ -179,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spinor_arg(p, required=False)
     p.add_argument("--left", type=_positive_int, default=None)
     p.add_argument("--right", type=_positive_int, default=None)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive_float, default=None,
                    help="absolute tolerance for the circle average")
     _add_output_args(p)
     p.set_defaults(func=_cmd_absorb)
@@ -189,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="left/right/total absorption table with scaled deficits",
     )
     p.add_argument("--max-n", type=_positive_int, default=6)
-    p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--tol", type=_positive_float, default=1e-13)
     _add_output_args(p)
     p.set_defaults(func=_cmd_table1)
 
@@ -203,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add an independent quadrature column (slower)",
     )
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     _add_output_args(p)
     p.set_defaults(func=_cmd_theorem4)
 
@@ -221,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spinor_arg(p, required=False)
     p.add_argument("--max-m", type=_positive_int, default=10)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     _add_output_args(p)
     p.set_defaults(func=_cmd_moving_boundary)
 
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_for(args, method: str, default_tol: float) -> QuadratureSpec:
     tol = getattr(args, "tol", None)
-    return QuadratureSpec(method=method, abs_tol=tol if tol else default_tol)
+    return QuadratureSpec(method=method, abs_tol=default_tol if tol is None else tol)
 
 
 def _cmd_simulate(args) -> tuple[tuple, list, int]:

@@ -17,6 +17,7 @@ fast enough for thousands of steps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -30,6 +31,7 @@ __all__ = [
     "AbsorptionReport",
     "WindowWalk",
     "grover_coin",
+    "validate_input",
     "apply_evolution",
     "project_is_at",
     "run_walk",
@@ -59,6 +61,34 @@ def grover_coin() -> np.ndarray:
     array([ 0.66666667,  0.66666667, -0.33333333])
     """
     return (2.0 * np.ones((3, 3)) - 3.0 * np.eye(3)) / 3.0
+
+
+def validate_input(spinor=None, **boundaries) -> None:
+    """Reject a spinor or boundary distance that no route can start from.
+
+    The one check behind every entry point that takes these inputs.
+    ``spinor`` (skipped when ``None``) must have three finite components
+    and unit squared norm within ``INIT_NORM_TOL``; nothing is rescaled.
+    Each keyword names a boundary distance (``None`` means no boundary on
+    that side), which must be an integer >= 1; ``bool`` does not count as
+    an integer here.  Raises :class:`ValueError` on the first violation.
+    """
+    for name, v in boundaries.items():
+        if v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError(f"{name} boundary must be an integer >= 1, got {v!r}")
+    if spinor is None:
+        return
+    if len(spinor) != 3:
+        raise ValueError("spinor needs exactly three components")
+    if not np.all(np.isfinite(np.asarray(spinor, dtype=complex))):
+        raise ValueError(f"spinor components must be finite, got {tuple(spinor)!r}")
+    n2 = sum(abs(c) ** 2 for c in spinor)
+    if abs(n2 - 1.0) > INIT_NORM_TOL:
+        raise ValueError(
+            f"spinor must have unit norm within {INIT_NORM_TOL}, got squared norm {n2!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,9 +122,7 @@ class BoundarySpec:
     right: int | None = None
 
     def __post_init__(self):
-        for name, v in (("left", self.left), ("right", self.right)):
-            if v is not None and (not isinstance(v, int) or v < 1):
-                raise ValueError(f"{name} boundary must be a positive integer, got {v!r}")
+        validate_input(left=self.left, right=self.right)
 
     @property
     def any(self) -> bool:
@@ -322,11 +350,7 @@ def run_walk(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> AbsorptionRe
     evolution and then measures the left boundary, then the right one
     (the projectors commute, the order is fixed for reproducibility).
     """
-    if not init.is_normalized():
-        raise ValueError(
-            f"initial spinor must have unit norm within {INIT_NORM_TOL}, "
-            f"got squared norm {init.norm2!r}"
-        )
+    validate_input((init.aL, init.aS, init.aR))
     w = WindowWalk(init, bounds, steps)
     for _ in range(steps):
         w.step()

@@ -200,6 +200,42 @@ class TestTwoBoundary:
             AbsorptionQuery((1, 1, 1), left=1)
 
 
+class TestInputValidation:
+    """One validator behind every entry point; each case passed before it."""
+
+    NAN_SPINOR = (float("nan"), 0, 1)
+
+    def test_query_rejects_nan_spinor(self):
+        with pytest.raises(ValueError, match="finite"):
+            AbsorptionQuery(self.NAN_SPINOR, left=1, right=2)
+
+    def test_one_boundary_rejects_nan_spinor(self):
+        with pytest.raises(ValueError, match="finite"):
+            prob_one_boundary(1, self.NAN_SPINOR)
+        with pytest.raises(ValueError, match="finite"):
+            prob_one_boundary_right(0, self.NAN_SPINOR)
+
+    def test_one_boundary_rejects_fractional_distance(self):
+        with pytest.raises(ValueError, match="integer"):
+            prob_one_boundary(2.5, (0, 0, 1))
+
+    def test_bool_boundary_rejected(self):
+        for kwargs in ({"left": True}, {"right": True}, {"left": 1, "right": False}):
+            with pytest.raises(ValueError, match="integer"):
+                AbsorptionQuery((0, 0, 1), **kwargs)
+        with pytest.raises(ValueError, match="integer"):
+            BoundarySpec(left=True)
+
+    def test_fractional_two_boundary_is_value_error(self):
+        with pytest.raises(ValueError, match="integer"):
+            AbsorptionQuery((0, 0, 1), left=2.5, right=2)
+
+    def test_numpy_integer_boundary_accepted(self):
+        ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=np.int64(1), right=1))
+        assert ans.p_left == pytest.approx(2 / 3, abs=1e-12)
+        assert BoundarySpec(left=np.int64(2)).left == 2
+
+
 class TestDispatch:
     def test_two_boundary_query(self):
         ans = absorption_answer(AbsorptionQuery((0, 0, 1), left=1, right=1))

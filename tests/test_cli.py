@@ -82,6 +82,25 @@ class TestAbsorbCommand:
         assert exc_info.value.code == 2
 
 
+    def test_nan_spinor_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["absorb", "--left", "1", "--spinor", "nan,0,1"])
+        capsys.readouterr()
+        assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "abc"])
+    @pytest.mark.parametrize(
+        "command",
+        [["absorb", "--left", "1"], ["table1"], ["theorem4", "--crosscheck"],
+         ["moving-boundary"]],
+    )
+    def test_bad_tolerance_exits_2(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as exc_info:
+            main(command + ["--tol", tol])
+        capsys.readouterr()
+        assert exc_info.value.code == 2
+
+
 class TestSimulateCommand:
     def test_long_run_reaches_limit(self, capsys):
         code, out = run_cli(

@@ -1,0 +1,101 @@
+"""The exact finite-strip route against the circle quadrature and itself.
+
+``absorption_matrices`` answers two-boundary queries from one Stein solve
+on the strip's contraction; ``prob_two_boundary`` with an explicit
+``QuadratureSpec`` still runs the independent circle quadrature, which is
+the reference here.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from groverline.absorb import (
+    AbsorptionQuery,
+    QuadratureSpec,
+    absorption_matrices,
+    prob_two_boundary,
+)
+
+SWEEP = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 6, 8, 10, 12)]
+J = np.eye(3)[::-1]  # reverses the coin order (L, S, R) -> (R, S, L)
+
+
+def random_spinors(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        out.append(tuple(complex(c) for c in v / np.linalg.norm(v)))
+    return out
+
+
+def form(x, spinor):
+    psi = np.asarray(spinor, dtype=complex)
+    return float(np.real(np.conj(psi) @ x @ psi))
+
+
+@pytest.mark.parametrize("m,n", SWEEP)
+def test_agrees_with_quadrature(m, n):
+    spec = QuadratureSpec("trapezoid", 1e-13)
+    for spinor in random_spinors(100 * m + n, 3):
+        query = AbsorptionQuery(spinor, left=m, right=n)
+        exact = prob_two_boundary(query)
+        quad = prob_two_boundary(query, spec)
+        assert exact.p_left == pytest.approx(quad.p_left, abs=1e-11)
+        assert exact.p_right == pytest.approx(quad.p_right, abs=1e-11)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_kernel_dimension(width):
+    # the strip operator depends only on the width M + N - 1, so the start
+    # blocks of P over all start sites add up to the trace of the whole
+    # projection onto ker(A - I), which is its dimension M + N - 2
+    traces = [np.trace(absorption_matrices(m, width + 1 - m)[2])
+              for m in range(1, width + 1)]
+    assert sum(traces) == pytest.approx(width - 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("m,n", SWEEP)
+def test_ledger_and_mirror(m, n):
+    x_left, x_right, trapped = absorption_matrices(m, n)
+    assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
+    for x in (x_left, x_right, trapped):
+        assert np.array_equal(x, x.T)
+        assert np.min(np.linalg.eigvalsh(x)) > -1e-12
+    mirror_left, mirror_right, mirror_trapped = absorption_matrices(n, m)
+    assert np.max(np.abs(x_right - J @ mirror_left @ J)) < 1e-12
+    assert np.max(np.abs(x_left - J @ mirror_right @ J)) < 1e-12
+    assert np.max(np.abs(trapped - J @ mirror_trapped @ J)) < 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 12), (5, 20)])
+def test_trapped_form_is_the_deficit(m, n):
+    trapped = absorption_matrices(m, n)[2]
+    for spinor in random_spinors(7 * m + n, 3):
+        answer = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))
+        assert form(trapped, spinor) == pytest.approx(answer.deficit, abs=1e-12)
+        assert answer.error_estimate < 1e-12
+
+
+def test_box_has_no_trapped_mass():
+    x_left, x_right, trapped = absorption_matrices(1, 1)
+    assert np.array_equal(trapped, np.zeros((3, 3)))
+    # coin R: one step sends 2/3 of the mass left, 1/3 right
+    assert x_left[2, 2] == pytest.approx(2 / 3, abs=1e-15)
+    assert x_right[2, 2] == pytest.approx(1 / 3, abs=1e-15)
+
+
+def test_wide_strip_is_fast():
+    # the circle quadrature took minutes here (16.8M integrand nodes)
+    t0 = time.perf_counter()
+    x_left, x_right, trapped = absorption_matrices(20, 40)
+    assert time.perf_counter() - t0 < 5.0
+    assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-10
+
+
+def test_validation():
+    for m, n in ((0, 1), (1, -2), (True, 2), (2.5, 3)):
+        with pytest.raises(ValueError):
+            absorption_matrices(m, n)
