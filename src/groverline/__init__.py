@@ -69,6 +69,7 @@ from .walk import (
     WalkState,
     WindowWalk,
     apply_evolution,
+    evolve,
     first_hit_amplitudes,
     grover_coin,
     position_distribution,
@@ -101,6 +102,7 @@ __all__ = [
     "decay_slope",
     "delta",
     "delta_on_circle",
+    "evolve",
     "first_hit_amplitudes",
     "grover_coin",
     "integrate_periodic",

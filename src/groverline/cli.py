@@ -31,7 +31,7 @@ from .absorb import (
     theorem4_sequence,
 )
 from .localize import oscillation_trace
-from .walk import BoundarySpec, CoinSpinor, WindowWalk, validate_input
+from .walk import BoundarySpec, CoinSpinor, evolve, validate_input
 
 __all__ = ["main"]
 
@@ -249,16 +249,16 @@ def _cmd_simulate(args) -> tuple[tuple, list, int]:
     if bounds.any:
         if args.snapshots is not None:
             raise ValueError("--snapshots applies to boundary-free runs only")
-        engine = WindowWalk(init, bounds, args.steps)
         rows = [(0, 0.0, 0.0, 1.0)]
         cum_l = cum_r = 0.0
-        for t in range(1, args.steps + 1):
-            engine.step()
+        for engine in evolve(init, bounds, args.steps):
+            if not engine.t:
+                continue
             if bounds.left is not None:
                 cum_l += abs(engine.hit_left[-1]) ** 2
             if bounds.right is not None:
                 cum_r += abs(engine.hit_right[-1]) ** 2
-            rows.append((t, cum_l, cum_r, engine.norm2()))
+            rows.append((engine.t, cum_l, cum_r, engine.norm2()))
         return ("t", "cum_left", "cum_right", "residual_norm"), rows, 0
     if args.snapshots is None:
         times = [args.steps]
@@ -269,22 +269,14 @@ def _cmd_simulate(args) -> tuple[tuple, list, int]:
             raise ValueError("--snapshots must be comma-separated integers") from None
         if any(t < 0 or t > args.steps for t in times):
             raise ValueError("snapshot times must lie in [0, steps]")
-    engine = WindowWalk(init, bounds, args.steps)
     want = set(times)
     rows = []
-
-    def dump(t: int) -> None:
-        probs = engine.probability_array()
-        for i, p in enumerate(probs):
-            if p > 0.0:
-                rows.append((t, engine.lo + i, float(p)))
-
-    if 0 in want:
-        dump(0)
-    for t in range(1, args.steps + 1):
-        engine.step()
-        if t in want:
-            dump(t)
+    for engine in evolve(init, bounds, args.steps):
+        if engine.t in want:
+            probs = engine.probability_array()
+            for i, p in enumerate(probs):
+                if p > 0.0:
+                    rows.append((engine.t, engine.lo + i, float(p)))
     return ("t", "position", "probability"), rows, 0
 
 

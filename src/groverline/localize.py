@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import BoundarySpec, CoinSpinor, WindowWalk, spinor_mass_history
+from .walk import BoundarySpec, CoinSpinor, evolve, spinor_mass_history
 
 __all__ = [
     "OscillationTrace",
@@ -75,14 +75,15 @@ def two_peak_profile(
     if steps < 2:
         raise ValueError("steps must be >= 2")
     init = init or CoinSpinor(0, 0, 1)
-    engine = WindowWalk(init, BoundarySpec(), steps)
+    walk = evolve(init, BoundarySpec(), steps)
+    engine = next(walk)
     t_lo = steps // 2
-    acc = np.zeros(engine.hi - engine.lo + 1)
+    acc = np.zeros(engine.width)
     count = 0
-    for t in range(1, steps + 1):
-        engine.step()
-        if t >= t_lo:
-            acc += engine.probability_array()
+    for engine in walk:
+        if engine.t >= t_lo:
+            cone = engine.cone()
+            acc[cone] += np.sum(np.abs(engine.amps[:, cone]) ** 2, axis=0)
             count += 1
     acc /= count
     return {
@@ -147,9 +148,8 @@ def residual_near_origin(
     if left_boundary < 1:
         raise ValueError("left_boundary must be >= 1")
     init = init or CoinSpinor(0, 0, 1)
-    engine = WindowWalk(init, BoundarySpec(left=left_boundary), steps)
-    for _ in range(steps):
-        engine.step()
+    for engine in evolve(init, BoundarySpec(left=left_boundary), steps):
+        pass
     return engine.mass_within(window)
 
 

@@ -8,18 +8,25 @@ removed from the state and recorded instead of renormalizing, so per-step
 absorbed masses are directly the squared first-hit amplitudes that the
 analytic modules reproduce.
 
-Two surfaces are provided: a sparse, value-semantic one built around
-:class:`WalkState` (``apply_evolution``, ``project_is_at``) that is
-convenient for small hand checks, and the dense :class:`WindowWalk`
-engine used by :func:`run_walk` and the localization studies, which is
-fast enough for thousands of steps.
+The production engine is the dense :class:`WindowWalk`: it multiplies
+only the light cone of the start, with the coin and the shift fused into
+one matrix product per step, and is fast enough for thousands of steps.
+Every simulator entry point (:func:`run_walk`, :func:`spinor_mass_history`,
+the localization studies and the ``simulate`` command) steps it through
+the one generator :func:`evolve`, which validates the start spinor.
+:func:`run_walk` returns an :class:`AbsorptionReport` of the per-step hit
+amplitudes and masses and the residual norm.
+
+The sparse, value-semantic :class:`WalkState` (``apply_evolution``,
+``project_is_at``) shares no code with the engine and is kept as the
+independent oracle the tests check it against.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +37,7 @@ __all__ = [
     "WalkState",
     "AbsorptionReport",
     "WindowWalk",
+    "evolve",
     "grover_coin",
     "validate_input",
     "apply_evolution",
@@ -238,20 +246,56 @@ class WindowWalk:
 
     Positions run from ``lo`` to ``hi`` inclusive; a bounded side pins the
     window edge at the boundary site, a free side leaves ``steps + 1`` of
-    slack so nothing ever falls off the edge.  After each step the
-    amplitude at a boundary site (only its L component can be populated on
-    the left edge, only R on the right) is recorded and zeroed.
+    slack so nothing can fall off the edge within ``steps`` steps, and
+    stepping further raises.  After each step the amplitude at a boundary
+    site (only its L component can be populated on the left edge, only R
+    on the right) is recorded and zeroed.
+
+    The kernel keeps two (3, W + 2) complex buffers, the window plus one
+    guard column on each side, and alternates between them, so a step
+    allocates no amplitude buffer.  Each buffer has a fixed "shifted" view
+    whose row stride is one column longer than the buffer's: writing
+    column j of it lands the L row one column left of j, the S row at j
+    and the R row one column right.  So one
+    ``np.matmul(coin, window[:, cone], out=shifted[:, cone])`` applies the
+    coin and the shift together; the guard columns keep that view inside
+    its buffer, and nothing reads them.  Only the light cone |m| <= t
+    (clipped to the window) is multiplied; outside it every amplitude is
+    zero.
+
+    The product runs on float views of the same memory (real and imaginary
+    parts interleaved, so window column j is float columns 2j and 2j + 1)
+    with the real coin: half the flops of the complex product, and
+    bit-identical to it, since with a zero imaginary part in the coin the
+    complex product only adds exact zeros to the same real products.  The
+    amplitudes stay complex.  A product is at least two float columns
+    wide, so numpy always sends it through gemm; a one-column product
+    would go through gemv, whose rounding differs (a one-column complex
+    cone at t = 0 would).  ``tests/test_walk_properties.py`` pins every
+    step bit for bit to the plain full-window complex product.
     """
 
     def __init__(self, init: CoinSpinor, bounds: BoundarySpec, steps: int):
+        validate_input((init.aL, init.aS, init.aR))
         if steps < 0:
             raise ValueError("steps must be >= 0")
         self.bounds = bounds
+        self.steps = steps
         self.lo = -bounds.left if bounds.left is not None else -(steps + 1)
         self.hi = bounds.right if bounds.right is not None else steps + 1
-        width = self.hi - self.lo + 1
-        self.amps = np.zeros((3, width), dtype=complex)
-        self.amps[:, -self.lo] = init.as_array()
+        self.width = width = self.hi - self.lo + 1
+        bufs = [np.zeros((3, width + 2), dtype=complex) for _ in range(2)]
+        self._windows = [b[:, 1:-1] for b in bufs]
+        reals = [b.view(float) for b in bufs]
+        self._sources = [r[:, 2:-2] for r in reals]
+        self._targets = [
+            np.lib.stride_tricks.as_strided(
+                r, (3, 2 * width), (r.strides[0] + 2 * r.itemsize, r.itemsize)
+            )
+            for r in reals
+        ]
+        self.amps = self._windows[0]
+        self.amps[:, self.index(0)] = init.as_array()
         self.t = 0
         self.hit_left: list[complex] = []
         self.hit_right: list[complex] = []
@@ -260,28 +304,35 @@ class WindowWalk:
     def index(self, m: int) -> int:
         return m - self.lo
 
+    def cone(self) -> slice:
+        """Window columns the walk can occupy now: |m| <= t, clipped to the window."""
+        return slice(max(0, self.index(-self.t)), min(self.width, self.index(self.t) + 1))
+
     def step(self) -> None:
-        """Advance one step: coin, shift, then boundary measurements (left first)."""
-        phi = self._coin @ self.amps
-        out = np.zeros_like(self.amps)
-        out[0, :-1] = phi[0, 1:]
-        out[1] = phi[1]
-        out[2, 1:] = phi[2, :-1]
-        self.amps = out
+        """Advance one step: coin and shift, then boundary measurements (left first)."""
+        if self.t == self.steps:
+            raise RuntimeError(f"the window only holds {self.steps} steps")
+        cols = self.cone()
+        floats = slice(2 * cols.start, 2 * cols.stop)
+        cur = self.t % 2
+        np.matmul(
+            self._coin, self._sources[cur][:, floats], out=self._targets[1 - cur][:, floats]
+        )
+        self.amps = amps = self._windows[1 - cur]
         self.t += 1
         if self.bounds.left is not None:
-            self.hit_left.append(complex(self.amps[0, 0]))
-            self.amps[:, 0] = 0
+            self.hit_left.append(complex(amps[0, 0]))
+            amps[:, 0] = 0
         if self.bounds.right is not None:
-            self.hit_right.append(complex(self.amps[2, -1]))
-            self.amps[:, -1] = 0
+            self.hit_right.append(complex(amps[2, -1]))
+            amps[:, -1] = 0
 
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
     def position_probability(self, m: int) -> float:
         i = self.index(m)
-        if not 0 <= i < self.amps.shape[1]:
+        if not 0 <= i < self.width:
             return 0.0
         return float(np.sum(np.abs(self.amps[:, i]) ** 2))
 
@@ -292,21 +343,23 @@ class WindowWalk:
     def mass_within(self, radius: int) -> float:
         """Total probability at positions m with |m| <= radius."""
         i0 = max(0, self.index(-radius))
-        i1 = min(self.amps.shape[1], self.index(radius) + 1)
+        i1 = min(self.width, self.index(radius) + 1)
         return float(np.sum(np.abs(self.amps[:, i0:i1]) ** 2))
 
-    def to_state(self) -> WalkState:
-        amps = {}
-        for i in range(self.amps.shape[1]):
-            col = self.amps[:, i]
-            if np.any(col != 0):
-                amps[self.lo + i] = CoinSpinor.from_array(col)
-        return WalkState(
-            amplitudes=amps,
-            t=self.t,
-            absorbed_left=tuple(abs(a) ** 2 for a in self.hit_left),
-            absorbed_right=tuple(abs(a) ** 2 for a in self.hit_right),
-        )
+
+def evolve(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> Iterator[WindowWalk]:
+    """Step one walk from spinor ``init`` at 0; yield its engine at t = 0..steps.
+
+    The single stepping loop behind every simulator entry point.  The same
+    engine object is yielded each time, advanced in place, so read what is
+    needed before asking for the next step.  The spinor is validated when
+    the engine is built (normalized within ``INIT_NORM_TOL``, finite).
+    """
+    engine = WindowWalk(init, bounds, steps)
+    yield engine
+    for _ in range(steps):
+        engine.step()
+        yield engine
 
 
 @dataclass(frozen=True)
@@ -327,7 +380,6 @@ class AbsorptionReport:
     first_hit_left: np.ndarray
     first_hit_right: np.ndarray
     residual_norm: float
-    final_state: WalkState
 
     @property
     def cumulative_left(self) -> float:
@@ -350,10 +402,8 @@ def run_walk(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> AbsorptionRe
     evolution and then measures the left boundary, then the right one
     (the projectors commute, the order is fixed for reproducibility).
     """
-    validate_input((init.aL, init.aS, init.aR))
-    w = WindowWalk(init, bounds, steps)
-    for _ in range(steps):
-        w.step()
+    for w in evolve(init, bounds, steps):
+        pass
     return AbsorptionReport(
         steps=steps,
         absorbed_left=np.abs(np.array(w.hit_left)) ** 2,
@@ -361,7 +411,6 @@ def run_walk(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> AbsorptionRe
         first_hit_left=np.array(w.hit_left),
         first_hit_right=np.array(w.hit_right),
         residual_norm=w.norm2(),
-        final_state=w.to_state(),
     )
 
 
@@ -395,10 +444,8 @@ def spinor_mass_history(
     Convenience driver for localization traces; runs the dense engine once.
     """
     pos = list(positions)
-    w = WindowWalk(init, bounds, steps)
     out = np.empty((steps, len(pos)))
-    for t in range(steps):
-        w.step()
-        for j, m in enumerate(pos):
-            out[t, j] = w.position_probability(m)
+    for w in evolve(init, bounds, steps):
+        if w.t:
+            out[w.t - 1] = [w.position_probability(m) for m in pos]
     return out

@@ -1,14 +1,30 @@
 """End-to-end command line tests: parsing, formats, exit codes, determinism."""
 
+import ast
 import csv
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groverline.cli import main
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_cli_commands():
+    """The ``CLI`` catalog of ``bench/workloads.py``, read without importing it."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CLI" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError("bench/workloads.py defines no CLI catalog")
 
 
 def run_cli(capsys, argv):
@@ -265,3 +281,15 @@ class TestOutputHandling:
             main(["--help"])
         capsys.readouterr()
         assert exc_info.value.code == 0
+
+
+class TestGoldenOutput:
+    """The benchmark's CLI commands print exactly the bytes in ``bench/golden/cli``."""
+
+    RC = json.loads((BENCH / "golden" / "cli" / "rc.json").read_text())
+
+    @pytest.mark.parametrize("key,command", _bench_cli_commands())
+    def test_bytes_and_exit_code(self, capsys, key, command):
+        code, out = run_cli(capsys, command.split())
+        assert code == self.RC[key]
+        assert out.encode() == (BENCH / "golden" / "cli" / f"{key}.out").read_bytes()

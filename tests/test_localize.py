@@ -11,6 +11,22 @@ from groverline.localize import (
     tail_decay_fit,
     two_peak_profile,
 )
+from groverline.walk import CoinSpinor
+
+
+class TestInputValidation:
+    def test_two_peak_profile_rejects_unnormalized_spinor(self):
+        with pytest.raises(ValueError):
+            two_peak_profile(10, init=CoinSpinor(2, 0, 0))
+
+    def test_residual_rejects_nan_spinor(self):
+        with pytest.raises(ValueError):
+            residual_near_origin(2, 50, init=CoinSpinor(np.nan, 0, 1))
+
+    def test_oscillation_trace_rejects_zero_spinor(self):
+        with pytest.raises(ValueError):
+            oscillation_trace(5, init=CoinSpinor(0, 0, 0))
+
 
 # flat-band projection values, frozen; see stationary_profile docstring
 P_PEAK = 0.2020410288672

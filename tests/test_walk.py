@@ -9,11 +9,13 @@ from groverline.walk import (
     WalkState,
     WindowWalk,
     apply_evolution,
+    evolve,
     first_hit_amplitudes,
     grover_coin,
     position_distribution,
     project_is_at,
     run_walk,
+    spinor_mass_history,
 )
 
 R3 = 1 / np.sqrt(3)
@@ -238,3 +240,39 @@ class TestInvariants:
         total = engine.mass_within(10)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert engine.mass_within(1) < total
+
+
+class TestEngineGuards:
+    @pytest.mark.parametrize(
+        "spinor", [CoinSpinor(2, 0, 0), CoinSpinor(np.nan, 0, 1), CoinSpinor(0, 0, 0)]
+    )
+    def test_engine_rejects_bad_spinor(self, spinor):
+        with pytest.raises(ValueError):
+            WindowWalk(spinor, BoundarySpec(), 3)
+
+    def test_mass_history_rejects_bad_spinor(self):
+        with pytest.raises(ValueError):
+            spinor_mass_history(CoinSpinor(0.5, 0, 0), BoundarySpec(), 3, (0,))
+
+    def test_step_past_horizon_raises(self):
+        # a free edge holds steps + 1 sites of slack; one more step would
+        # push mass off the window
+        engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(), 3)
+        for _ in range(3):
+            engine.step()
+        with pytest.raises(RuntimeError):
+            engine.step()
+        assert engine.t == 3
+        assert engine.norm2() == pytest.approx(1.0, abs=1e-15)
+
+    def test_evolve_yields_every_time_once(self):
+        seen = [(w.t, w.norm2()) for w in evolve(CoinSpinor(0, 1, 0), BoundarySpec(left=2), 4)]
+        assert [t for t, _ in seen] == [0, 1, 2, 3, 4]
+        assert seen[0][1] == 1.0
+
+    def test_cone_grows_with_time_and_clips_at_boundaries(self):
+        engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(left=2), 5)
+        assert engine.cone() == slice(engine.index(0), engine.index(0) + 1)
+        for _ in range(3):
+            engine.step()
+        assert engine.cone() == slice(0, engine.index(3) + 1)
