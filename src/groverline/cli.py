@@ -283,6 +283,8 @@ def _cmd_simulate(args) -> tuple[tuple, list, int]:
 def _cmd_absorb(args) -> tuple[tuple, list, int]:
     query = AbsorptionQuery(spinor=args.spinor, left=args.left, right=args.right)
     two = query.left is not None and query.right is not None
+    # always an explicit spec: for one boundary scipy's adaptive quadrature,
+    # whose own error estimate is part of the printed output
     spec = _spec_for(
         args,
         method="trapezoid" if two else "adaptive-split",

@@ -277,6 +277,8 @@ class WindowWalk:
 
     def __init__(self, init: CoinSpinor, bounds: BoundarySpec, steps: int):
         validate_input((init.aL, init.aS, init.aR))
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {steps!r}")
         if steps < 0:
             raise ValueError("steps must be >= 0")
         self.bounds = bounds
@@ -352,12 +354,17 @@ def evolve(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> Iterator[Windo
 
     The single stepping loop behind every simulator entry point.  The same
     engine object is yielded each time, advanced in place, so read what is
-    needed before asking for the next step.  The spinor is validated when
-    the engine is built (normalized within ``INIT_NORM_TOL``, finite).
+    needed before asking for the next step.  The engine is built, and its
+    inputs validated (spinor finite and normalized within
+    ``INIT_NORM_TOL``, ``steps`` an integer >= 0), when ``evolve`` is
+    called, not on the first ``next``.
     """
-    engine = WindowWalk(init, bounds, steps)
+    return _stepped(WindowWalk(init, bounds, steps))
+
+
+def _stepped(engine: WindowWalk) -> Iterator[WindowWalk]:
     yield engine
-    for _ in range(steps):
+    for _ in range(engine.steps):
         engine.step()
         yield engine
 
@@ -444,8 +451,9 @@ def spinor_mass_history(
     Convenience driver for localization traces; runs the dense engine once.
     """
     pos = list(positions)
+    walk = evolve(init, bounds, steps)
     out = np.empty((steps, len(pos)))
-    for w in evolve(init, bounds, steps):
+    for w in walk:
         if w.t:
             out[w.t - 1] = [w.position_probability(m) for m in pos]
     return out

@@ -22,7 +22,7 @@ from groverline.absorb import (
     theorem4_crosscheck,
     theorem4_sequence,
 )
-from groverline.genfun import r_closed
+from groverline.genfun import BranchPointError, r_closed
 from groverline.walk import BoundarySpec, CoinSpinor, run_walk
 
 P_ONE_L = 0.4248159326
@@ -96,6 +96,98 @@ class TestIntegratePeriodic:
             QuadratureSpec("trapezoid", -1e-10)
         with pytest.raises(ValueError):
             QuadratureSpec("trapezoid", 1e-10, 4)
+
+
+    def test_constant_gauss_split(self):
+        value, err = integrate_periodic(
+            lambda t: np.ones_like(t), QuadratureSpec("gauss-split", 1e-12)
+        )
+        assert value == pytest.approx(1.0, abs=1e-14)
+        assert err <= 1e-12
+
+    def test_gauss_split_tolerance_failure_is_not_branch_error(self):
+        # the order stops at 1024 per piece, before a node comes within
+        # genfun's refusal distance of a branch point
+        def f(theta):
+            return np.abs(r_closed(np.exp(1j * theta))) ** 2
+
+        try:
+            integrate_periodic(f, QuadratureSpec("gauss-split", 1e-30))
+        except BranchPointError:
+            pytest.fail("gauss-split sampled a branch point")
+        except ToleranceError as exc:
+            assert exc.value == pytest.approx(P_ONE_R, abs=1e-9)
+            assert 0 <= exc.error < 1e-12
+        else:
+            pytest.fail("abs_tol=1e-30 was met")
+
+    def test_gauss_split_needs_room_for_a_second_level(self):
+        # 64 nodes fit, the 128 of the second level do not: no estimate
+        def f(theta):
+            return np.abs(r_closed(np.exp(1j * theta))) ** 2
+
+        with pytest.raises(ToleranceError) as exc_info:
+            integrate_periodic(f, QuadratureSpec("gauss-split", 1e-10, 100))
+        assert exc_info.value.value == pytest.approx(P_ONE_R, abs=1e-3)
+
+    def test_gauss_split_level_never_exceeds_max_points(self):
+        sizes = []
+
+        def f(theta):
+            sizes.append(theta.size)
+            return np.abs(r_closed(np.exp(1j * theta))) ** 2
+
+        with pytest.raises(ToleranceError):
+            integrate_periodic(f, QuadratureSpec("gauss-split", 1e-30, 1000))
+        assert sizes == [64, 128, 256, 512]
+
+    def test_spec_rejects_non_finite_tol_and_non_integer_max_points(self):
+        for tol in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="abs_tol"):
+                QuadratureSpec("trapezoid", tol)
+        for points in (1e6, 2.0 ** 20, True, "4096"):
+            with pytest.raises(ValueError, match="max_points"):
+                QuadratureSpec("trapezoid", 1e-10, points)
+        assert QuadratureSpec("trapezoid", 1e-10, np.int64(4096)).max_points == 4096
+
+
+def _gauss_split_spinors():
+    rng = np.random.default_rng(20140527)
+    spinors = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for _ in range(3):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        spinors.append(tuple(v / np.linalg.norm(v)))
+    return spinors
+
+
+class TestGaussSplit:
+    """The default one-boundary route against scipy's adaptive quadrature."""
+
+    SPINORS = _gauss_split_spinors()
+    ADAPTIVE = QuadratureSpec("adaptive-split", 1e-10)
+    GAUSS = QuadratureSpec("gauss-split", 1e-10)
+
+    def test_is_the_one_boundary_default(self):
+        psi = self.SPINORS[-1]
+        assert prob_one_boundary(4, psi) == prob_one_boundary(4, psi, self.GAUSS)
+        ans = absorption_answer(AbsorptionQuery(psi, left=4))
+        assert ans.p_left == prob_one_boundary(4, psi, self.GAUSS)
+
+    @pytest.mark.parametrize("m", range(1, 16))
+    def test_agrees_with_adaptive_split(self, m):
+        for psi in self.SPINORS:
+            ans = absorption_answer(AbsorptionQuery(psi, left=m))
+            assert ans.error_estimate <= self.GAUSS.abs_tol
+            ref = prob_one_boundary(m, psi, self.ADAPTIVE)
+            assert ans.p_left == pytest.approx(ref, abs=1e-11), psi
+
+    @pytest.mark.parametrize("m", (1, 3, 9))
+    def test_right_boundary_mirrors(self, m):
+        for psi in self.SPINORS:
+            right = absorption_answer(AbsorptionQuery(psi, right=m))
+            left = prob_one_boundary(m, psi[::-1])
+            assert right.p_right == pytest.approx(left, abs=1e-11)
+            assert prob_one_boundary_right(m, psi) == pytest.approx(left, abs=1e-11)
 
 
 class TestOneBoundary:

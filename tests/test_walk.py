@@ -276,3 +276,42 @@ class TestEngineGuards:
         for _ in range(3):
             engine.step()
         assert engine.cone() == slice(0, engine.index(3) + 1)
+
+
+BAD_STEPS = [2.5, 2.0, True, -1, np.float64(3.0)]
+R_START = CoinSpinor(0, 0, 1)
+LEFT_1 = BoundarySpec(left=1)
+
+
+class TestStepsValidation:
+    """``steps`` is checked once, in ``WindowWalk``, for every entry point."""
+
+    @pytest.mark.parametrize("steps", BAD_STEPS)
+    def test_window_walk(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            WindowWalk(R_START, LEFT_1, steps)
+
+    @pytest.mark.parametrize("steps", BAD_STEPS)
+    def test_evolve_rejects_on_call(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            evolve(R_START, LEFT_1, steps)
+
+    @pytest.mark.parametrize("steps", BAD_STEPS)
+    def test_run_walk(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            run_walk(R_START, LEFT_1, steps)
+
+    @pytest.mark.parametrize("steps", BAD_STEPS)
+    def test_spinor_mass_history(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            spinor_mass_history(R_START, LEFT_1, steps, (0,))
+
+    @pytest.mark.parametrize("steps", BAD_STEPS)
+    def test_first_hit_amplitudes(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            first_hit_amplitudes("R", LEFT_1, steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        report = run_walk(R_START, LEFT_1, np.int64(3))
+        assert report.steps == 3
+        assert len(report.absorbed_left) == 3
