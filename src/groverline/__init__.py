@@ -24,6 +24,7 @@ from .absorb import (
     ToleranceError,
     absorption_answer,
     absorption_matrices,
+    absorption_profile,
     integrate_periodic,
     prob_one_boundary,
     prob_one_boundary_right,
@@ -98,6 +99,7 @@ __all__ = [
     "WindowWalk",
     "absorption_answer",
     "absorption_matrices",
+    "absorption_profile",
     "apply_evolution",
     "decay_slope",
     "delta",

@@ -4,9 +4,13 @@ Two boundaries (production route): between the boundaries one step of the
 walk is a real contraction on the interior amplitudes, so each side's
 absorption probability is a Hermitian form psi^H X psi whose matrix solves
 a Stein equation, and the never-absorbed mass is the form of the
-projection onto the eigenvalue-1 flat band.  :func:`absorption_matrices`
-returns the three start-site blocks; one linear solve answers every
-spinor of a geometry.
+projection onto the eigenvalue-1 flat band.  The contraction depends
+only on the strip width M + N, and the right side's matrix is the
+site-and-coin mirror of the left side's, so one SVD and one Stein solve
+per width, cached, give both sides and the trapped mass at every start
+site.  :func:`absorption_matrices` returns the three start-site blocks of
+one geometry and :func:`absorption_profile` those of every start site of
+one strip; each answers every spinor.
 
 Circle quadrature: the total absorption probability is also the sum of
 squared first-hit amplitudes, i.e. the Hadamard square of a generating
@@ -67,6 +71,7 @@ __all__ = [
     "prob_one_boundary_right",
     "prob_two_boundary",
     "absorption_matrices",
+    "absorption_profile",
     "absorption_answer",
     "theorem4_sequence",
     "theorem4_crosscheck",
@@ -147,19 +152,21 @@ def _midpoint_mean(f, n: int) -> float:
 
 
 def _trapezoid_doubling(f, spec: QuadratureSpec) -> tuple[float, float]:
+    prev = err = float("nan")
+    points = 0
     n = 64
-    prev = _midpoint_mean(f, n)
-    while 2 * n <= spec.max_points:
-        n *= 2
+    while n <= spec.max_points:
         cur = _midpoint_mean(f, n)
-        diff = abs(cur - prev)
-        if diff < spec.abs_tol:
-            return cur, diff
-        prev = cur
+        err = abs(cur - prev)
+        if err < spec.abs_tol:
+            return cur, err
+        prev, points = cur, n
+        n *= 2
     raise ToleranceError(
-        f"midpoint rule stuck above abs_tol={spec.abs_tol:g} at {n} points",
+        f"midpoint rule stuck above abs_tol={spec.abs_tol:g} at {points} points "
+        f"(last difference {err:.3g}, max_points={spec.max_points})",
         value=prev,
-        error=float("nan"),
+        error=err,
     )
 
 
@@ -267,7 +274,10 @@ class AbsorptionAnswer:
 
     A side without a boundary reports ``None``.  With one boundary the
     deficit also contains the mass escaping to the open side, not only
-    the localized remainder.
+    the localized remainder.  ``trapped`` is the never-absorbed mass
+    psi^H P psi, computed directly from the flat-band projection on the
+    exact two-boundary route and ``None`` on the quadrature routes; the
+    deficit stays 1 - total on every route.
     """
 
     p_left: float | None
@@ -275,6 +285,7 @@ class AbsorptionAnswer:
     total: float
     deficit: float
     error_estimate: float
+    trapped: float | None = None
 
 
 def _one_boundary_integrand(m: int, spinor):
@@ -345,6 +356,55 @@ def _two_boundary_integrand(m: int, n: int, spinor):
     return f
 
 
+@functools.lru_cache(maxsize=64)
+def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start-site blocks of ``(X_left, X_right, P_trapped)`` for every start site.
+
+    The strip between boundaries at -m and +n has W - 1 interior sites
+    (W = m + n) and its one-step contraction A depends on W alone; the
+    start site picks the block.  Returns three read-only ``(W - 1, 3, 3)``
+    arrays whose entry s = m - 1 is the 3x3 diagonal block at the start
+    site of geometry (m, W - m).  Cached per width, so every geometry and
+    spinor of one strip shares one SVD and one Stein solve.
+
+    X_right needs no solve of its own: reversing the whole site-major
+    amplitude vector (site s -> W - 2 - s, coin c -> 2 - c) maps A to
+    itself and the left loss row to the right one, so X_right = J X_left J
+    with J that reversal, i.e. its blocks are X_left's reversed on all
+    three axes.
+    """
+    import scipy.linalg as sla
+
+    coin = grover_coin()
+    sites = width - 1
+    size = 3 * sites
+    # site-major amplitudes (index 3 * site + coin); L moves one site left,
+    # S stays, R moves one site right
+    a = np.zeros((size, size))
+    bands = a.reshape(sites, 3, sites, 3)
+    for c, shift in ((0, 1), (1, 0), (2, -1)):
+        target = np.arange(max(0, -shift), sites - max(0, shift))
+        bands[target, c, target + shift] = coin[c]
+    # one SVD splits the space into ker(A - I) and its complement; the rank
+    # cutoff is scipy.linalg.null_space's default
+    _, sv, vt = sla.svd(a - np.eye(size))
+    rank = int(np.sum(sv > sv[0] * size * np.finfo(float).eps))
+    rest, kernel = vt[:rank].T, vt[rank:].T
+    a_rest = rest.T @ a @ rest
+    c_rest = coin[0] @ rest[:3]  # the L row of the coin at the leftmost site
+    x = sla.solve_discrete_lyapunov(a_rest.T, np.outer(c_rest, c_rest))
+    rest_sites = rest.reshape(sites, 3, rank)
+    kernel_sites = kernel.reshape(sites, 3, size - rank)
+    x_left = (rest_sites @ x) @ rest_sites.transpose(0, 2, 1)
+    trapped = kernel_sites @ kernel_sites.transpose(0, 2, 1)
+    blocks = []
+    for b in (x_left, x_left[::-1, ::-1, ::-1], trapped):
+        b = 0.5 * (b + b.transpose(0, 2, 1))
+        b.flags.writeable = False
+        blocks.append(b)
+    return tuple(blocks)
+
+
 def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start-site blocks ``(X_left, X_right, P_trapped)`` for boundaries at -m and +n.
 
@@ -356,64 +416,42 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     the Stein equation X = A^T X A + c_L^T c_L.  A keeps the eigenvalue-1
     flat band (the compactly supported states that never reach a boundary,
     dimension m+n-2); a contraction's unitary part reduces it, so the band
-    is projected out orthogonally, leaving strictly stable Stein equations,
-    and its projection P is the trapped mass.  The kernel comes from an SVD
-    (rank-revealing), not from an eigenvalue threshold.
+    is projected out orthogonally, leaving a strictly stable Stein
+    equation, and its projection P is the trapped mass.  The kernel comes
+    from an SVD (rank-revealing), not from an eigenvalue threshold.  X_R is
+    the site-and-coin mirror of X_L, so it needs no second solve.
+
+    A depends only on the width m + n, so the work (one SVD, one Stein
+    solve) is done once per width and cached, and every (m, n) with the
+    same sum reads its blocks from it; see :func:`absorption_profile`.
+    The returned arrays are fresh copies the caller may modify.
 
     Each block is real symmetric, in ``(L, S, R)`` order, and for every unit
     spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to rounding, so
     one call answers every spinor of the geometry.
     """
-    import scipy.linalg as sla
-
     validate_input(left=m, right=n)
-    coin = grover_coin()
-    width = m + n - 1
-    size = 3 * width
-    # site-major amplitudes (index 3 * site + coin); L moves one site left,
-    # S stays, R moves one site right
-    a = sum(
-        np.kron(np.eye(width, k=shift), np.outer(np.eye(3)[c], coin[c]))
-        for c, shift in ((0, 1), (1, 0), (2, -1))
-    )
-    c_left, c_right = np.zeros(size), np.zeros(size)
-    c_left[:3], c_right[-3:] = coin[0], coin[2]
-    # one SVD splits the space into ker(A - I) and its complement; the rank
-    # cutoff is scipy.linalg.null_space's default
-    _, sv, vt = sla.svd(a - np.eye(size))
-    rank = int(np.sum(sv > sv[0] * size * np.finfo(float).eps))
-    rest, kernel = vt[:rank].T, vt[rank:].T
-    a_rest = rest.T @ a @ rest
-    start = slice(3 * (m - 1), 3 * m)
-    blocks = []
-    for c in (c_left, c_right):
-        c_rest = c @ rest
-        x = sla.solve_discrete_lyapunov(a_rest.T, np.outer(c_rest, c_rest))
-        blocks.append(rest[start] @ x @ rest[start].T)
-    blocks.append(kernel[start] @ kernel[start].T)
-    return tuple(0.5 * (b + b.T) for b in blocks)
+    return tuple(b[m - 1].copy() for b in _strip_blocks(int(m + n)))
+
+
+def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X_left, X_right, P_trapped)`` blocks for every start site of one strip.
+
+    ``width`` = M + N (an integer >= 2) is the distance between the two
+    boundaries.  Each result has shape ``(width - 1, 3, 3)``; entry s holds
+    the :func:`absorption_matrices` blocks of boundaries at -(s + 1) and
+    +(width - 1 - s), so psi^H X_left[s] psi is the paper's two-boundary
+    left absorption probability for that geometry, and the three blocks
+    of every entry sum to the identity.  The arrays are fresh copies.
+    """
+    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 2:
+        raise ValueError(f"width must be an integer >= 2, got {width!r}")
+    return tuple(b.copy() for b in _strip_blocks(int(width)))
 
 
 def _form(x: np.ndarray, spinor) -> float:
     psi = np.asarray(spinor, dtype=complex)
     return float(np.real(np.conj(psi) @ x @ psi))
-
-
-def _exact_two_boundary(query: AbsorptionQuery) -> tuple[AbsorptionAnswer, float]:
-    """The exact-strip answer plus the directly computed trapped mass."""
-    x_left, x_right, trapped = absorption_matrices(query.left, query.right)
-    p_left, p_right, p_trapped = (
-        _form(x, query.spinor) for x in (x_left, x_right, trapped)
-    )
-    total = p_left + p_right
-    answer = AbsorptionAnswer(
-        p_left=p_left,
-        p_right=p_right,
-        total=total,
-        deficit=1.0 - total,
-        error_estimate=abs(total + p_trapped - 1.0),
-    )
-    return answer, p_trapped
 
 
 def prob_two_boundary(
@@ -422,8 +460,9 @@ def prob_two_boundary(
     """Both-sided absorption for boundaries at -M and +N.
 
     With ``spec=None`` (production) both sides are the forms psi^H X psi of
-    :func:`absorption_matrices`, and ``error_estimate`` is the ledger
-    residual |psi^H (X_left + X_right + P_trapped) psi - 1|.
+    :func:`absorption_matrices`, ``trapped`` is psi^H P_trapped psi, and
+    ``error_estimate`` is the ledger residual
+    |psi^H (X_left + X_right + P_trapped) psi - 1|.
 
     With a :class:`QuadratureSpec` the circle quadrature answers instead,
     as an independent cross-check: the left probability integrates
@@ -438,7 +477,17 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        return _exact_two_boundary(query)[0]
+        blocks = absorption_matrices(query.left, query.right)
+        p_left, p_right, trapped = (_form(x, query.spinor) for x in blocks)
+        total = p_left + p_right
+        return AbsorptionAnswer(
+            p_left=p_left,
+            p_right=p_right,
+            total=total,
+            deficit=1.0 - total,
+            error_estimate=abs(total + trapped - 1.0),
+            trapped=trapped,
+        )
     m, n = query.left, query.right
     p_left, err_left = integrate_periodic(
         _two_boundary_integrand(m, n, query.spinor), spec
@@ -553,11 +602,10 @@ def table1(
         AbsorptionQuery(spinor=(0, 0, 1), left=left, right=n)
         for n in range(1, max_n + 1)
     ]
+    answers = [prob_two_boundary(q, spec) for q in queries]
     if spec is None:
-        answers, trapped = zip(*(_exact_two_boundary(q) for q in queries))
-        steps = [b - a for a, b in zip(trapped, trapped[1:])]
+        steps = [b.trapped - a.trapped for a, b in zip(answers, answers[1:])]
     else:
-        answers = [prob_two_boundary(q, spec) for q in queries]
         steps = [a.total - b.total for a, b in zip(answers, answers[1:])]
     rows = []
     for i, ans in enumerate(answers):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import BoundarySpec, CoinSpinor, evolve, spinor_mass_history
+from .walk import BoundarySpec, CoinSpinor, evolve, spinor_mass_history, validate_steps
 
 __all__ = [
     "OscillationTrace",
@@ -48,8 +48,7 @@ def oscillation_trace(
     Both stay bounded away from zero forever; their time averages settle
     near 0.2027 each (about 0.4053 combined) for the rightward start.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    validate_steps(steps, 1)
     init = init or CoinSpinor(0, 0, 1)
     hist = spinor_mass_history(init, BoundarySpec(), steps, positions=(-1, 0))
     return OscillationTrace(
@@ -72,8 +71,7 @@ def two_peak_profile(
     object of study.  Returns {position: mean probability} restricted to
     positions that ever carry mass.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    validate_steps(steps, 2)
     init = init or CoinSpinor(0, 0, 1)
     walk = evolve(init, BoundarySpec(), steps)
     engine = next(walk)

@@ -40,6 +40,7 @@ __all__ = [
     "evolve",
     "grover_coin",
     "validate_input",
+    "validate_steps",
     "apply_evolution",
     "project_is_at",
     "run_walk",
@@ -97,6 +98,20 @@ def validate_input(spinor=None, **boundaries) -> None:
         raise ValueError(
             f"spinor must have unit norm within {INIT_NORM_TOL}, got squared norm {n2!r}"
         )
+
+
+def validate_steps(steps, minimum: int = 0) -> None:
+    """Reject a step count that is not an integer >= ``minimum``.
+
+    The one ``steps`` check: the walk engine applies it with minimum 0, and
+    entry points that need at least one step apply it before anything
+    else compares ``steps``.  ``bool`` does not count as an integer here;
+    numpy integers do.  Raises :class:`ValueError`.
+    """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if steps < minimum:
+        raise ValueError(f"steps must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -277,10 +292,7 @@ class WindowWalk:
 
     def __init__(self, init: CoinSpinor, bounds: BoundarySpec, steps: int):
         validate_input((init.aL, init.aS, init.aR))
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {steps!r}")
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
+        validate_steps(steps)
         self.bounds = bounds
         self.steps = steps
         self.lo = -bounds.left if bounds.left is not None else -(steps + 1)
@@ -437,8 +449,7 @@ def first_hit_amplitudes(
         raise ValueError(f"init_coin must be one of {sorted(_BASIS)}, got {init_coin!r}")
     if bounds.left is None:
         raise ValueError("first_hit_amplitudes needs a left boundary")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    validate_steps(steps, 1)
     report = run_walk(_BASIS[init_coin], bounds, steps)
     return report.first_hit_left
 

@@ -14,6 +14,7 @@ from groverline.absorb import (
     QuadratureSpec,
     ToleranceError,
     absorption_answer,
+    absorption_matrices,
     integrate_periodic,
     prob_one_boundary,
     prob_one_boundary_right,
@@ -140,6 +141,48 @@ class TestIntegratePeriodic:
         with pytest.raises(ToleranceError):
             integrate_periodic(f, QuadratureSpec("gauss-split", 1e-30, 1000))
         assert sizes == [64, 128, 256, 512]
+
+    def test_trapezoid_tolerance_failure_carries_last_difference(self):
+        means = []
+
+        def corner(theta):
+            means.append(float(np.mean(np.abs(np.sin(theta / 2)))))
+            return np.abs(np.sin(theta / 2))
+
+        with pytest.raises(ToleranceError) as exc_info:
+            integrate_periodic(corner, QuadratureSpec("trapezoid", 1e-13, 4096))
+        assert exc_info.value.value == means[-1]
+        assert exc_info.value.error == abs(means[-1] - means[-2])
+
+    def test_trapezoid_needs_room_for_a_second_level(self):
+        # 64 nodes fit, the 128 of the second level do not: no estimate
+        sizes = []
+
+        def f(theta):
+            sizes.append(theta.size)
+            return np.abs(np.sin(theta / 2))
+
+        with pytest.raises(ToleranceError) as exc_info:
+            integrate_periodic(f, QuadratureSpec("trapezoid", 1e-10, 100))
+        assert sizes == [64]
+        assert exc_info.value.value == pytest.approx(2 / np.pi, abs=1e-3)
+
+    @pytest.mark.parametrize("max_points,expected", [
+        (16, []),
+        (63, []),
+        (1000, [64, 128, 256, 512]),
+        (1024, [64, 128, 256, 512, 1024]),
+    ])
+    def test_trapezoid_level_never_exceeds_max_points(self, max_points, expected):
+        sizes = []
+
+        def f(theta):
+            sizes.append(theta.size)
+            return np.abs(np.sin(theta / 2))
+
+        with pytest.raises(ToleranceError):
+            integrate_periodic(f, QuadratureSpec("trapezoid", 1e-30, max_points))
+        assert sizes == expected
 
     def test_spec_rejects_non_finite_tol_and_non_integer_max_points(self):
         for tol in (float("inf"), float("nan")):
@@ -343,6 +386,18 @@ class TestDispatch:
         ans = absorption_answer(AbsorptionQuery((1, 0, 0), right=1))
         assert ans.p_left is None
         assert ans.p_right == pytest.approx(P_ONE_R, abs=1e-9)
+
+    def test_trapped_only_on_the_exact_route(self):
+        query = AbsorptionQuery((0, 0, 1), left=2, right=3)
+        exact = absorption_answer(query)
+        p_trapped = absorption_matrices(2, 3)[2][2, 2]
+        assert exact.trapped == pytest.approx(p_trapped, abs=1e-15)
+        assert exact.trapped == pytest.approx(exact.deficit, abs=1e-12)
+        assert exact.deficit == 1.0 - exact.total
+        spec = QuadratureSpec("trapezoid", 1e-12)
+        assert absorption_answer(query, spec).trapped is None
+        assert absorption_answer(AbsorptionQuery((0, 0, 1), left=2)).trapped is None
+        assert absorption_answer(AbsorptionQuery((0, 0, 1), right=2)).trapped is None
 
 
 class TestTheorem4:

@@ -30,6 +30,8 @@ gl.absorption_answer(gl.AbsorptionQuery((0, 1, 0), left=2))
 seen["absorption_answer_one"] = loaded()
 gl.prob_two_boundary(gl.AbsorptionQuery((0, 0, 1), left=2, right=3))
 seen["prob_two_boundary"] = loaded()
+gl.absorption_profile(7)
+seen["absorption_profile"] = loaded()
 from groverline import cli
 with contextlib.redirect_stdout(io.StringIO()):
     seen["theorem4_rc"] = cli.main(["theorem4", "--max-n", "5"])
@@ -54,7 +56,7 @@ def test_scipy_stays_off_the_default_routes():
     seen = _probe()
     assert seen["import"]["scipy"] == []
     for step in ("prob_one_boundary", "absorption_answer_one", "prob_two_boundary",
-                 "theorem4"):
+                 "absorption_profile", "theorem4"):
         assert not seen[step]["integrate"], step
     assert seen["prob_one_boundary"]["scipy"] == []
     assert seen["absorption_answer_one"]["scipy"] == []

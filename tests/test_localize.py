@@ -27,17 +27,17 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             oscillation_trace(5, init=CoinSpinor(0, 0, 0))
 
-    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
     def test_oscillation_trace_rejects_non_integer_steps(self, steps):
         with pytest.raises(ValueError, match="steps"):
             oscillation_trace(steps)
 
-    @pytest.mark.parametrize("steps", [2.5, 4.0])
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "3"])
     def test_two_peak_profile_rejects_non_integer_steps(self, steps):
         with pytest.raises(ValueError, match="steps"):
             two_peak_profile(steps)
 
-    @pytest.mark.parametrize("steps", [2.5, 3.0, True, -1])
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, -1, "3"])
     def test_residual_rejects_bad_steps(self, steps):
         with pytest.raises(ValueError, match="steps"):
             residual_near_origin(2, steps)

@@ -1,9 +1,10 @@
 """The exact finite-strip route against the circle quadrature and itself.
 
 ``absorption_matrices`` answers two-boundary queries from one Stein solve
-on the strip's contraction; ``prob_two_boundary`` with an explicit
+per strip width, cached; ``prob_two_boundary`` with an explicit
 ``QuadratureSpec`` still runs the independent circle quadrature, which is
-the reference here.
+the reference here, and ``strip_oracle`` keeps the dense construction
+with one direct Stein solve per side.
 """
 
 import time
@@ -11,12 +12,15 @@ import time
 import numpy as np
 import pytest
 
+from groverline import absorb
 from groverline.absorb import (
     AbsorptionQuery,
     QuadratureSpec,
     absorption_matrices,
+    absorption_profile,
     prob_two_boundary,
 )
+from strip_oracle import dense_absorption_matrices
 
 SWEEP = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 6, 8, 10, 12)]
 J = np.eye(3)[::-1]  # reverses the coin order (L, S, R) -> (R, S, L)
@@ -99,3 +103,52 @@ def test_validation():
     for m, n in ((0, 1), (1, -2), (True, 2), (2.5, 3)):
         with pytest.raises(ValueError):
             absorption_matrices(m, n)
+    for width in (1, 0, -3, True, 2.5, 4.0, "5", None):
+        with pytest.raises(ValueError, match="width"):
+            absorption_profile(width)
+    assert absorption_profile(np.int64(4))[0].shape == (3, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(20, 40)]
+)
+def test_agrees_with_dense_oracle(m, n):
+    oracle = dense_absorption_matrices(m, n)
+    for x, y in zip(absorption_matrices(m, n), oracle):
+        assert np.max(np.abs(x - y)) < 1e-13
+    # the mirror that supplies X_right, checked on the oracle's own direct
+    # solves: X_R(m, n) = J X_L(n, m) J
+    oracle_left_mirrored = dense_absorption_matrices(n, m)[0]
+    assert np.max(np.abs(oracle[1] - J @ oracle_left_mirrored @ J)) < 1e-13
+
+
+@pytest.mark.parametrize("width", [2, 3, 7, 15, 40])
+def test_profile_is_every_start_site(width):
+    x_left, x_right, trapped = absorption_profile(width)
+    assert x_left.shape == x_right.shape == trapped.shape == (width - 1, 3, 3)
+    total = x_left + x_right + trapped
+    assert np.max(np.abs(total - np.eye(3))) < 1e-12
+    for s in range(width - 1):
+        single = absorption_matrices(s + 1, width - 1 - s)
+        for x, y in zip((x_left[s], x_right[s], trapped[s]), single):
+            assert np.array_equal(x, y)
+
+
+def test_returned_blocks_do_not_alias_the_cache():
+    spinor = random_spinors(11, 1)[0]
+    query = AbsorptionQuery(spinor, left=3, right=4)
+    before = prob_two_boundary(query)
+    for block in absorption_matrices(3, 4) + absorption_profile(7):
+        block[...] = 7.0
+    assert prob_two_boundary(query) == before
+    for block in absorb._strip_blocks(7):
+        assert not block.flags.writeable
+
+
+def test_cold_solve_reproduces_cached_answer():
+    geometries = [(1, 1), (2, 5), (6, 3), (20, 40)]
+    cached = [absorption_matrices(m, n) for m, n in geometries]
+    absorb._strip_blocks.cache_clear()
+    for (m, n), before in zip(geometries, cached):
+        after = absorption_matrices(m, n)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))

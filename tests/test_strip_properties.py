@@ -1,4 +1,4 @@
-"""Property tests of two-boundary absorption over random spinors and strips."""
+"""Property tests of absorption over random spinors and strips."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,13 @@ from hypothesis import strategies as st  # noqa: E402
 from groverline.absorb import (  # noqa: E402
     AbsorptionQuery,
     absorption_matrices,
+    prob_one_boundary,
     prob_two_boundary,
 )
 from test_strip import form  # noqa: E402
 
 TOL = 1e-12
+LOEWNER_TOL = 1e-11
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 raw_spinor = st.tuples(*[st.tuples(component, component)] * 3)
@@ -52,3 +54,31 @@ def test_mirror_swaps_sides(raw, m, n):
     assert fwd.p_left == pytest.approx(rev.p_right, abs=TOL)
     assert fwd.p_right == pytest.approx(rev.p_left, abs=TOL)
     assert fwd.deficit == pytest.approx(rev.deficit, abs=TOL)
+
+
+def smallest_eigenvalue(x):
+    return float(np.min(np.linalg.eigvalsh(x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
+def test_monotone_in_boundary_distance(m, n):
+    # Loewner orders, so they hold for every spinor at once: a side absorbs
+    # less as its own boundary moves away, and the trapped projection's
+    # start block grows with the width
+    x_left, x_right, trapped = absorption_matrices(m, n)
+    left_farther, _, trapped_left_farther = absorption_matrices(m + 1, n)
+    _, right_farther, trapped_right_farther = absorption_matrices(m, n + 1)
+    assert smallest_eigenvalue(x_left - left_farther) >= -LOEWNER_TOL
+    assert smallest_eigenvalue(x_right - right_farther) >= -LOEWNER_TOL
+    assert smallest_eigenvalue(trapped_right_farther - trapped) >= -LOEWNER_TOL
+    assert smallest_eigenvalue(trapped_left_farther - trapped) >= -LOEWNER_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw_spinor)
+def test_one_boundary_monotone_in_distance(raw):
+    # each value is within the gauss-split route's abs_tol of 1e-10
+    spinor = normalized(raw)
+    values = [prob_one_boundary(m, spinor) for m in range(1, 13)]
+    assert all(b <= a + 2e-10 for a, b in zip(values, values[1:]))

@@ -278,7 +278,7 @@ class TestEngineGuards:
         assert engine.cone() == slice(0, engine.index(3) + 1)
 
 
-BAD_STEPS = [2.5, 2.0, True, -1, np.float64(3.0)]
+BAD_STEPS = [2.5, 2.0, True, -1, np.float64(3.0), "3"]
 R_START = CoinSpinor(0, 0, 1)
 LEFT_1 = BoundarySpec(left=1)
 
