@@ -276,8 +276,10 @@ class AbsorptionAnswer:
     deficit also contains the mass escaping to the open side, not only
     the localized remainder.  ``trapped`` is the never-absorbed mass
     psi^H P psi, computed directly from the flat-band projection on the
-    exact two-boundary route and ``None`` on the quadrature routes; the
-    deficit stays 1 - total on every route.
+    exact two-boundary route and ``None`` on the quadrature routes.  On
+    the exact route the deficit is that directly computed ``trapped``
+    (never below zero, however small); the quadrature routes report
+    1 - total, which rounds to about 1e-16 around a true zero.
     """
 
     p_left: float | None
@@ -471,8 +473,9 @@ def prob_two_boundary(
     code through the mirror swap (M, N, spinor) -> (N, M, reversed spinor),
     and ``error_estimate`` sums the two quadrature estimates.
 
-    Either way the deficit 1 - total is the localized mass that neither
-    boundary ever absorbs.
+    Either way the deficit is the localized mass that neither boundary
+    ever absorbs: ``trapped`` on the exact route, 1 - total on the
+    quadrature.
     """
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
@@ -484,7 +487,7 @@ def prob_two_boundary(
             p_left=p_left,
             p_right=p_right,
             total=total,
-            deficit=1.0 - total,
+            deficit=trapped,
             error_estimate=abs(total + trapped - 1.0),
             trapped=trapped,
         )

@@ -64,8 +64,8 @@ def grover_coin() -> np.ndarray:
     Examples
     --------
     >>> G = grover_coin()
-    >>> (G @ G == np.eye(3)).all()
-    np.True_
+    >>> np.allclose(G @ G, np.eye(3))
+    True
     >>> G @ np.array([0.0, 0.0, 1.0])
     array([ 0.66666667,  0.66666667, -0.33333333])
     """
@@ -100,18 +100,20 @@ def validate_input(spinor=None, **boundaries) -> None:
         )
 
 
-def validate_steps(steps, minimum: int = 0) -> None:
-    """Reject a step count that is not an integer >= ``minimum``.
+def validate_steps(steps, minimum: int = 0, name: str = "steps") -> None:
+    """Reject a count that is not an integer >= ``minimum``.
 
-    The one ``steps`` check: the walk engine applies it with minimum 0, and
-    entry points that need at least one step apply it before anything
-    else compares ``steps``.  ``bool`` does not count as an integer here;
-    numpy integers do.  Raises :class:`ValueError`.
+    The one integer-count check: the walk engine applies it to ``steps``
+    with minimum 0, entry points that need at least one step apply it
+    before anything else compares ``steps``, and the series apply it to
+    their truncation order and strip width.  ``name`` is the argument the
+    message names.  ``bool`` does not count as an integer here; numpy
+    integers do.  Raises :class:`ValueError`.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
+        raise ValueError(f"{name} must be an integer, got {steps!r}")
     if steps < minimum:
-        raise ValueError(f"steps must be >= {minimum}")
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)

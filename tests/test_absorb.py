@@ -300,9 +300,22 @@ class TestTwoBoundary:
         assert ans.p_right == pytest.approx(TABLE_R[5], abs=1e-9)
 
     def test_conservation_by_construction(self):
-        ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=3, right=2))
-        assert ans.total + ans.deficit == pytest.approx(1.0, abs=0)
+        query = AbsorptionQuery((0, 0, 1), left=3, right=2)
+        ans = prob_two_boundary(query)
         assert ans.total == ans.p_left + ans.p_right
+        # the exact route's deficit is the directly computed trapped mass;
+        # the ledger residual bounds how far it is from 1 - total
+        assert ans.deficit == ans.trapped
+        assert abs(ans.total + ans.deficit - 1.0) <= ans.error_estimate + 1e-16
+        quad = prob_two_boundary(query, QuadratureSpec("trapezoid", 1e-12))
+        assert quad.total == quad.p_left + quad.p_right
+        assert quad.total + quad.deficit == 1.0
+
+    def test_deficit_is_never_negative_when_nothing_is_trapped(self):
+        # at (1, 5), coin R, total rounds to 1 + 7e-16, so 1 - total < 0
+        ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=1, right=5))
+        assert 1.0 - ans.total < 0
+        assert 0.0 <= ans.deficit == ans.trapped < 1e-30
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(5)
@@ -392,8 +405,8 @@ class TestDispatch:
         exact = absorption_answer(query)
         p_trapped = absorption_matrices(2, 3)[2][2, 2]
         assert exact.trapped == pytest.approx(p_trapped, abs=1e-15)
-        assert exact.trapped == pytest.approx(exact.deficit, abs=1e-12)
-        assert exact.deficit == 1.0 - exact.total
+        assert exact.deficit == exact.trapped
+        assert exact.deficit == pytest.approx(1.0 - exact.total, abs=1e-12)
         spec = QuadratureSpec("trapezoid", 1e-12)
         assert absorption_answer(query, spec).trapped is None
         assert absorption_answer(AbsorptionQuery((0, 0, 1), left=2)).trapped is None

@@ -19,11 +19,15 @@ def loaded():
     return {
         "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
         "integrate": "scipy.integrate" in sys.modules,
+        "fft": "numpy.fft" in sys.modules,
     }
 
 seen = {}
 import groverline as gl
 seen["import"] = loaded()
+gl.one_boundary_series(70)
+gl.two_boundary_series(3, 70)
+seen["series"] = loaded()
 gl.prob_one_boundary(3, (0, 0, 1))
 seen["prob_one_boundary"] = loaded()
 gl.absorption_answer(gl.AbsorptionQuery((0, 1, 0), left=2))
@@ -55,6 +59,10 @@ def _probe() -> dict:
 def test_scipy_stays_off_the_default_routes():
     seen = _probe()
     assert seen["import"]["scipy"] == []
+    # numpy.fft is imported by the series functions, not by the package
+    assert not seen["import"]["fft"]
+    assert seen["series"]["fft"]
+    assert seen["series"]["scipy"] == []
     for step in ("prob_one_boundary", "absorption_answer_one", "prob_two_boundary",
                  "absorption_profile", "theorem4"):
         assert not seen[step]["integrate"], step

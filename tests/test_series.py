@@ -1,4 +1,4 @@
-"""Truncated power-series arithmetic and the first-hit coefficient sweeps."""
+"""Truncated power-series arithmetic and the first-hit series."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,47 @@ from groverline.series import (
 from groverline.genfun import l_closed, r_closed
 from groverline.walk import BoundarySpec, first_hit_amplitudes
 
+from series_oracle import sweep_series
+
+#: powers of two +- 1 exercise the last, partial doubling of each Newton loop
+ORDERS = (1, 2, 3, 4, 5, 63, 64, 65, 1000, 3000)
+BAD_COUNTS = (True, False, "3", 3.0, 3.5, None)
+
 
 def series(*coeffs):
     return TruncatedSeries(np.array(coeffs, dtype=complex))
+
+
+def first_hit_series(n_right, order):
+    """(l, s, r) coefficient arrays; ``n_right=None`` is one boundary."""
+    if n_right is None:
+        fs = one_boundary_series(order)
+    else:
+        fs = two_boundary_series(n_right, order)
+    return [f.coeffs for f in fs]
+
+
+def coupled_residual(l, s, r, q):
+    """Largest residual of the raw coupled system, products by np.convolve.
+
+        l = -z/3 + (2z/3) s + (2z/3) l q
+        s =  2z/3 - (z/3)  s + (2z/3) l q
+        r =  2z/3 + (2z/3) s - (z/3)  l q
+    """
+    n = len(l)
+    z = np.zeros(n)
+    z[1] = 1.0
+
+    def times_z(x):
+        return np.concatenate([[0.0], x[: n - 1]])
+
+    zs, zlq = times_z(s), times_z(np.convolve(l, q)[:n])
+    res = (
+        l - (-z / 3 + 2 * zs / 3 + 2 * zlq / 3),
+        s - (2 * z / 3 - zs / 3 + 2 * zlq / 3),
+        r - (2 * z / 3 + 2 * zs / 3 - zlq / 3),
+    )
+    return max(float(np.max(np.abs(x))) for x in res)
 
 
 class TestArithmetic:
@@ -125,15 +163,25 @@ class TestOneBoundarySeries:
 
     def test_recurrence_residual(self):
         # substitute the computed series back into the coupled system
-        order = 60
-        l, s, r = one_boundary_series(order=order)
-        z = TruncatedSeries.variable(order)
-        third = 1 / 3
-        res_l = l - (-third * z + 2 * third * (z * s) + 2 * third * (z * (l * r)))
-        res_s = s - (2 * third * z - third * (z * s) + 2 * third * (z * (l * r)))
-        res_r = r - (2 * third * z + 2 * third * (z * s) - third * (z * (l * r)))
-        for res in (res_l, res_s, res_r):
-            assert np.max(np.abs(res.coeffs)) < 1e-12
+        for order in (60, 1000):
+            l, s, r = first_hit_series(None, order)
+            assert coupled_residual(l, s, r, r) < 1e-12
+
+    def test_root_of_the_r_quadratic(self):
+        # r is the root with r(0) = 0 of 2z(1+z) r^2 - (3+z+z^2+3z^3) r + 2z(1+z)
+        _, _, r = first_hit_series(None, 1000)
+        n = len(r)
+        beta = np.array([0.0, 2.0, 2.0])
+        quad = np.convolve(beta, np.convolve(r, r)[:n])[:n]
+        quad -= np.convolve([3.0, 1.0, 1.0, 3.0], r)[:n]
+        quad[: len(beta)] += beta
+        assert np.max(np.abs(quad)) < 1e-12
+
+    def test_matches_walk_at_order_1500(self):
+        l, s, r = one_boundary_series(order=1500)
+        for coin, f in (("L", l), ("S", s), ("R", r)):
+            amps = first_hit_amplitudes(coin, BoundarySpec(left=1), 1500)
+            assert np.max(np.abs(f.coeffs[1:] - amps)) < 1e-12
 
 
 class TestTwoBoundarySeries:
@@ -145,6 +193,21 @@ class TestTwoBoundarySeries:
         l, s, r = two_boundary_series(0, order=6)
         for f in (l, s, r):
             assert np.allclose(f.coeffs, 0.0)
+            assert f.order == 6 and np.all(f.coeffs == 0)
+
+    @pytest.mark.parametrize("n_right", [1, 2, 5, 8])
+    def test_recurrence_residual(self, n_right):
+        # level n couples to level n - 1's r
+        order = 1000
+        _, _, q = first_hit_series(n_right - 1, order)
+        l, s, r = first_hit_series(n_right, order)
+        assert coupled_residual(l, s, r, q) < 1e-12
+
+    def test_matches_walk_at_order_1000(self):
+        l, s, r = two_boundary_series(4, order=1000)
+        for coin, f in (("L", l), ("S", s), ("R", r)):
+            amps = first_hit_amplitudes(coin, BoundarySpec(left=1, right=4), 1000)
+            assert np.max(np.abs(f.coeffs[1:] - amps)) < 1e-12
 
     def test_matches_simulator(self):
         for n in range(1, 6):
@@ -166,6 +229,51 @@ class TestTwoBoundarySeries:
                 assert np.allclose(
                     a.coeffs[: cut + 1], b.coeffs[: cut + 1], atol=1e-13
                 )
+
+
+class TestAgainstSweepOracle:
+    """The Newton route against the coefficient-by-coefficient sweep."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("n_right", [None, *range(9)])
+    def test_agrees_with_sweep(self, n_right, order):
+        got = first_hit_series(n_right, order)
+        want = sweep_series(n_right, order)
+        for g, w in zip(got, want):
+            assert g.shape == (order + 1,) and g.dtype == complex
+            assert np.max(np.abs(g - w)) < 1e-13
+            # constant terms are structural zeros, not rounded ones
+            assert g[0] == 0
+
+
+class TestSeriesValidation:
+    """order >= 1 and n_right >= 0 go through the one integer check."""
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_bad_order(self, bad):
+        with pytest.raises(ValueError, match="order must be"):
+            one_boundary_series(bad)
+        with pytest.raises(ValueError, match="order must be"):
+            two_boundary_series(2, bad)
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_bad_n_right(self, bad):
+        with pytest.raises(ValueError, match="n_right must be"):
+            two_boundary_series(bad, 10)
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            one_boundary_series(0)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            two_boundary_series(1, 0)
+        with pytest.raises(ValueError, match="n_right must be >= 0"):
+            two_boundary_series(-1, 10)
+
+    def test_numpy_integers_accepted(self):
+        want = first_hit_series(3, 20)
+        got = [f.coeffs for f in two_boundary_series(np.int64(3), np.int32(20))]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert one_boundary_series(np.int16(4))[0].order == 4
 
 
 class TestPartialAbsorption:
