@@ -7,13 +7,20 @@ Four independent routes to the same physics cross-validate each other:
 * :mod:`groverline.series` builds the first-hit generating functions as
   truncated power series from their algebraic recurrences;
 * :mod:`groverline.genfun` evaluates the closed forms of those functions,
-  including the square-root branch bookkeeping on the unit circle and the
-  two-boundary transfer-matrix solution;
+  including the square-root branch on the unit circle and the
+  two-boundary widening iteration;
 * :mod:`groverline.absorb` turns them into absorption probabilities:
   exactly on a finite strip, by one Stein solve on the strip's
   contraction, and by circle-averaging quadrature for one boundary and as
   the two-boundary cross-check; :mod:`groverline.localize` extracts the
   trapped-mass observables from long simulator runs.
+
+The package holds only the production routes and what the ``groverline``
+command runs.  The independent forms the tests hold them against are
+test oracles under ``tests/``: ``walk_oracle.py`` (the sparse walk),
+``series_oracle.py`` (the coefficient sweep), ``genfun_oracle.py`` (the
+tracked branch, the transfer-matrix forms and the identities) and
+``strip_oracle.py`` (the dense two-solve strip construction).
 """
 
 from .absorb import (
@@ -35,18 +42,12 @@ from .absorb import (
 )
 from .genfun import (
     BranchPointError,
-    BranchTrace,
     PoleError,
     delta,
     delta_on_circle,
     l_closed,
-    lambda_pm,
-    lsr_from_previous,
     r_closed,
-    r_closed_two_boundary,
-    r_iterates,
     s_closed,
-    two_boundary_eval,
 )
 from .localize import (
     OscillationTrace,
@@ -67,14 +68,9 @@ from .walk import (
     AbsorptionReport,
     BoundarySpec,
     CoinSpinor,
-    WalkState,
     WindowWalk,
-    apply_evolution,
     evolve,
-    first_hit_amplitudes,
     grover_coin,
-    position_distribution,
-    project_is_at,
     run_walk,
     spinor_mass_history,
 )
@@ -87,7 +83,6 @@ __all__ = [
     "AbsorptionReport",
     "BoundarySpec",
     "BranchPointError",
-    "BranchTrace",
     "CoinSpinor",
     "OscillationTrace",
     "PoleError",
@@ -95,33 +90,24 @@ __all__ = [
     "Table1Row",
     "ToleranceError",
     "TruncatedSeries",
-    "WalkState",
     "WindowWalk",
     "absorption_answer",
     "absorption_matrices",
     "absorption_profile",
-    "apply_evolution",
     "decay_slope",
     "delta",
     "delta_on_circle",
     "evolve",
-    "first_hit_amplitudes",
     "grover_coin",
     "integrate_periodic",
     "l_closed",
-    "lambda_pm",
-    "lsr_from_previous",
     "one_boundary_series",
     "oscillation_trace",
     "partial_absorption",
-    "position_distribution",
     "prob_one_boundary",
     "prob_one_boundary_right",
     "prob_two_boundary",
-    "project_is_at",
     "r_closed",
-    "r_closed_two_boundary",
-    "r_iterates",
     "residual_near_origin",
     "run_walk",
     "s_closed",
@@ -131,7 +117,6 @@ __all__ = [
     "tail_decay_fit",
     "theorem4_crosscheck",
     "theorem4_sequence",
-    "two_boundary_eval",
     "two_boundary_series",
     "two_peak_profile",
 ]

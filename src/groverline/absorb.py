@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,7 @@ from .genfun import (
     s_closed,
     r_closed,
 )
-from .walk import grover_coin, validate_input
+from .walk import grover_coin, validate_input, validate_steps
 
 __all__ = [
     "ToleranceError",
@@ -120,12 +119,7 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature method {self.method!r}")
         if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
             raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
-        if isinstance(self.max_points, bool) or not isinstance(
-            self.max_points, numbers.Integral
-        ):
-            raise ValueError(f"max_points must be an integer, got {self.max_points!r}")
-        if self.max_points < 16:
-            raise ValueError("max_points too small")
+        validate_steps(self.max_points, 16, "max_points")
 
 
 _TWO_BOUNDARY_SPEC = QuadratureSpec(method="trapezoid", abs_tol=1e-12)
@@ -446,8 +440,7 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     left absorption probability for that geometry, and the three blocks
     of every entry sum to the identity.  The arrays are fresh copies.
     """
-    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 2:
-        raise ValueError(f"width must be an integer >= 2, got {width!r}")
+    validate_steps(width, 2, "width")
     return tuple(b.copy() for b in _strip_blocks(int(width)))
 
 
@@ -540,8 +533,7 @@ def theorem4_sequence(max_n: int) -> np.ndarray:
     follows the rational recurrence p_next = (2 + 3p)/(3 + 4p), whose
     fixed point 1/sqrt(2) is the no-right-boundary limit.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    validate_steps(max_n, 0, "max_n")
     out = np.empty(max_n + 1)
     out[0] = 0.0
     for k in range(max_n):
@@ -555,8 +547,7 @@ def theorem4_crosscheck(n: int, spec: QuadratureSpec | None = None) -> float:
     The circle quadrature always runs here (the default trapezoid spec when
     ``spec`` is None), never the exact strip route.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    validate_steps(n, 1, "n")
     answer = prob_two_boundary(
         AbsorptionQuery(spinor=(0, 0, 1), left=1, right=n),
         spec or _TWO_BOUNDARY_SPEC,
@@ -599,8 +590,7 @@ def table1(
     :class:`QuadratureSpec` the circle quadrature answers and the step is
     the difference of the totals.
     """
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
+    validate_steps(max_n, 2, "max_n")
     queries = [
         AbsorptionQuery(spinor=(0, 0, 1), left=left, right=n)
         for n in range(1, max_n + 1)

@@ -4,8 +4,9 @@ Every subcommand computes one table and writes it as CSV (default) or
 JSON, to stdout or to a file.  Numbers are emitted with 12 significant
 digits so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 bad input, 3 a tolerance could not be met (a
-flagged partial result is still written when one exists).
+Exit codes: 0 success, 2 bad input (an ``--out`` path that cannot be
+written included), 3 a tolerance could not be met (a flagged partial
+result is still written when one exists).
 """
 
 from __future__ import annotations
@@ -303,8 +304,6 @@ def _cmd_absorb(args) -> tuple[tuple, list, int]:
 
 
 def _cmd_table1(args) -> tuple[tuple, list, int]:
-    if args.max_n < 2:
-        raise ValueError("--max-n must be >= 2")
     spec = QuadratureSpec(method="trapezoid", abs_tol=args.tol)
     rows_out = []
     status = 0
@@ -381,7 +380,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"groverline: {exc}", file=sys.stderr)
         return 2
-    _write(_render(columns, rows, args.format), args.out)
+    text = _render(columns, rows, args.format)
+    try:
+        _write(text, args.out)
+    except OSError as exc:
+        print(f"groverline: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -108,10 +108,8 @@ def stationary_profile(span: int = 8, n_modes: int = 256) -> dict[int, float]:
     Sample identities: P(-1) = P(0) = 0.202041, the profile is symmetric
     about -1/2, and the total trapped mass is 1/sqrt(6).
     """
-    if span < 1:
-        raise ValueError("span must be >= 1")
-    if n_modes < 4 * span:
-        raise ValueError("n_modes too small for the requested span")
+    validate_steps(span, 1, "span")
+    validate_steps(n_modes, 4 * span, "n_modes")
     # midpoint grid: avoids k = pi, where the unnormalized eigenvector
     # formula degenerates
     k = 2 * np.pi * (np.arange(n_modes) + 0.5) / n_modes
@@ -143,8 +141,8 @@ def residual_near_origin(
     drains into it.  One site further out the drain misses the localized
     component and ~0.404 of the mass stays parked near the start forever.
     """
-    if left_boundary < 1:
-        raise ValueError("left_boundary must be >= 1")
+    validate_steps(left_boundary, 1, "left_boundary")
+    validate_steps(window, 0, "window")
     init = init or CoinSpinor(0, 0, 1)
     for engine in evolve(init, BoundarySpec(left=left_boundary), steps):
         pass

@@ -1,7 +1,8 @@
-"""Truncated complex power series and the first-hit generating functions.
+"""The first-hit generating functions as truncated power series.
 
-A :class:`TruncatedSeries` holds Maclaurin coefficients c_0..c_T and does
-ring arithmetic exactly through order T, coefficient by coefficient.
+A :class:`TruncatedSeries` is the read-only holder of the Maclaurin
+coefficients c_0..c_T that the functions below return; the arithmetic
+runs on plain coefficient arrays.
 
 :func:`one_boundary_series` and :func:`two_boundary_series` solve the
 coupled first-hit recurrences
@@ -56,6 +57,9 @@ polynomials in them (below 6), so every coefficient, large or small,
 is off by a few 1e-16 at most.
 Constant terms are structural zeros.  They are never formed by an FFT,
 so they come out exactly 0.
+
+The coefficient-by-coefficient sweep that the Newton route replaced is
+the tests' oracle, in ``tests/series_oracle.py``.
 """
 
 from __future__ import annotations
@@ -75,13 +79,11 @@ DEFAULT_ORDER = 1000
 
 
 class TruncatedSeries:
-    """Complex Maclaurin coefficients c_0..c_T, immutable by convention.
+    """Complex Maclaurin coefficients c_0..c_T, read-only.
 
-    Binary operations require equal truncation orders (no silent
-    broadcasting between precisions).  Multiplication is the plain O(T^2)
-    Cauchy convolution and division the O(T^2) forward substitution.
-    This class stays as the exact arithmetic the tests use as an oracle;
-    the first-hit functions below use FFT products instead.
+    ``coeffs`` is a nonempty 1-D complex array whose write flag is off,
+    and the attribute itself cannot be rebound.  The series functions
+    return their results in it; it does no arithmetic.
     """
 
     __slots__ = ("coeffs",)
@@ -100,107 +102,9 @@ class TruncatedSeries:
     def zeros(cls, order: int) -> "TruncatedSeries":
         return cls(np.zeros(order + 1, dtype=complex))
 
-    @classmethod
-    def constant(cls, c: complex, order: int) -> "TruncatedSeries":
-        coeffs = np.zeros(order + 1, dtype=complex)
-        coeffs[0] = c
-        return cls(coeffs)
-
-    @classmethod
-    def variable(cls, order: int) -> "TruncatedSeries":
-        """The series z."""
-        coeffs = np.zeros(order + 1, dtype=complex)
-        if order >= 1:
-            coeffs[1] = 1.0
-        return cls(coeffs)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def _same_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation order mismatch: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._same_order(other)
-            return TruncatedSeries(self.coeffs + other.coeffs)
-        return self + TruncatedSeries.constant(other, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(-self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._same_order(other)
-            return TruncatedSeries(self.coeffs - other.coeffs)
-        return self - TruncatedSeries.constant(other, self.order)
-
-    def __rsub__(self, other):
-        return TruncatedSeries.constant(other, self.order) - self
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._same_order(other)
-            n = self.order + 1
-            return TruncatedSeries(np.convolve(self.coeffs, other.coeffs)[:n])
-        return TruncatedSeries(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self * (1.0 / complex(other))
-        self._same_order(other)
-        b0 = other.coeffs[0]
-        if b0 == 0:
-            raise ZeroDivisionError("divisor has zero constant term")
-        a, b = self.coeffs, other.coeffs
-        q = np.zeros(self.order + 1, dtype=complex)
-        for t in range(self.order + 1):
-            q[t] = (a[t] - np.dot(q[:t], b[t:0:-1])) / b0
-        return TruncatedSeries(q)
-
-    def shift(self, k: int = 1) -> "TruncatedSeries":
-        """Multiply by z^k (coefficients move up, top ones truncate away)."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        out = np.zeros(self.order + 1, dtype=complex)
-        out[k:] = self.coeffs[: self.order + 1 - k]
-        return TruncatedSeries(out)
-
-    def sqrt(self, branch_constant: complex) -> "TruncatedSeries":
-        """Series s with s*s = self through order T and s(0) = branch_constant.
-
-        Newton iteration s <- (s + a/s)/2, which doubles the number of
-        correct coefficients each pass; the branch constant picks which of
-        the two roots is meant and must square to the constant term.
-        """
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("sqrt needs a nonzero constant term")
-        if abs(branch_constant * branch_constant - c0) > 1e-12:
-            raise ValueError(
-                f"branch constant {branch_constant!r} does not square to the "
-                f"constant term {c0!r}"
-            )
-        s = TruncatedSeries.constant(branch_constant, self.order)
-        passes = max(1, int(np.ceil(np.log2(self.order + 1))) + 1)
-        for _ in range(passes):
-            s = (s + self / s) * 0.5
-        return s
-
-    def evaluate(self, z: complex) -> complex:
-        """Partial-sum value sum c_t z^t (Horner)."""
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
 
     def __repr__(self):
         head = ", ".join(f"{c:.4g}" for c in self.coeffs[:4])

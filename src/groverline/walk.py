@@ -17,39 +17,31 @@ the one generator :func:`evolve`, which validates the start spinor.
 :func:`run_walk` returns an :class:`AbsorptionReport` of the per-step hit
 amplitudes and masses and the residual norm.
 
-The sparse, value-semantic :class:`WalkState` (``apply_evolution``,
-``project_is_at``) shares no code with the engine and is kept as the
-independent oracle the tests check it against.
+The module holds only that engine and what drives it.  The sparse,
+value-semantic walk the tests check the engine against shares no code
+with it and lives in ``tests/walk_oracle.py``.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 __all__ = [
-    "COIN_ORDER",
     "CoinSpinor",
     "BoundarySpec",
-    "WalkState",
     "AbsorptionReport",
     "WindowWalk",
     "evolve",
     "grover_coin",
     "validate_input",
     "validate_steps",
-    "apply_evolution",
-    "project_is_at",
     "run_walk",
-    "first_hit_amplitudes",
-    "position_distribution",
     "spinor_mass_history",
 ]
-
-COIN_ORDER = ("L", "S", "R")
 
 #: normalization slack accepted for initial spinors; anything worse is rejected
 INIT_NORM_TOL = 1e-9
@@ -105,10 +97,12 @@ def validate_steps(steps, minimum: int = 0, name: str = "steps") -> None:
 
     The one integer-count check: the walk engine applies it to ``steps``
     with minimum 0, entry points that need at least one step apply it
-    before anything else compares ``steps``, and the series apply it to
-    their truncation order and strip width.  ``name`` is the argument the
-    message names.  ``bool`` does not count as an integer here; numpy
-    integers do.  Raises :class:`ValueError`.
+    before anything else compares ``steps``, and every other count
+    argument (series orders and strip widths, the table and recurrence
+    lengths, the localization spans and windows) goes through it as
+    well.  ``name`` is the argument the message names.  ``bool`` does not
+    count as an integer here; numpy integers do.  Raises
+    :class:`ValueError`.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {steps!r}")
@@ -135,9 +129,6 @@ class CoinSpinor:
     def norm2(self) -> float:
         return abs(self.aL) ** 2 + abs(self.aS) ** 2 + abs(self.aR) ** 2
 
-    def is_normalized(self, tol: float = INIT_NORM_TOL) -> bool:
-        return abs(self.norm2 - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class BoundarySpec:
@@ -152,110 +143,6 @@ class BoundarySpec:
     @property
     def any(self) -> bool:
         return self.left is not None or self.right is not None
-
-
-@dataclass(frozen=True)
-class WalkState:
-    """Sparse walker state: position -> spinor, plus absorbed-mass ledgers.
-
-    States inside a walk are intentionally left unnormalized after a
-    no-branch projection; the removed mass lives in ``absorbed_left`` /
-    ``absorbed_right`` (one entry per completed step), so that
-    ``norm2 + sum(absorbed_left) + sum(absorbed_right)`` stays 1.
-    """
-
-    amplitudes: dict[int, CoinSpinor] = field(default_factory=dict)
-    t: int = 0
-    absorbed_left: tuple[float, ...] = ()
-    absorbed_right: tuple[float, ...] = ()
-
-    @classmethod
-    def initial(cls, spinor: CoinSpinor, position: int = 0) -> "WalkState":
-        return cls(amplitudes={position: spinor})
-
-    @property
-    def norm2(self) -> float:
-        return sum(sp.norm2 for sp in self.amplitudes.values())
-
-    @property
-    def total_absorbed_left(self) -> float:
-        return float(sum(self.absorbed_left))
-
-    @property
-    def total_absorbed_right(self) -> float:
-        return float(sum(self.absorbed_right))
-
-    def support(self) -> list[int]:
-        return sorted(self.amplitudes)
-
-
-def apply_evolution(state: WalkState, coin: np.ndarray | None = None) -> WalkState:
-    """One evolution step: coin on every site, then the component shift.
-
-    Returns a new state with ``t`` incremented; absorbed ledgers carry over
-    untouched (measurement is a separate operation).
-    """
-    if coin is None:
-        coin = grover_coin()
-    acc: dict[int, np.ndarray] = {}
-
-    def bump(m: int, idx: int, amp: complex) -> None:
-        if m not in acc:
-            acc[m] = np.zeros(3, dtype=complex)
-        acc[m][idx] += amp
-
-    for m, sp in state.amplitudes.items():
-        phi = coin @ sp.as_array()
-        bump(m - 1, 0, phi[0])
-        bump(m, 1, phi[1])
-        bump(m + 1, 2, phi[2])
-    new_amps = {
-        m: CoinSpinor.from_array(v) for m, v in acc.items() if np.any(v != 0)
-    }
-    return replace(state, amplitudes=new_amps, t=state.t + 1)
-
-
-def project_is_at(
-    state: WalkState, n: int, normalized: bool = False
-) -> tuple[float, WalkState, WalkState]:
-    """Measure "is the walker at site n?".
-
-    Returns ``(prob_yes, state_yes, state_no)`` where ``prob_yes`` is the
-    squared norm at ``n`` relative to the squared norm of the whole state
-    (0 for a zero state).  The two branch states are raw projections by
-    default, so their squared norms add up to the input's; pass
-    ``normalized=True`` to get collapsed (unit-norm) branches instead.
-    """
-    total = state.norm2
-    at_n = state.amplitudes.get(n)
-    yes_amps = {n: at_n} if at_n is not None else {}
-    no_amps = {m: sp for m, sp in state.amplitudes.items() if m != n}
-    prob_yes = (at_n.norm2 / total) if (at_n is not None and total > 0) else 0.0
-    yes_state = replace(state, amplitudes=yes_amps)
-    no_state = replace(state, amplitudes=no_amps)
-    if normalized:
-        yes_state = _rescaled(yes_state)
-        no_state = _rescaled(no_state)
-    return prob_yes, yes_state, no_state
-
-
-def _rescaled(state: WalkState) -> WalkState:
-    n2 = state.norm2
-    if n2 == 0:
-        return state
-    c = 1.0 / np.sqrt(n2)
-    return replace(
-        state,
-        amplitudes={
-            m: CoinSpinor(c * sp.aL, c * sp.aS, c * sp.aR)
-            for m, sp in state.amplitudes.items()
-        },
-    )
-
-
-def position_distribution(state: WalkState) -> dict[int, float]:
-    """P(m) = |aL|^2 + |aS|^2 + |aR|^2 at each occupied position."""
-    return {m: sp.norm2 for m, sp in state.amplitudes.items()}
 
 
 class WindowWalk:
@@ -433,27 +320,6 @@ def run_walk(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> AbsorptionRe
         first_hit_right=np.array(w.hit_right),
         residual_norm=w.norm2(),
     )
-
-
-_BASIS = {"L": CoinSpinor(1, 0, 0), "S": CoinSpinor(0, 1, 0), "R": CoinSpinor(0, 0, 1)}
-
-
-def first_hit_amplitudes(
-    init_coin: str, bounds: BoundarySpec, steps: int
-) -> np.ndarray:
-    """Left-boundary first-hit amplitudes for a basis initial coin.
-
-    Entry ``t-1`` is the amplitude of arriving at the left boundary for
-    the first time on step t.  Only the L coin component can populate a
-    left boundary site, so a single complex number per step is complete.
-    """
-    if init_coin not in _BASIS:
-        raise ValueError(f"init_coin must be one of {sorted(_BASIS)}, got {init_coin!r}")
-    if bounds.left is None:
-        raise ValueError("first_hit_amplitudes needs a left boundary")
-    validate_steps(steps, 1)
-    report = run_walk(_BASIS[init_coin], bounds, steps)
-    return report.first_hit_left
 
 
 def spinor_mass_history(

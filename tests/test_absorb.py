@@ -26,6 +26,8 @@ from groverline.absorb import (
 from groverline.genfun import BranchPointError, r_closed
 from groverline.walk import BoundarySpec, CoinSpinor, run_walk
 
+from test_series import BAD_COUNTS
+
 P_ONE_L = 0.4248159326
 P_ONE_S = 0.5254692924
 P_ONE_R = 0.6692653092
@@ -382,6 +384,19 @@ class TestInputValidation:
         ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=np.int64(1), right=1))
         assert ans.p_left == pytest.approx(2 / 3, abs=1e-12)
         assert BoundarySpec(left=np.int64(2)).left == 2
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_counts_go_through_the_one_check(self, bad):
+        with pytest.raises(ValueError, match="max_n must be"):
+            theorem4_sequence(bad)
+        with pytest.raises(ValueError, match="max_n must be"):
+            table1(bad)
+        with pytest.raises(ValueError, match="n must be"):
+            theorem4_crosscheck(bad)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert np.array_equal(theorem4_sequence(np.int64(4)), theorem4_sequence(4))
+        assert len(table1(np.int32(2))) == 2
 
 
 class TestDispatch:

@@ -24,20 +24,19 @@ from groverline.absorb import (
     theorem4_crosscheck,
     theorem4_sequence,
 )
-from groverline.genfun import (
+from groverline.genfun import l_closed, r_closed, s_closed
+from groverline.localize import oscillation_trace, residual_near_origin
+from groverline.series import one_boundary_series, two_boundary_series
+from groverline.walk import BoundarySpec, CoinSpinor, run_walk
+
+from genfun_oracle import (
     check_contraction,
     check_prop8,
     check_prop10,
-    l_closed,
     lambda_pm,
-    r_closed,
     r_closed_uncorrected,
-    s_closed,
     two_boundary_eval,
 )
-from groverline.localize import oscillation_trace, residual_near_origin
-from groverline.series import TruncatedSeries, one_boundary_series, two_boundary_series
-from groverline.walk import BoundarySpec, CoinSpinor, first_hit_amplitudes, run_walk
 
 BASIS = {"L": (1, 0, 0), "S": (0, 1, 0), "R": (0, 0, 1)}
 
@@ -147,21 +146,24 @@ def test_criterion_3_reference_table():
 
 def test_criterion_4_oracle_tower():
     failures = []
-    l1, s1, r1 = one_boundary_series(order=30)
+    l1, s1, r1 = (f.coeffs for f in one_boundary_series(order=30))
     one_series = {"L": l1, "S": s1, "R": r1}
+
+    def times_l1(c):
+        return np.convolve(c, l1)[: len(l1)]
 
     # simulator per-step masses == squared series coefficients, t <= 30
     for coin in BASIS:
         cases = [(BoundarySpec(left=1), one_series[coin])]
-        cases.append((BoundarySpec(left=2), one_series[coin] * l1))
+        cases.append((BoundarySpec(left=2), times_l1(one_series[coin])))
         for n in range(1, 6):
-            l2, s2, r2 = two_boundary_series(n, order=30)
+            l2, s2, r2 = (f.coeffs for f in two_boundary_series(n, order=30))
             cases.append(
                 (BoundarySpec(left=1, right=n), {"L": l2, "S": s2, "R": r2}[coin])
             )
         for bounds, srs in cases:
-            amps = first_hit_amplitudes(coin, bounds, 30)
-            gap = np.max(np.abs(np.abs(amps) ** 2 - np.abs(srs.coeffs[1:]) ** 2))
+            amps = run_walk(CoinSpinor(*BASIS[coin]), bounds, 30).first_hit_left
+            gap = np.max(np.abs(np.abs(amps) ** 2 - np.abs(srs[1:]) ** 2))
             if gap > 1e-12:
                 failures.append(
                     f"simulator vs series {coin} {bounds}: gap {gap:.3g}"
@@ -173,17 +175,17 @@ def test_criterion_4_oracle_tower():
         pairs = [
             (closed_one[coin], one_series[coin]),
             (lambda z, c=closed_one[coin]: c(z) * l_closed(z),
-             one_series[coin] * l1),
+             times_l1(one_series[coin])),
         ]
         for n in range(1, 6):
             idx = {"L": 0, "S": 1, "R": 2}[coin]
-            srs = two_boundary_series(n, order=30)[idx]
+            srs = two_boundary_series(n, order=30)[idx].coeffs
             pairs.append(
                 (lambda z, n=n, idx=idx: two_boundary_eval(n, z)[idx], srs)
             )
         for f, srs in pairs:
             got = _taylor(f, 21)
-            gap = np.max(np.abs(got - srs.coeffs[:21]))
+            gap = np.max(np.abs(got - srs[:21]))
             if gap > 1e-9:
                 failures.append(f"closed form vs series {coin}: gap {gap:.3g}")
 

@@ -283,6 +283,54 @@ class TestOutputHandling:
         assert exc_info.value.code == 0
 
 
+def _exit_code(argv) -> int:
+    """``main``'s status, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestMalformedInput:
+    """Bad input exits 2, writes nothing to stdout and one error line to stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["theorem4", "--bogus"],
+            ["theorem4", "--max-n", "-1"],
+            ["theorem4", "--max-n", "x"],
+            ["table1", "--max-n", "1"],
+            ["absorb"],
+            ["absorb", "--left", "0"],
+            ["absorb", "--left", "1", "--spinor", "0,0"],
+            ["absorb", "--left", "1", "--format", "xml"],
+            ["simulate"],
+            ["simulate", "--steps", "5", "--snapshots", "a,b"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_bad_argv(self, capsys, argv):
+        code = _exit_code(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if ln.startswith("groverline")]
+        assert len(errors) == 1, captured.err
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        code = _exit_code(["theorem4", "--max-n", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("groverline: ")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestGoldenOutput:
     """The benchmark's CLI commands print exactly the bytes in ``bench/golden/cli``."""
 

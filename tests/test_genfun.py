@@ -6,27 +6,30 @@ import pytest
 from groverline.genfun import (
     BRANCH_ANGLES,
     BRANCH_POINTS,
-    OMEGA,
     BranchPointError,
-    BranchTrace,
     PoleError,
-    check_contraction,
-    check_prop8,
-    check_prop10,
     delta,
     delta_on_circle,
     l_closed,
-    lambda_pm,
     lsr_from_previous,
     r_closed,
-    r_closed_two_boundary,
-    r_closed_uncorrected,
     r_iterates,
     s_closed,
-    two_boundary_eval,
 )
 from groverline.series import one_boundary_series, two_boundary_series
 from groverline.absorb import theorem4_sequence
+
+from genfun_oracle import (
+    OMEGA,
+    BranchTrace,
+    check_contraction,
+    check_prop8,
+    check_prop10,
+    lambda_pm,
+    r_closed_two_boundary,
+    r_closed_uncorrected,
+    two_boundary_eval,
+)
 
 
 def taylor_coeffs(f, n_terms: int, radius: float = 0.5, n_samples: int = 256):

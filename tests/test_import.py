@@ -1,7 +1,9 @@
-"""What importing the package loads, and what its scipy-free routes keep out.
+"""What importing the package loads and exports.
 
-Each check runs in a fresh interpreter, so modules imported by other tests
-in this process cannot hide or fake a load.
+The load checks run in a fresh interpreter, so modules imported by other
+tests in this process cannot hide or fake a load.  The surface checks pin
+the public names, the names that moved to the test oracles or were
+deleted, and the ``absorb`` attributes the benchmark's tracer wraps.
 """
 
 import json
@@ -71,3 +73,75 @@ def test_scipy_stays_off_the_default_routes():
     assert seen["theorem4_rc"] == 0
     # the probe does see a load: the explicit cross-check route makes one
     assert seen["adaptive_split"]["integrate"]
+
+
+PUBLIC = {
+    "AbsorptionAnswer", "AbsorptionQuery", "AbsorptionReport", "BoundarySpec",
+    "BranchPointError", "CoinSpinor", "OscillationTrace", "PoleError",
+    "QuadratureSpec", "Table1Row", "ToleranceError", "TruncatedSeries",
+    "WindowWalk", "absorption_answer", "absorption_matrices", "absorption_profile",
+    "decay_slope", "delta", "delta_on_circle", "evolve", "grover_coin",
+    "integrate_periodic", "l_closed", "one_boundary_series", "oscillation_trace",
+    "partial_absorption", "prob_one_boundary", "prob_one_boundary_right",
+    "prob_two_boundary", "r_closed", "residual_near_origin", "run_walk",
+    "s_closed", "spinor_mass_history", "stationary_profile", "table1",
+    "tail_decay_fit", "theorem4_crosscheck", "theorem4_sequence",
+    "two_boundary_series", "two_peak_profile",
+}
+
+#: names the package no longer holds: test oracles now under tests/, and
+#: code nothing but its own tests called
+GONE = (
+    "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
+    "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
+    "WalkState", "apply_evolution", "project_is_at", "position_distribution",
+    "_rescaled", "first_hit_amplitudes", "_BASIS", "COIN_ORDER",
+)
+GONE_SERIES_METHODS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+    "__truediv__", "sqrt", "evaluate", "shift", "constant", "variable", "_same_order",
+)
+
+
+def test_public_surface_is_pinned():
+    import groverline
+
+    assert len(groverline.__all__) == len(PUBLIC) == 41
+    assert set(groverline.__all__) == PUBLIC
+    for name in groverline.__all__:
+        assert getattr(groverline, name) is not None, name
+
+
+def test_moved_and_deleted_names_are_gone():
+    import inspect
+
+    import groverline
+    from groverline import absorb, cli, genfun, localize, series, walk
+
+    for module in (groverline, absorb, cli, genfun, localize, series, walk):
+        for name in GONE:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in GONE_SERIES_METHODS:
+        assert not hasattr(series.TruncatedSeries, name), name
+    assert not hasattr(walk.CoinSpinor, "is_normalized")
+    assert "trace" not in inspect.signature(genfun.delta).parameters
+
+
+def test_traced_names_stay_on_absorb():
+    # bench/spans.py wraps these absorb attributes to time the genfun layer;
+    # a missing one makes its per-layer metrics read 0 instead of failing
+    import ast
+
+    import groverline.absorb as absorb
+
+    tree = ast.parse((SRC.parent / "bench" / "spans.py").read_text())
+    wraps = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "ABSORB_WRAPS" for t in node.targets)
+    )
+    assert wraps
+    for name, _ in wraps:
+        assert callable(getattr(absorb, name, None)), name
+    assert callable(getattr(absorb, "integrate_periodic", None))

@@ -13,6 +13,8 @@ from groverline.localize import (
 )
 from groverline.walk import CoinSpinor
 
+from test_series import BAD_COUNTS
+
 
 class TestInputValidation:
     def test_two_peak_profile_rejects_unnormalized_spinor(self):
@@ -41,6 +43,21 @@ class TestInputValidation:
     def test_residual_rejects_bad_steps(self, steps):
         with pytest.raises(ValueError, match="steps"):
             residual_near_origin(2, steps)
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_counts_go_through_the_one_check(self, bad):
+        with pytest.raises(ValueError, match="span must be"):
+            stationary_profile(bad)
+        with pytest.raises(ValueError, match="n_modes must be"):
+            stationary_profile(2, bad)
+        with pytest.raises(ValueError, match="window must be"):
+            residual_near_origin(2, 10, bad)
+        with pytest.raises(ValueError, match="left_boundary must be"):
+            residual_near_origin(bad, 10)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            residual_near_origin(2, 10, -1)
 
 
 # flat-band projection values, frozen; see stationary_profile docstring

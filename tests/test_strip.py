@@ -21,6 +21,7 @@ from groverline.absorb import (
     prob_two_boundary,
 )
 from strip_oracle import dense_absorption_matrices
+from test_series import BAD_COUNTS
 
 SWEEP = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 6, 8, 10, 12)]
 J = np.eye(3)[::-1]  # reverses the coin order (L, S, R) -> (R, S, L)
@@ -103,7 +104,7 @@ def test_validation():
     for m, n in ((0, 1), (1, -2), (True, 2), (2.5, 3)):
         with pytest.raises(ValueError):
             absorption_matrices(m, n)
-    for width in (1, 0, -3, True, 2.5, 4.0, "5", None):
+    for width in (1, 0, -3, 2.5, 4.0, "5", *BAD_COUNTS):
         with pytest.raises(ValueError, match="width"):
             absorption_profile(width)
     assert absorption_profile(np.int64(4))[0].shape == (3, 3, 3)

