@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .walk import validate_steps
+
 __all__ = [
     "BranchPointError",
     "PoleError",
@@ -220,8 +222,7 @@ def lsr_from_previous(r_prev, z):
 
 def r_iterates(max_k: int, z) -> list:
     """[r(0,z), r(1,z), ..., r(max_k,z)] by the widening recursion."""
-    if max_k < 0:
-        raise ValueError("max_k must be >= 0")
+    validate_steps(max_k, 0, "max_k")
     z = np.asarray(z, dtype=complex)
     out = [np.zeros_like(z)]
     for _ in range(max_k):

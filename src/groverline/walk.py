@@ -9,8 +9,9 @@ absorbed masses are directly the squared first-hit amplitudes that the
 analytic modules reproduce.
 
 The production engine is the dense :class:`WindowWalk`: it multiplies
-only the light cone of the start, with the coin and the shift fused into
-one matrix product per step, and is fast enough for thousands of steps.
+only the light cone of the start, padded by a fixed block of zero columns,
+with the coin and the shift fused into one matrix product per step, and
+is fast enough for thousands of steps.
 Every simulator entry point (:func:`run_walk`, :func:`spinor_mass_history`,
 the localization studies and the ``simulate`` command) steps it through
 the one generator :func:`evolve`, which validates the start spinor.
@@ -25,6 +26,7 @@ with it and lives in ``tests/walk_oracle.py``.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -45,6 +47,10 @@ __all__ = [
 
 #: normalization slack accepted for initial spinors; anything worse is rejected
 INIT_NORM_TOL = 1e-9
+
+#: columns of zeros multiplied on each side of the light cone, so that one
+#: set of the kernel's views serves this many steps
+_BLOCK = 32
 
 
 def grover_coin() -> np.ndarray:
@@ -152,8 +158,11 @@ class WindowWalk:
     window edge at the boundary site, a free side leaves ``steps + 1`` of
     slack so nothing can fall off the edge within ``steps`` steps, and
     stepping further raises.  After each step the amplitude at a boundary
-    site (only its L component can be populated on the left edge, only R
-    on the right) is recorded and zeroed.
+    site is recorded and zeroed: only the L component can be populated on
+    the left edge and only R on the right, so that one element is read and
+    zeroed.  The rest of a boundary column stays zero by itself: its S
+    component is the coin applied to the all-zero column, and its other
+    component is never written (it would come from outside the window).
 
     The kernel keeps two (3, W + 2) complex buffers, the window plus one
     guard column on each side, and alternates between them, so a step
@@ -161,11 +170,18 @@ class WindowWalk:
     whose row stride is one column longer than the buffer's: writing
     column j of it lands the L row one column left of j, the S row at j
     and the R row one column right.  So one
-    ``np.matmul(coin, window[:, cone], out=shifted[:, cone])`` applies the
+    ``np.matmul(coin, window[:, cols], out=shifted[:, cols])`` applies the
     coin and the shift together; the guard columns keep that view inside
-    its buffer, and nothing reads them.  Only the light cone |m| <= t
-    (clipped to the window) is multiplied; outside it every amplitude is
-    zero.
+    its buffer, and nothing reads them.
+
+    ``cols`` is the light cone |m| <= t padded by ``_BLOCK`` columns per
+    side and clipped to the window.  Outside the cone every amplitude is
+    zero, so the padding only writes exact zeros, and the same
+    (source, target) view pair serves the next ``_BLOCK`` steps.  The
+    pairs of both parities are rebuilt only when the cone outgrows them,
+    so a step makes no ``cone()`` call and slices nothing; once the padded
+    cone covers the whole window (at once on a strip narrower than the
+    padding) they serve to the end of the run.
 
     The product runs on float views of the same memory (real and imaginary
     parts interleaved, so window column j is float columns 2j and 2j + 1)
@@ -175,8 +191,9 @@ class WindowWalk:
     amplitudes stay complex.  A product is at least two float columns
     wide, so numpy always sends it through gemm; a one-column product
     would go through gemv, whose rounding differs (a one-column complex
-    cone at t = 0 would).  ``tests/test_walk_properties.py`` pins every
-    step bit for bit to the plain full-window complex product.
+    product would).  ``tests/test_walk_properties.py`` pins every step,
+    across several view rebuilds, bit for bit to the plain full-window
+    complex product.
     """
 
     def __init__(self, init: CoinSpinor, bounds: BoundarySpec, steps: int):
@@ -203,6 +220,10 @@ class WindowWalk:
         self.hit_left: list[complex] = []
         self.hit_right: list[complex] = []
         self._coin = grover_coin()
+        # per parity of t: (source, target, window after the step)
+        self._views: list[tuple] = []
+        # the last t the views serve; the first step builds them
+        self._fresh_until = -1
 
     def index(self, m: int) -> int:
         return m - self.lo
@@ -211,24 +232,41 @@ class WindowWalk:
         """Window columns the walk can occupy now: |m| <= t, clipped to the window."""
         return slice(max(0, self.index(-self.t)), min(self.width, self.index(self.t) + 1))
 
-    def step(self) -> None:
-        """Advance one step: coin and shift, then boundary measurements (left first)."""
+    def _refresh(self) -> None:
+        """Build both parities' views over the cone padded by ``_BLOCK`` columns.
+
+        Also the step limit: ``_fresh_until`` never passes ``steps - 1``, so
+        a step at t = ``steps`` always lands here and raises.
+        """
         if self.t == self.steps:
             raise RuntimeError(f"the window only holds {self.steps} steps")
-        cols = self.cone()
-        floats = slice(2 * cols.start, 2 * cols.stop)
-        cur = self.t % 2
-        np.matmul(
-            self._coin, self._sources[cur][:, floats], out=self._targets[1 - cur][:, floats]
-        )
-        self.amps = amps = self._windows[1 - cur]
-        self.t += 1
+        cone = self.cone()
+        start = max(0, cone.start - _BLOCK)
+        stop = min(self.width, cone.stop + _BLOCK)
+        floats = slice(2 * start, 2 * stop)
+        self._views = [
+            (self._sources[cur][:, floats], self._targets[1 - cur][:, floats],
+             self._windows[1 - cur])
+            for cur in (0, 1)
+        ]
+        saturated = start == 0 and stop == self.width
+        self._fresh_until = self.steps - 1 if saturated else min(self.t + _BLOCK, self.steps - 1)
+
+    def step(self) -> None:
+        """Advance one step: coin and shift, then boundary measurements (left first)."""
+        t = self.t
+        if t > self._fresh_until:
+            self._refresh()
+        source, target, amps = self._views[t & 1]
+        np.matmul(self._coin, source, out=target)
+        self.amps = amps
+        self.t = t + 1
         if self.bounds.left is not None:
-            self.hit_left.append(complex(amps[0, 0]))
-            amps[:, 0] = 0
+            self.hit_left.append(amps.item(0, 0))
+            amps[0, 0] = 0j
         if self.bounds.right is not None:
-            self.hit_right.append(complex(amps[2, -1]))
-            amps[:, -1] = 0
+            self.hit_right.append(amps.item(2, -1))
+            amps[2, -1] = 0j
 
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
@@ -328,11 +366,19 @@ def spinor_mass_history(
     """P(t, m) for t = 1..steps at the given positions, shape (steps, len).
 
     Convenience driver for localization traces; runs the dense engine once.
+    Positions must be integers (``TypeError`` otherwise); those outside the
+    window read 0.  Each step reads all the others in one expression,
+    bit-identical to :meth:`WindowWalk.position_probability`.
     """
     pos = list(positions)
     walk = evolve(init, bounds, steps)
-    out = np.empty((steps, len(pos)))
+    engine = next(walk)
+    cols = np.array([engine.index(operator.index(m)) for m in pos], dtype=np.intp)
+    inside = (cols >= 0) & (cols < engine.width)
+    cols = cols[inside]
+    probs = np.empty((steps, len(cols)))
     for w in walk:
-        if w.t:
-            out[w.t - 1] = [w.position_probability(m) for m in pos]
+        probs[w.t - 1] = np.sum(np.abs(w.amps[:, cols]) ** 2, axis=0)
+    out = np.zeros((steps, len(pos)))
+    out[:, inside] = probs
     return out

@@ -204,6 +204,18 @@ class TestTransferMatrix:
         assert r_closed_two_boundary(0, 0.5) == 0.0
 
 
+class TestRIterates:
+    def test_levels_start_at_zero(self):
+        assert len(r_iterates(0, 0.5)) == 1
+        assert r_iterates(0, 0.5)[0] == 0
+        assert r_iterates(1, 0.5)[1] == pytest.approx(3 / 7, abs=1e-15)
+
+    @pytest.mark.parametrize("max_k", ["3", 2.5, True, -1])
+    def test_rejects_bad_max_k(self, max_k):
+        with pytest.raises(ValueError, match="max_k"):
+            r_iterates(max_k, 0.5)
+
+
 class TestReflectionIdentity:
     def test_on_circle_points(self):
         rng = np.random.default_rng(31)

@@ -242,6 +242,28 @@ class TestInvariants:
         assert engine.mass_within(1) < total
 
 
+class TestMassHistory:
+    @pytest.mark.parametrize("bounds", [BoundarySpec(), BoundarySpec(left=2)])
+    def test_bit_identical_to_position_probability(self, bounds):
+        init = CoinSpinor(0.48, 0.6, 0.64j)
+        steps = 40
+        # -3 lies outside the half-line window, +-50 outside every window
+        positions = (-50, -3, -1, 0, 1, 7, 0, 39, 50)
+        hist = spinor_mass_history(init, bounds, steps, positions)
+        want = np.zeros_like(hist)
+        for w in evolve(init, bounds, steps):
+            if w.t:
+                want[w.t - 1] = [w.position_probability(m) for m in positions]
+        assert np.array_equal(hist, want)
+        assert np.any(hist[:, positions.index(-3)]) == (bounds.left is None)
+        assert not np.any(hist[:, [0, -1]])
+
+    @pytest.mark.parametrize("position", [0.5, 1.0, "0"])
+    def test_rejects_non_integer_position(self, position):
+        with pytest.raises(TypeError):
+            spinor_mass_history(CoinSpinor(0, 0, 1), BoundarySpec(), 3, (0, position))
+
+
 class TestEngineGuards:
     @pytest.mark.parametrize(
         "spinor", [CoinSpinor(2, 0, 0), CoinSpinor(np.nan, 0, 1), CoinSpinor(0, 0, 0)]

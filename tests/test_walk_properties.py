@@ -8,7 +8,9 @@
   for bit.
 
 Every run starts with the one-column first step, where the cone is a
-single complex column.
+single complex column.  The kernel multiplies the cone padded by
+``_BLOCK`` columns per side and rebuilds its views when the cone outgrows
+them, so the longer runs below cross several rebuilds.
 """
 
 import numpy as np
@@ -16,10 +18,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groverline.walk import BoundarySpec, CoinSpinor, WindowWalk, grover_coin  # noqa: E402
+from groverline.walk import _BLOCK, BoundarySpec, CoinSpinor, WindowWalk, grover_coin  # noqa: E402
 from walk_oracle import WalkState, apply_evolution, project_is_at  # noqa: E402
 
 TOL = 1e-12
@@ -78,11 +80,8 @@ def test_kernel_matches_sparse_oracle(raw, left, right, n_steps):
         assert engine.norm2() + absorbed == pytest.approx(1.0, abs=TOL)
 
 
-@settings(max_examples=60, deadline=None)
-@given(raw_spinor, boundary, boundary, steps)
-def test_kernel_is_bit_identical_to_full_window_step(raw, left, right, n_steps):
-    init = normalized(raw)
-    bounds = BoundarySpec(left=left, right=right)
+def assert_bit_identical_run(init: CoinSpinor, bounds: BoundarySpec, n_steps: int) -> None:
+    """Every step equals ``reference_step``; a step past ``n_steps`` raises."""
     engine = WindowWalk(init, bounds, n_steps)
     amps = engine.amps.copy()
     for _ in range(n_steps):
@@ -90,6 +89,32 @@ def test_kernel_is_bit_identical_to_full_window_step(raw, left, right, n_steps):
         amps, hits = reference_step(amps, bounds)
         assert np.array_equal(engine.amps, amps)
         assert hits == engine.hit_left[-1:] + engine.hit_right[-1:]
+    with pytest.raises(RuntimeError):
+        engine.step()
+    assert engine.t == n_steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_spinor, boundary, boundary, steps)
+def test_kernel_is_bit_identical_to_full_window_step(raw, left, right, n_steps):
+    assert_bit_identical_run(normalized(raw), BoundarySpec(left=left, right=right), n_steps)
+
+
+# free and half-line sides, and strips narrower and wider than one block
+wide_boundary = st.none() | st.integers(min_value=1, max_value=3 * _BLOCK)
+START = ((0.48, 0.0), (0.6, 0.0), (0.0, 0.64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw_spinor, wide_boundary, wide_boundary, st.integers(_BLOCK, 3 * _BLOCK + 2))
+@example(START, None, None, 3 * _BLOCK + 2)
+@example(START, 1, None, 3 * _BLOCK + 2)
+@example(START, None, 3, 3 * _BLOCK + 2)
+@example(START, 2, 4, 3 * _BLOCK + 2)
+@example(START, _BLOCK + 5, 2 * _BLOCK, 3 * _BLOCK + 2)
+@example(START, 1, 3 * _BLOCK, 3 * _BLOCK + 2)
+def test_kernel_is_bit_identical_across_view_rebuilds(raw, left, right, n_steps):
+    assert_bit_identical_run(normalized(raw), BoundarySpec(left=left, right=right), n_steps)
 
 
 def test_one_column_first_step_bit_identical():
