@@ -4,7 +4,8 @@ Two boundaries (production route): between the boundaries one step of the
 walk is a real contraction on the interior amplitudes, so each side's
 absorption probability is a Hermitian form psi^H X psi whose matrix solves
 a Stein equation, and the never-absorbed mass is the form of the
-projection onto the eigenvalue-1 flat band.  The contraction depends
+projection onto the eigenvalue-1 flat band, the W - 2 compactly supported
+states of a strip of width W = M + N.  The contraction depends
 only on the strip width M + N, and the right side's matrix is the
 site-and-coin mirror of the left side's, so one SVD and one Stein solve
 per width, cached, give both sides and the trapped mass at every start
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +107,9 @@ class QuadratureSpec:
     * ``"adaptive-split"``: scipy's adaptive quadrature split at the two
       branch angles, the independent cross-check for the same integrands.
 
-    ``abs_tol`` (finite, > 0) applies to the circle mean, not the raw
-    integral; ``max_points`` (an integer >= 16) caps the evaluations of
-    one refinement level.
+    ``abs_tol`` (a finite real > 0; a bool is refused) applies to the
+    circle mean, not the raw integral; ``max_points`` (an integer >= 16)
+    caps the evaluations of one refinement level.
     """
 
     method: str = "trapezoid"
@@ -117,8 +119,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method not in ("trapezoid", "gauss-split", "adaptive-split"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
+        tol = self.abs_tol
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            raise ValueError(f"abs_tol must be a finite positive real, got {tol!r}")
         validate_steps(self.max_points, 16, "max_points")
 
 
@@ -329,7 +332,8 @@ def prob_one_boundary_right(m: int, spinor, spec: QuadratureSpec | None = None) 
     computation with the spinor reversed.  m = 0 means a boundary at the
     start itself, whose first-hit functions are identically zero.
     """
-    if m == 0 and not isinstance(m, bool):
+    validate_steps(m, 0, "m")
+    if m == 0:
         validate_input(spinor)
         return 0.0
     a, b, g = spinor
@@ -381,10 +385,11 @@ def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for c, shift in ((0, 1), (1, 0), (2, -1)):
         target = np.arange(max(0, -shift), sites - max(0, shift))
         bands[target, c, target + shift] = coin[c]
-    # one SVD splits the space into ker(A - I) and its complement; the rank
-    # cutoff is scipy.linalg.null_space's default
-    _, sv, vt = sla.svd(a - np.eye(size))
-    rank = int(np.sum(sv > sv[0] * size * np.finfo(float).eps))
+    # one SVD splits the space into ker(A - I), the flat band of dimension
+    # W - 2 (one compactly supported state per pair of adjacent interior
+    # sites), and its orthonormal complement
+    _, _, vt = sla.svd(a - np.eye(size))
+    rank = size - (width - 2)
     rest, kernel = vt[:rank].T, vt[rank:].T
     a_rest = rest.T @ a @ rest
     c_rest = coin[0] @ rest[:3]  # the L row of the coin at the leftmost site
@@ -411,11 +416,13 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     p_left = psi^H X_L psi, where X_L = sum_t (A^t)^T c_L^T c_L A^t solves
     the Stein equation X = A^T X A + c_L^T c_L.  A keeps the eigenvalue-1
     flat band (the compactly supported states that never reach a boundary,
-    dimension m+n-2); a contraction's unitary part reduces it, so the band
-    is projected out orthogonally, leaving a strictly stable Stein
-    equation, and its projection P is the trapped mass.  The kernel comes
-    from an SVD (rank-revealing), not from an eigenvalue threshold.  X_R is
-    the site-and-coin mirror of X_L, so it needs no second solve.
+    dimension m+n-2: the states with (1, 1/2, 0) on one interior site and
+    (0, 1/2, 1) on the next); a contraction's unitary part reduces it, so
+    the band is projected out orthogonally, leaving a strictly stable
+    Stein equation, and its projection P is the trapped mass.  An SVD of
+    A - I supplies the kernel and its orthonormal complement; the known
+    dimension, not a singular-value threshold, splits them.  X_R is the
+    site-and-coin mirror of X_L, so it needs no second solve.
 
     A depends only on the width m + n, so the work (one SVD, one Stein
     solve) is done once per width and cached, and every (m, n) with the

@@ -32,7 +32,7 @@ from .absorb import (
     theorem4_sequence,
 )
 from .localize import oscillation_trace
-from .walk import BoundarySpec, CoinSpinor, evolve, validate_input
+from .walk import BoundarySpec, CoinSpinor, evolve, validate_input, validate_steps
 
 __all__ = ["main"]
 
@@ -117,24 +117,21 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return v
+def _count(minimum: int):
+    """argparse type for an integer >= ``minimum``, checked by ``validate_steps``."""
 
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        try:
+            validate_steps(v, minimum, "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return v
 
-def _nonneg_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return v
+    return parse
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -172,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="step the walk directly; cumulative absorption or snapshots",
     )
     _add_spinor_arg(p, required=False)
-    p.add_argument("--steps", type=_nonneg_int, required=True)
-    p.add_argument("--left", type=_positive_int, default=None,
+    p.add_argument("--steps", type=_count(0), required=True)
+    p.add_argument("--left", type=_count(1), default=None,
                    help="absorbing boundary this many sites left of the start")
-    p.add_argument("--right", type=_positive_int, default=None,
+    p.add_argument("--right", type=_count(1), default=None,
                    help="absorbing boundary this many sites right of the start")
     p.add_argument(
         "--snapshots",
@@ -188,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("absorb", help="boundary absorption probabilities")
     _add_spinor_arg(p, required=False)
-    p.add_argument("--left", type=_positive_int, default=None)
-    p.add_argument("--right", type=_positive_int, default=None)
+    p.add_argument("--left", type=_count(1), default=None)
+    p.add_argument("--right", type=_count(1), default=None)
     p.add_argument("--tol", type=_positive_float, default=None,
                    help="absolute tolerance for the circle average")
     _add_output_args(p)
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table1",
         help="left/right/total absorption table with scaled deficits",
     )
-    p.add_argument("--max-n", type=_positive_int, default=6)
+    p.add_argument("--max-n", type=_count(1), default=6)
     p.add_argument("--tol", type=_positive_float, default=1e-13)
     _add_output_args(p)
     p.set_defaults(func=_cmd_table1)
@@ -208,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "theorem4",
         help="adjacent-left-boundary probabilities via the rational recurrence",
     )
-    p.add_argument("--max-n", type=_nonneg_int, default=10)
+    p.add_argument("--max-n", type=_count(0), default=10)
     p.add_argument(
         "--crosscheck",
         action="store_true",
@@ -222,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "localize", help="site probabilities near the start of the free walk"
     )
     _add_spinor_arg(p, required=False)
-    p.add_argument("--steps", type=_positive_int, default=500)
+    p.add_argument("--steps", type=_count(1), default=500)
     _add_output_args(p)
     p.set_defaults(func=_cmd_localize)
 
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="single-boundary absorption as the boundary recedes",
     )
     _add_spinor_arg(p, required=False)
-    p.add_argument("--max-m", type=_positive_int, default=10)
+    p.add_argument("--max-m", type=_count(1), default=10)
     p.add_argument("--tol", type=_positive_float, default=None)
     _add_output_args(p)
     p.set_defaults(func=_cmd_moving_boundary)

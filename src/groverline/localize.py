@@ -5,11 +5,13 @@ probabilities oscillate around nonzero means instead of decaying, the
 time-averaged profile has twin peaks at the start's two neighbors with
 geometric tails, and a single absorbing boundary can leave a large
 never-absorbed remainder parked next to it.  These helpers extract the
-corresponding observables from the simulator.
+corresponding observables from the simulator; the infinite-time profile,
+the start state's projection onto the flat band, is in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,44 +91,39 @@ def two_peak_profile(
     }
 
 
-def stationary_profile(span: int = 8, n_modes: int = 256) -> dict[int, float]:
+def stationary_profile(span: int = 8) -> dict[int, float]:
     """Exact infinite-time average of P(t, m) for the free |0,R> walk.
 
-    In momentum space the step operator diag(e^{ik}, 1, e^{-ik}) G has a
-    flat band at eigenvalue 1 with eigenvector proportional to
-    (1/(1+e^{-ik}), 1/2, 1/(1+e^{ik})); the dispersive bands' bounded
-    phases time-average to zero at any fixed position, so the limit
-    profile is the squared position amplitudes of the flat-band
-    projection of the start state.  This is the quantity the finite-time
-    average of :func:`two_peak_profile` converges to; at T = 500 that
-    average still carries an O(log T / T) ~ 6e-4 ballistic floor which
-    masks the geometric tail beyond |m| ~ 2, so tail studies should use
-    this function.
+    The dispersive bands time-average to zero at any fixed position, so
+    the limit is the start state's projection onto the eigenvalue-1 flat
+    band, spanned by the states v_x with (1, 1/2, 0) on site x and
+    (0, 1/2, 1) on site x + 1 (site-major (L, S, R) order).  Their Gram
+    matrix tridiag(1/4, 5/2, 1/4) has the inverse (-q)^|x - y| / sqrt(6),
+    q = 5 - 2 sqrt(6), and <v_x|0,R> is 1 at x = -1, else 0; so the
+    projection is sum_x c_x v_x with c_x = (-q)^|x + 1| / sqrt(6), site m
+    carries (c_m, (c_m + c_{m-1}) / 2, c_{m-1}), and reducing with
+    q^2 - 10 q + 1 = 0 gives P(m) = 2 q^|2m + 1|.
 
-    Returns {m: probability} for |m| <= span.  The tail falls by a factor
-    ~0.0102 per site, hitting the double-precision floor around |m| = 8.
-    Sample identities: P(-1) = P(0) = 0.202041, the profile is symmetric
-    about -1/2, and the total trapped mass is 1/sqrt(6).
+    This is what the finite-time average of :func:`two_peak_profile`
+    converges to; at T = 500 that average still carries an
+    O(log T / T) ~ 6e-4 ballistic floor which masks the geometric tail
+    beyond |m| ~ 2, so tail studies should use this function.
+
+    Returns {m: probability} for |m| <= span: peaks P(-1) = P(0) = 2q =
+    0.202041, exact symmetry about -1/2, tails falling by q^2 = 0.0102 per
+    site to the double-precision floor near |m| = 8, and total trapped
+    mass 4q / (1 - q^2) = 1/sqrt(6).  A float q would carry its rounding
+    k-fold into q^k, so 2 q^k is taken as 2 / (t + sqrt(t^2 - 1)) with the
+    integer t = T_k(5) = ((5 + 2 sqrt(6))^k + q^k) / 2, divided through by
+    t so that a t too large for a float gives 0, not OverflowError.
     """
     validate_steps(span, 1, "span")
-    validate_steps(n_modes, 4 * span, "n_modes")
-    # midpoint grid: avoids k = pi, where the unnormalized eigenvector
-    # formula degenerates
-    k = 2 * np.pi * (np.arange(n_modes) + 0.5) / n_modes
-    v = np.vstack(
-        [
-            1.0 / (1.0 + np.exp(-1j * k)),
-            0.5 * np.ones(n_modes),
-            1.0 / (1.0 + np.exp(1j * k)),
-        ]
-    )
-    v /= np.linalg.norm(v, axis=0)
-    proj = v * np.conj(v[2])
-    ms = np.arange(-span, span + 1)
-    phases = np.exp(1j * np.outer(ms, k))
-    phi = phases @ proj.T / n_modes
-    probs = np.sum(np.abs(phi) ** 2, axis=1)
-    return {int(m): float(p) for m, p in zip(ms, probs)}
+    half = []
+    t, t_prev = 5, 5  # T_k(5) and T_{k-2}(5) at odd k = 2j + 1; T_{-1} = T_1
+    for _ in range(span + 1):
+        half.append((2 / t) / (1 + math.sqrt(1 - (1 / t) ** 2)))
+        t, t_prev = 98 * t - t_prev, t
+    return {m: half[m if m >= 0 else -1 - m] for m in range(-span, span + 1)}
 
 
 def residual_near_origin(

@@ -187,7 +187,7 @@ class TestIntegratePeriodic:
         assert sizes == expected
 
     def test_spec_rejects_non_finite_tol_and_non_integer_max_points(self):
-        for tol in (float("inf"), float("nan")):
+        for tol in (float("inf"), float("nan"), True, "1e-3", None, 1e-3j):
             with pytest.raises(ValueError, match="abs_tol"):
                 QuadratureSpec("trapezoid", tol)
         for points in (1e6, 2.0 ** 20, True, "4096"):
@@ -368,6 +368,10 @@ class TestInputValidation:
     def test_one_boundary_rejects_fractional_distance(self):
         with pytest.raises(ValueError, match="integer"):
             prob_one_boundary(2.5, (0, 0, 1))
+        for m in (0.0, np.float64(0.0), 1.0):
+            with pytest.raises(ValueError, match="integer"):
+                prob_one_boundary_right(m, (0, 0, 1))
+        assert prob_one_boundary_right(np.int64(0), (0, 0, 1)) == 0.0
 
     def test_bool_boundary_rejected(self):
         for kwargs in ({"left": True}, {"right": True}, {"left": 1, "right": False}):

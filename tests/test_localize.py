@@ -48,8 +48,6 @@ class TestInputValidation:
     def test_counts_go_through_the_one_check(self, bad):
         with pytest.raises(ValueError, match="span must be"):
             stationary_profile(bad)
-        with pytest.raises(ValueError, match="n_modes must be"):
-            stationary_profile(2, bad)
         with pytest.raises(ValueError, match="window must be"):
             residual_near_origin(2, 10, bad)
         with pytest.raises(ValueError, match="left_boundary must be"):
@@ -64,6 +62,14 @@ class TestInputValidation:
 P_PEAK = 0.2020410288672
 TRAPPED_TOTAL = 1 / np.sqrt(6)
 TAIL_RATIO = 0.0102051443364
+# the flat band's decay per site, 5 - 2 sqrt(6), without the cancellation
+Q = 1 / (5 + 2 * np.sqrt(6))
+
+
+def test_frozen_values_are_the_closed_forms():
+    assert P_PEAK == pytest.approx(2 * Q, abs=1e-13)
+    assert TAIL_RATIO == pytest.approx(Q**2, abs=1e-13)
+    assert TRAPPED_TOTAL == pytest.approx(4 * Q / (1 - Q**2), abs=1e-13)
 
 
 class TestOscillationTrace:
@@ -147,6 +153,22 @@ class TestStationaryProfile:
     def test_tail_ratio_value(self, prof):
         assert prof[-3] / prof[-2] == pytest.approx(TAIL_RATIO, abs=1e-9)
 
+    def test_twin_peaks_are_4q(self, prof):
+        assert prof[-1] + prof[0] == pytest.approx(4 * Q, abs=1e-15)
+
+    @pytest.mark.parametrize("span", [8, 20])
+    def test_closed_form_to_40_digits(self, span):
+        mpmath = pytest.importorskip("mpmath")
+        wide = stationary_profile(span)
+        assert list(wide) == list(range(-span, span + 1))
+        with mpmath.workdps(40):
+            q = 5 - 2 * mpmath.sqrt(6)
+            for m, p in wide.items():
+                exact = 2 * q ** abs(2 * m + 1)
+                assert abs((mpmath.mpf(p) - exact) / exact) < 1e-15
+        for j in range(span):
+            assert wide[-1 - j] == wide[j]
+
     def test_agrees_with_finite_time_average(self, prof, profile500):
         for m in (-1, 0):
             assert profile500[m] == pytest.approx(prof[m], abs=5e-3)
@@ -154,8 +176,6 @@ class TestStationaryProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             stationary_profile(span=0)
-        with pytest.raises(ValueError):
-            stationary_profile(span=10, n_modes=16)
 
 
 class TestResidualNearOrigin:

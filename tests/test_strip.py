@@ -62,6 +62,15 @@ def test_kernel_dimension(width):
     assert sum(traces) == pytest.approx(width - 1, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_trapped_mass_tends_to_4q(n):
+    # start in coin R two sites right of the boundary at -2: as the right
+    # boundary recedes the trapped mass tends to the flat band's 4q =
+    # 20 - 8 sqrt(6), q = 5 - 2 sqrt(6), its gap shrinking by q^2 per site
+    q = 1 / (5 + 2 * np.sqrt(6))
+    assert absorption_matrices(2, n)[2][2, 2] == pytest.approx(4 * q, abs=1e-14)
+
+
 @pytest.mark.parametrize("m,n", SWEEP)
 def test_ledger_and_mirror(m, n):
     x_left, x_right, trapped = absorption_matrices(m, n)
