@@ -34,7 +34,6 @@ from .absorb import (
     absorption_profile,
     integrate_periodic,
     prob_one_boundary,
-    prob_one_boundary_right,
     prob_two_boundary,
     table1,
     theorem4_crosscheck,
@@ -105,7 +104,6 @@ __all__ = [
     "oscillation_trace",
     "partial_absorption",
     "prob_one_boundary",
-    "prob_one_boundary_right",
     "prob_two_boundary",
     "r_closed",
     "residual_near_origin",

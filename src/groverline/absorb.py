@@ -18,13 +18,14 @@ squared first-hit amplitudes, i.e. the Hadamard square of a generating
 function evaluated at 1, which turns into the circle average
 (1/2pi) int |f(e^{i theta})|^2.  It is the production route for one
 boundary and the cross-check route for two (pass a
-:class:`QuadratureSpec`).  Two integrators cover the two integrand
-families:
+:class:`QuadratureSpec`).  One refinement loop, :func:`integrate_periodic`,
+doubles the node count until two levels agree; the two integrand families
+differ only in its level sequence:
 
 * two-boundary integrands are rational with every pole strictly outside
-  the closed disk, so the periodic midpoint trapezoid rule with doubling
-  converges spectrally and reaches ~1e-13 absolute error; nodes are
-  offset by half a cell so theta = 0 (a removable 0/0 point of the
+  the closed disk, so the periodic midpoint trapezoid rule on 64 * 2^k
+  nodes converges spectrally and reaches ~1e-13 absolute error; nodes
+  are offset by half a cell so theta = 0 (a removable 0/0 point of the
   widening recursion) is never sampled.  The node count grows quickly
   with the strip width, because the strip's slowest decay rates crowd
   the unit circle;
@@ -32,10 +33,11 @@ families:
   angles of Delta.  The circle is cut at those angles and at 0 and pi
   into four pieces, each with its corner at one end; the substitution
   theta = corner + (far - corner) u^2 makes the corner smooth in u, and
-  Gauss-Legendre in u with doubling order converges spectrally
-  (``"gauss-split"``, the default).  scipy's adaptive quadrature split
-  at the same angles (``"adaptive-split"``) stays as an explicit
-  cross-check route; only it loads ``scipy.integrate``, on first use.
+  Gauss-Legendre in u at orders 16, 32, ..., 1024 per piece converges
+  spectrally (``"gauss-split"``, the default).  scipy's adaptive
+  quadrature split at the same angles (``"adaptive-split"``) stays
+  outside that loop as an explicit cross-check route; only it loads
+  ``scipy.integrate``, on first use.
 
 The scalar recurrence for the adjacent-left-boundary probabilities p_n
 and the localization-deficit table build on the same machinery.
@@ -44,6 +46,7 @@ and the localization-deficit table build on the same machinery.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -69,7 +72,6 @@ __all__ = [
     "Table1Row",
     "integrate_periodic",
     "prob_one_boundary",
-    "prob_one_boundary_right",
     "prob_two_boundary",
     "absorption_matrices",
     "absorption_profile",
@@ -98,18 +100,20 @@ class QuadratureSpec:
 
     ``method`` is one of
 
-    * ``"trapezoid"``: periodic midpoint rule with doubling, for
-      integrands analytic in a neighborhood of the circle;
+    * ``"trapezoid"``: periodic midpoint rule, levels of 64 * 2^k nodes,
+      for integrands analytic in a neighborhood of the circle;
     * ``"gauss-split"``: corner-mapped Gauss-Legendre on the four pieces
-      between the branch angles and 0, pi, with doubling order up to
-      1024 per piece, for the one-boundary integrands with square-root
-      corners (the one-boundary default);
+      between the branch angles and 0, pi, levels of order 16, 32, ...,
+      1024 per piece (4 * order nodes), for the one-boundary integrands
+      with square-root corners (the one-boundary default);
     * ``"adaptive-split"``: scipy's adaptive quadrature split at the two
       branch angles, the independent cross-check for the same integrands.
 
-    ``abs_tol`` (a finite real > 0; a bool is refused) applies to the
-    circle mean, not the raw integral; ``max_points`` (an integer >= 16)
-    caps the evaluations of one refinement level.
+    The first two run the same refinement loop over their own level
+    sequence (:func:`integrate_periodic`).  ``abs_tol`` (a finite real
+    > 0; a bool is refused) applies to the circle mean, not the raw
+    integral; ``max_points`` (an integer >= 16) caps the evaluations of
+    one refinement level.
     """
 
     method: str = "trapezoid"
@@ -133,38 +137,41 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
     """Circle mean (1/2pi) int_0^2pi f(theta) dtheta with an error estimate.
 
     ``f`` must accept a numpy array of angles and return real values.
-    Raises :class:`ToleranceError` when the estimate cannot be pushed
-    below ``spec.abs_tol`` within ``spec.max_points`` evaluations.
+    The trapezoid and gauss-split rules share one refinement loop: each
+    level of the method's sequence that fits in ``spec.max_points`` is
+    evaluated in turn, and the difference from the previous level is the
+    error estimate.  Raises :class:`ToleranceError` when the estimate
+    cannot be pushed below ``spec.abs_tol`` that way.
     """
+    if spec.method == "adaptive-split":
+        return _adaptive_split(f, spec)
     if spec.method == "trapezoid":
-        return _trapezoid_doubling(f, spec)
-    if spec.method == "gauss-split":
-        return _gauss_split(f, spec)
-    return _adaptive_split(f, spec)
+        levels = (64 * 2 ** k for k in itertools.count())
+        level_mean = _midpoint_mean
+    else:
+        levels = (4 * n for n in _GAUSS_SPLIT_ORDERS)
+        level_mean = _gauss_split_mean
+    prev = err = float("nan")
+    points = 0
+    for size in levels:
+        if size > spec.max_points:
+            break
+        cur = level_mean(f, size)
+        err = abs(cur - prev)
+        if err < spec.abs_tol:
+            return cur, err
+        prev, points = cur, size
+    raise ToleranceError(
+        f"{spec.method} quadrature stuck above abs_tol={spec.abs_tol:g} at "
+        f"{points} points (last difference {err:.3g}, max_points={spec.max_points})",
+        value=prev,
+        error=err,
+    )
 
 
 def _midpoint_mean(f, n: int) -> float:
     theta = 2 * np.pi * (np.arange(n) + 0.5) / n
     return float(np.mean(f(theta)))
-
-
-def _trapezoid_doubling(f, spec: QuadratureSpec) -> tuple[float, float]:
-    prev = err = float("nan")
-    points = 0
-    n = 64
-    while n <= spec.max_points:
-        cur = _midpoint_mean(f, n)
-        err = abs(cur - prev)
-        if err < spec.abs_tol:
-            return cur, err
-        prev, points = cur, n
-        n *= 2
-    raise ToleranceError(
-        f"midpoint rule stuck above abs_tol={spec.abs_tol:g} at {points} points "
-        f"(last difference {err:.3g}, max_points={spec.max_points})",
-        value=prev,
-        error=err,
-    )
 
 
 #: Gauss-split orders per piece: 16, 32, ..., 1024.  At 2048 the node
@@ -197,25 +204,9 @@ def _gauss_split_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, weight
 
 
-def _gauss_split(f, spec: QuadratureSpec) -> tuple[float, float]:
-    prev = err = float("nan")
-    order = 0
-    for n in _GAUSS_SPLIT_ORDERS:
-        if 4 * n > spec.max_points:
-            break
-        theta, weight = _gauss_split_rule(n)
-        cur = float(weight @ f(theta))
-        err = abs(cur - prev)
-        if err < spec.abs_tol:
-            return cur, err
-        prev, order = cur, n
-    raise ToleranceError(
-        f"corner-mapped Gauss-Legendre stuck above abs_tol={spec.abs_tol:g} "
-        f"at order {order} per piece (last difference {err:.3g}, "
-        f"max_points={spec.max_points})",
-        value=prev,
-        error=err,
-    )
+def _gauss_split_mean(f, size: int) -> float:
+    theta, weight = _gauss_split_rule(size // 4)
+    return float(weight @ f(theta))
 
 
 def _adaptive_split(f, spec: QuadratureSpec) -> tuple[float, float]:
@@ -323,21 +314,6 @@ def _one_boundary_value(m, spinor, spec=None) -> tuple[float, float]:
     validate_input(spinor, m=m)
     spec = spec or _ONE_BOUNDARY_SPEC
     return integrate_periodic(_one_boundary_integrand(m, spinor), spec)
-
-
-def prob_one_boundary_right(m: int, spinor, spec: QuadratureSpec | None = None) -> float:
-    """Absorption at a single boundary m sites to the right (mirror case).
-
-    The walk mirrors exactly under swapping L and R, so this is the left
-    computation with the spinor reversed.  m = 0 means a boundary at the
-    start itself, whose first-hit functions are identically zero.
-    """
-    validate_steps(m, 0, "m")
-    if m == 0:
-        validate_input(spinor)
-        return 0.0
-    a, b, g = spinor
-    return prob_one_boundary(m, (g, b, a), spec)
 
 
 def _two_boundary_integrand(m: int, n: int, spinor):
@@ -480,8 +456,12 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        blocks = absorption_matrices(query.left, query.right)
-        p_left, p_right, trapped = (_form(x, query.spinor) for x in blocks)
+        # the query is already validated, so read the cached read-only
+        # blocks in place instead of absorption_matrices' fresh copies
+        blocks = _strip_blocks(int(query.left + query.right))
+        p_left, p_right, trapped = (
+            _form(b[query.left - 1], query.spinor) for b in blocks
+        )
         total = p_left + p_right
         return AbsorptionAnswer(
             p_left=p_left,
@@ -515,19 +495,22 @@ def absorption_answer(
 
     Two boundaries go to :func:`prob_two_boundary` (the exact strip route
     unless ``spec`` is given), one boundary to the circle quadrature
-    (``"gauss-split"`` unless ``spec`` is given).
+    (``"gauss-split"`` unless ``spec`` is given).  The walk mirrors
+    exactly under swapping L and R, so a right boundary is the left
+    computation with the spinor reversed.
     """
     if query.left is not None and query.right is not None:
         return prob_two_boundary(query, spec)
-    if query.left is not None:
-        value, err = _one_boundary_value(query.left, query.spinor, spec)
-        return AbsorptionAnswer(
-            p_left=value, p_right=None, total=value, deficit=1.0 - value,
-            error_estimate=err,
-        )
-    value, err = _one_boundary_value(query.right, query.reversed_spinor, spec)
+    left = query.left is not None
+    m, spinor = (
+        (query.left, query.spinor) if left else (query.right, query.reversed_spinor)
+    )
+    value, err = _one_boundary_value(m, spinor, spec)
     return AbsorptionAnswer(
-        p_left=None, p_right=value, total=value, deficit=1.0 - value,
+        p_left=value if left else None,
+        p_right=None if left else value,
+        total=value,
+        deficit=1.0 - value,
         error_estimate=err,
     )
 
@@ -548,16 +531,15 @@ def theorem4_sequence(max_n: int) -> np.ndarray:
     return out
 
 
-def theorem4_crosscheck(n: int, spec: QuadratureSpec | None = None) -> float:
+def theorem4_crosscheck(n: int) -> float:
     """|quadrature - recurrence| for p_n; two fully independent routes.
 
-    The circle quadrature always runs here (the default trapezoid spec when
-    ``spec`` is None), never the exact strip route.
+    The circle quadrature (trapezoid, abs_tol 1e-12) always runs here,
+    never the exact strip route.
     """
     validate_steps(n, 1, "n")
     answer = prob_two_boundary(
-        AbsorptionQuery(spinor=(0, 0, 1), left=1, right=n),
-        spec or _TWO_BOUNDARY_SPEC,
+        AbsorptionQuery(spinor=(0, 0, 1), left=1, right=n), _TWO_BOUNDARY_SPEC
     )
     return float(abs(answer.p_left - theorem4_sequence(n)[n]))
 
@@ -590,12 +572,14 @@ def table1(
     """Left/right/total absorption for right boundaries 1..max_n, coin R.
 
     The deficit column is scaled by 1e12 and reported with its log2, per
-    the reference table's convention.  With ``spec=None`` the exact strip
-    route answers, and the deficit step s(n) - s(n+1) is taken as the
-    difference of the directly computed trapped masses, which loses less
-    to cancellation than the difference of the totals.  With a
-    :class:`QuadratureSpec` the circle quadrature answers and the step is
-    the difference of the totals.
+    the reference table's convention.  The deficit step s(n) - s(n+1) is
+    the difference of the answers' deficits.  With ``spec=None`` the exact
+    strip route answers and each deficit is the directly computed trapped
+    mass, which loses less to cancellation than the difference of the
+    totals.  With a :class:`QuadratureSpec` the circle quadrature answers
+    and each deficit is 1 - total; at the default ``left = 2`` every total
+    lies in [0.5, 1], where 1 - total is exact, so the step is the
+    difference of the totals to the bit.
     """
     validate_steps(max_n, 2, "max_n")
     queries = [
@@ -603,10 +587,7 @@ def table1(
         for n in range(1, max_n + 1)
     ]
     answers = [prob_two_boundary(q, spec) for q in queries]
-    if spec is None:
-        steps = [b.trapped - a.trapped for a, b in zip(answers, answers[1:])]
-    else:
-        steps = [a.total - b.total for a, b in zip(answers, answers[1:])]
+    steps = [b.deficit - a.deficit for a, b in zip(answers, answers[1:])]
     rows = []
     for i, ans in enumerate(answers):
         if i < len(steps):

@@ -83,6 +83,8 @@ def _maybe_scalar(arr, scalar: bool):
 
 
 def _check_branch_distance(z_arr):
+    if not np.size(z_arr):
+        return
     for bp in BRANCH_POINTS:
         d = np.min(np.abs(z_arr - bp))
         if d < _BP_TOL:
@@ -108,8 +110,14 @@ def _delta_arc(theta):
 
 
 def delta_on_circle(theta):
-    """Delta(e^{i theta}) on the branch analytic in the disk, vectorized."""
+    """Delta(e^{i theta}) on the branch analytic in the disk, vectorized.
+
+    ``theta`` must be real: an angle with a nonzero imaginary part raises
+    ``ValueError`` rather than losing that part.
+    """
     theta_arr, scalar = _as_complex_array(theta)
+    if np.any(theta_arr.imag != 0):
+        raise ValueError("delta_on_circle needs real angles")
     th = np.atleast_1d(theta_arr.real.astype(float))
     _check_branch_distance(np.exp(1j * th))
     out = np.atleast_1d(_delta_arc(th))

@@ -13,11 +13,11 @@ from groverline.absorb import (
     AbsorptionQuery,
     QuadratureSpec,
     ToleranceError,
+    _form,
     absorption_answer,
     absorption_matrices,
     integrate_periodic,
     prob_one_boundary,
-    prob_one_boundary_right,
     prob_two_boundary,
     table1,
     theorem4_crosscheck,
@@ -231,8 +231,7 @@ class TestGaussSplit:
         for psi in self.SPINORS:
             right = absorption_answer(AbsorptionQuery(psi, right=m))
             left = prob_one_boundary(m, psi[::-1])
-            assert right.p_right == pytest.approx(left, abs=1e-11)
-            assert prob_one_boundary_right(m, psi) == pytest.approx(left, abs=1e-11)
+            assert right.p_right == left
 
 
 class TestOneBoundary:
@@ -259,19 +258,13 @@ class TestOneBoundary:
         assert quad - report.cumulative_left < 2e-3
 
     def test_right_side_mirror(self):
-        assert prob_one_boundary_right(1, (1, 0, 0)) == pytest.approx(
-            P_ONE_R, abs=1e-9
-        )
-        assert prob_one_boundary_right(1, (0, 1, 0)) == pytest.approx(
-            P_ONE_S, abs=1e-9
-        )
-        sym = (1 / np.sqrt(3),) * 3
-        assert prob_one_boundary(1, sym) == pytest.approx(
-            prob_one_boundary_right(1, sym), abs=1e-11
-        )
+        def p_right(psi):
+            return absorption_answer(AbsorptionQuery(psi, right=1)).p_right
 
-    def test_boundary_at_start_absorbs_nothing(self):
-        assert prob_one_boundary_right(0, (0, 0, 1)) == 0.0
+        assert p_right((1, 0, 0)) == pytest.approx(P_ONE_R, abs=1e-9)
+        assert p_right((0, 1, 0)) == pytest.approx(P_ONE_S, abs=1e-9)
+        sym = (1 / np.sqrt(3),) * 3
+        assert prob_one_boundary(1, sym) == pytest.approx(p_right(sym), abs=1e-11)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -312,6 +305,14 @@ class TestTwoBoundary:
         quad = prob_two_boundary(query, QuadratureSpec("trapezoid", 1e-12))
         assert quad.total == quad.p_left + quad.p_right
         assert quad.total + quad.deficit == 1.0
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 20), (20, 40)])
+    def test_exact_answer_is_the_forms_of_the_matrices(self, m, n):
+        # reading the cached blocks in place changes no bit of the answer
+        psi = _gauss_split_spinors()[-1]
+        ans = prob_two_boundary(AbsorptionQuery(psi, left=m, right=n))
+        p_left, p_right, trapped = (_form(x, psi) for x in absorption_matrices(m, n))
+        assert (ans.p_left, ans.p_right, ans.trapped) == (p_left, p_right, trapped)
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # at (1, 5), coin R, total rounds to 1 + 7e-16, so 1 - total < 0
@@ -363,15 +364,18 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="finite"):
             prob_one_boundary(1, self.NAN_SPINOR)
         with pytest.raises(ValueError, match="finite"):
-            prob_one_boundary_right(0, self.NAN_SPINOR)
+            AbsorptionQuery(self.NAN_SPINOR, right=1)
 
     def test_one_boundary_rejects_fractional_distance(self):
         with pytest.raises(ValueError, match="integer"):
             prob_one_boundary(2.5, (0, 0, 1))
         for m in (0.0, np.float64(0.0), 1.0):
             with pytest.raises(ValueError, match="integer"):
-                prob_one_boundary_right(m, (0, 0, 1))
-        assert prob_one_boundary_right(np.int64(0), (0, 0, 1)) == 0.0
+                AbsorptionQuery((0, 0, 1), right=m)
+        numpy_int = absorption_answer(AbsorptionQuery((0, 0, 1), right=np.int64(1)))
+        assert numpy_int.p_right == absorption_answer(
+            AbsorptionQuery((0, 0, 1), right=1)
+        ).p_right
 
     def test_bool_boundary_rejected(self):
         for kwargs in ({"left": True}, {"right": True}, {"left": 1, "right": False}):

@@ -91,6 +91,27 @@ class TestDelta:
         inside = delta((1 - 1e-8) * np.exp(1j * theta))
         assert np.max(np.abs(on - inside)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "f", [delta, delta_on_circle, l_closed, s_closed, r_closed],
+        ids=lambda f: f.__name__,
+    )
+    def test_empty_in_empty_out(self, f):
+        for shape in ((0,), (0, 3)):
+            out = f(np.zeros(shape))
+            assert out.shape == shape and out.dtype == complex
+
+    def test_complex_angle_rejected(self):
+        with pytest.raises(ValueError, match="real angles"):
+            delta_on_circle(0.5j)
+        with pytest.raises(ValueError, match="real angles"):
+            delta_on_circle(np.array([0.0, 1.0 + 1e-3j]))
+        # real angles of every kind keep working
+        for theta in (0, 0.0, np.float64(0.0), np.array(0.0), 0.0 + 0j):
+            assert delta_on_circle(theta) == pytest.approx(np.sqrt(24), abs=1e-13)
+        assert delta_on_circle([0.0, np.pi]) == pytest.approx(
+            [np.sqrt(24), np.sqrt(12)], abs=1e-13
+        )
+
     def test_trace_agrees_with_arc_formula(self):
         trace = BranchTrace.build(n=512)
         direct = delta_on_circle(trace.theta_grid)
