@@ -11,9 +11,10 @@ Four independent routes to the same physics cross-validate each other:
   two-boundary widening iteration;
 * :mod:`groverline.absorb` turns them into absorption probabilities:
   exactly on a finite strip, by one Stein solve on the strip's
-  contraction, and by circle-averaging quadrature for one boundary and as
-  the two-boundary cross-check; :mod:`groverline.localize` extracts the
-  trapped-mass observables from long simulator runs.
+  contraction (a doubling sum, numpy only), and by circle-averaging
+  quadrature for one boundary and as the two-boundary cross-check;
+  :mod:`groverline.localize` extracts the trapped-mass observables from
+  long simulator runs.
 
 The package holds only the production routes and what the ``groverline``
 command runs.  The independent forms the tests hold them against are

@@ -9,9 +9,11 @@ states of a strip of width W = M + N.  The contraction depends
 only on the strip width M + N, and the right side's matrix is the
 site-and-coin mirror of the left side's, so one SVD and one Stein solve
 per width, cached, give both sides and the trapped mass at every start
-site.  :func:`absorption_matrices` returns the three start-site blocks of
-one geometry and :func:`absorption_profile` those of every start site of
-one strip; each answers every spinor.
+site.  The Stein equation is summed by Smith's doubling with matrix
+products alone, so this route needs numpy only.
+:func:`absorption_matrices` returns the three start-site blocks of one
+geometry and :func:`absorption_profile` those of every start site of one
+strip; each answers every spinor.
 
 Circle quadrature: the total absorption probability is also the sum of
 squared first-hit amplitudes, i.e. the Hadamard square of a generating
@@ -332,6 +334,39 @@ def _two_boundary_integrand(m: int, n: int, spinor):
     return f
 
 
+#: Doublings before :func:`_stein_doubling` gives up.  Its sum covers
+#: 2^k steps after k doublings; widths 3-60 stop after 8-22.
+_STEIN_MAX_DOUBLINGS = 64
+
+
+def _stein_doubling(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X = sum_t (A^T)^t Q A^t, the solution of X = A^T X A + Q, by doubling.
+
+    Smith's doubling: X <- X + B^T X B, B <- B^2 with B = A^(2^k) adds
+    the next 2^k terms of the sum, so a strictly stable A converges
+    quadratically.  Stops once an increment is below double-precision
+    resolution of X; raises :class:`RuntimeError` on a non-finite
+    increment or after :data:`_STEIN_MAX_DOUBLINGS` doublings, both of
+    which mean A is not a strict contraction.
+    """
+    eps = np.finfo(float).eps
+    x, b = q, a
+    # an overflow is reported below as a non-finite increment
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_STEIN_MAX_DOUBLINGS):
+            step = b.T @ x @ b
+            size = abs(step).max()  # NaN and inf propagate
+            if not math.isfinite(size):
+                raise RuntimeError("Stein doubling diverged: non-finite increment")
+            x = x + step
+            if size <= eps * abs(x).max():
+                return x
+            b = b @ b
+    raise RuntimeError(
+        f"Stein doubling did not converge in {_STEIN_MAX_DOUBLINGS} doublings"
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start-site blocks of ``(X_left, X_right, P_trapped)`` for every start site.
@@ -341,7 +376,8 @@ def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     start site picks the block.  Returns three read-only ``(W - 1, 3, 3)``
     arrays whose entry s = m - 1 is the 3x3 diagonal block at the start
     site of geometry (m, W - m).  Cached per width, so every geometry and
-    spinor of one strip shares one SVD and one Stein solve.
+    spinor of one strip shares one SVD and one Stein solve, the latter by
+    :func:`_stein_doubling` on the SVD's complement of the flat band.
 
     X_right needs no solve of its own: reversing the whole site-major
     amplitude vector (site s -> W - 2 - s, coin c -> 2 - c) maps A to
@@ -349,8 +385,6 @@ def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with J that reversal, i.e. its blocks are X_left's reversed on all
     three axes.
     """
-    import scipy.linalg as sla
-
     coin = grover_coin()
     sites = width - 1
     size = 3 * sites
@@ -364,12 +398,12 @@ def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # one SVD splits the space into ker(A - I), the flat band of dimension
     # W - 2 (one compactly supported state per pair of adjacent interior
     # sites), and its orthonormal complement
-    _, _, vt = sla.svd(a - np.eye(size))
+    _, _, vt = np.linalg.svd(a - np.eye(size))
     rank = size - (width - 2)
     rest, kernel = vt[:rank].T, vt[rank:].T
     a_rest = rest.T @ a @ rest
     c_rest = coin[0] @ rest[:3]  # the L row of the coin at the leftmost site
-    x = sla.solve_discrete_lyapunov(a_rest.T, np.outer(c_rest, c_rest))
+    x = _stein_doubling(a_rest, np.outer(c_rest, c_rest))
     rest_sites = rest.reshape(sites, 3, rank)
     kernel_sites = kernel.reshape(sites, 3, size - rank)
     x_left = (rest_sites @ x) @ rest_sites.transpose(0, 2, 1)
@@ -397,8 +431,10 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     the band is projected out orthogonally, leaving a strictly stable
     Stein equation, and its projection P is the trapped mass.  An SVD of
     A - I supplies the kernel and its orthonormal complement; the known
-    dimension, not a singular-value threshold, splits them.  X_R is the
-    site-and-coin mirror of X_L, so it needs no second solve.
+    dimension, not a singular-value threshold, splits them.  The stable
+    Stein equation on the complement is summed by doubling (Smith, 1968),
+    X <- X + B^T X B with B = A^(2^k), numpy matrix products only.  X_R
+    is the site-and-coin mirror of X_L, so it needs no second solve.
 
     A depends only on the width m + n, so the work (one SVD, one Stein
     solve) is done once per width and cached, and every (m, n) with the

@@ -5,7 +5,10 @@
 side, with no cache, no per-width sharing and no mirror.  It is the
 construction ``absorption_matrices`` used before it went per width, kept
 so the production blocks (and the mirror that now supplies X_right) are
-checked against a direct solve rather than against themselves.
+checked against a direct solve rather than against themselves.  It
+shares only the SVD (the same LAPACK driver) with production: its Stein
+solves are scipy's ``solve_discrete_lyapunov``, production's a doubling
+sum, so the comparison checks the Stein solve by a second algorithm.
 """
 
 import numpy as np

@@ -315,10 +315,17 @@ class TestTwoBoundary:
         assert (ans.p_left, ans.p_right, ans.trapped) == (p_left, p_right, trapped)
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
-        # at (1, 5), coin R, total rounds to 1 + 7e-16, so 1 - total < 0
-        ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=1, right=5))
-        assert 1.0 - ans.total < 0
-        assert 0.0 <= ans.deficit == ans.trapped < 1e-30
+        # start next to the left boundary in coin R: nothing is trapped, and
+        # some totals round above 1, where 1 - total would read negative;
+        # the deficit is the directly computed trapped mass all the same
+        answers = [
+            prob_two_boundary(AbsorptionQuery((0, 0, 1), left=1, right=n))
+            for n in range(1, 15)
+        ]
+        for ans in answers:
+            assert ans.deficit == ans.trapped
+            assert 0.0 <= ans.trapped < 1e-30
+        assert any(1.0 - ans.total < 0 for ans in answers)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(5)

@@ -38,6 +38,8 @@ gl.prob_two_boundary(gl.AbsorptionQuery((0, 0, 1), left=2, right=3))
 seen["prob_two_boundary"] = loaded()
 gl.absorption_profile(7)
 seen["absorption_profile"] = loaded()
+gl.table1(3)
+seen["table1"] = loaded()
 from groverline import cli
 with contextlib.redirect_stdout(io.StringIO()):
     seen["theorem4_rc"] = cli.main(["theorem4", "--max-n", "5"])
@@ -65,11 +67,10 @@ def test_scipy_stays_off_the_default_routes():
     assert not seen["import"]["fft"]
     assert seen["series"]["fft"]
     assert seen["series"]["scipy"] == []
+    # the default routes, the exact strip solve included, are numpy-only
     for step in ("prob_one_boundary", "absorption_answer_one", "prob_two_boundary",
-                 "absorption_profile", "theorem4"):
-        assert not seen[step]["integrate"], step
-    assert seen["prob_one_boundary"]["scipy"] == []
-    assert seen["absorption_answer_one"]["scipy"] == []
+                 "absorption_profile", "table1", "theorem4"):
+        assert seen[step]["scipy"] == [], step
     assert seen["theorem4_rc"] == 0
     # the probe does see a load: the explicit cross-check route makes one
     assert seen["adaptive_split"]["integrate"]

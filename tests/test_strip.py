@@ -1,13 +1,16 @@
 """The exact finite-strip route against the circle quadrature and itself.
 
 ``absorption_matrices`` answers two-boundary queries from one Stein solve
-per strip width, cached; ``prob_two_boundary`` with an explicit
-``QuadratureSpec`` still runs the independent circle quadrature, which is
-the reference here, and ``strip_oracle`` keeps the dense construction
-with one direct Stein solve per side.
+per strip width (a doubling sum), cached; ``prob_two_boundary`` with an
+explicit ``QuadratureSpec`` still runs the independent circle quadrature,
+which is the reference here, ``strip_oracle`` keeps the dense
+construction with one scipy Stein solve per side, and theorem4's
+recurrence run in ``Fraction`` gives one block entry exactly.
 """
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from groverline.absorb import (
     QuadratureSpec,
     absorption_matrices,
     absorption_profile,
+    prob_one_boundary,
     prob_two_boundary,
 )
 from strip_oracle import dense_absorption_matrices
@@ -69,6 +73,46 @@ def test_trapped_mass_tends_to_4q(n):
     # 20 - 8 sqrt(6), q = 5 - 2 sqrt(6), its gap shrinking by q^2 per site
     q = 1 / (5 + 2 * np.sqrt(6))
     assert absorption_matrices(2, n)[2][2, 2] == pytest.approx(4 * q, abs=1e-14)
+
+
+def exact_theorem4(max_n):
+    # theorem4_sequence's recurrence p_next = (2 + 3p) / (3 + 4p), in Fraction
+    p = [Fraction(0)]
+    for _ in range(max_n):
+        p.append((2 + 3 * p[-1]) / (3 + 4 * p[-1]))
+    return p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 40, 59, 79])
+def test_start_entry_is_the_exact_recurrence(n):
+    # boundary adjacent on the left, coin R: X_left's R-R entry is p_n
+    # exactly; measured at most 1.3e-14 off over n = 1..79
+    exact = exact_theorem4(n)[n]
+    assert abs(absorption_matrices(1, n)[0][2, 2] - float(exact)) < 5e-14
+
+
+def test_strip_limit_is_not_the_half_line():
+    # p_n tends to the recurrence's fixed point 1/sqrt(2), but a single
+    # boundary one site left absorbs only 0.6692653092 of coin R: the
+    # receding right boundary does not give back the half-line
+    assert abs(absorption_matrices(1, 80)[0][2, 2] - 1 / math.sqrt(2)) < 1e-13
+    assert prob_one_boundary(1, (0, 0, 1)) == pytest.approx(0.6692653092, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a,q,message",
+    [
+        (1.01 * np.eye(3), np.eye(3), "non-finite increment"),
+        (np.full((3, 3), np.nan), np.eye(3), "non-finite increment"),
+        (0.5 * np.eye(3), np.full((3, 3), np.nan), "non-finite increment"),
+        (np.eye(3), np.eye(3), "did not converge in 64 doublings"),
+    ],
+)
+def test_stein_doubling_fails_fast(a, q, message):
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=message):
+        absorb._stein_doubling(a, q)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("m,n", SWEEP)
