@@ -5,15 +5,15 @@ walk is a real contraction on the interior amplitudes, so each side's
 absorption probability is a Hermitian form psi^H X psi whose matrix solves
 a Stein equation, and the never-absorbed mass is the form of the
 projection onto the eigenvalue-1 flat band, the W - 2 compactly supported
-states of a strip of width W = M + N.  The contraction depends
-only on the strip width M + N, and the right side's matrix is the
-site-and-coin mirror of the left side's, so one SVD and one Stein solve
-per width, cached, give both sides and the trapped mass at every start
-site.  The Stein equation is summed by Smith's doubling with matrix
-products alone, so this route needs numpy only.
-:func:`absorption_matrices` returns the three start-site blocks of one
-geometry and :func:`absorption_profile` those of every start site of one
-strip; each answers every spinor.
+states of a strip of width W = M + N.  The contraction depends only on the
+strip width, and the right side's matrix is the site-and-coin mirror of
+the left side's, so one SVD and one Stein solve per width, cached as one
+read-only array, give both sides and the trapped mass at every start site;
+a query reads its three forms in one contraction.  The Stein equation is
+summed by Smith's doubling with matrix products alone, so this route needs
+numpy only.  :func:`absorption_matrices` returns the three start-site
+blocks of one geometry and :func:`absorption_profile` those of every start
+site of one strip; each answers every spinor.
 
 Circle quadrature: the total absorption probability is also the sum of
 squared first-hit amplitudes, i.e. the Hadamard square of a generating
@@ -143,7 +143,8 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
     level of the method's sequence that fits in ``spec.max_points`` is
     evaluated in turn, and the difference from the previous level is the
     error estimate.  Raises :class:`ToleranceError` when the estimate
-    cannot be pushed below ``spec.abs_tol`` that way.
+    cannot be pushed below ``spec.abs_tol`` that way, at once when a
+    level's mean is not finite.
     """
     if spec.method == "adaptive-split":
         return _adaptive_split(f, spec)
@@ -163,6 +164,8 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
         if err < spec.abs_tol:
             return cur, err
         prev, points = cur, size
+        if not math.isfinite(cur):  # no finer level can repair it
+            break
     raise ToleranceError(
         f"{spec.method} quadrature stuck above abs_tol={spec.abs_tol:g} at "
         f"{points} points (last difference {err:.3g}, max_points={spec.max_points})",
@@ -368,16 +371,16 @@ def _stein_doubling(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _strip_blocks(width: int) -> np.ndarray:
     """Start-site blocks of ``(X_left, X_right, P_trapped)`` for every start site.
 
     The strip between boundaries at -m and +n has W - 1 interior sites
     (W = m + n) and its one-step contraction A depends on W alone; the
-    start site picks the block.  Returns three read-only ``(W - 1, 3, 3)``
-    arrays whose entry s = m - 1 is the 3x3 diagonal block at the start
-    site of geometry (m, W - m).  Cached per width, so every geometry and
-    spinor of one strip shares one SVD and one Stein solve, the latter by
-    :func:`_stein_doubling` on the SVD's complement of the flat band.
+    start site picks the block.  Returns one read-only ``(3, W - 1, 3, 3)``
+    array whose ``[k, s]`` is the symmetric 3x3 diagonal block of X_left,
+    X_right or P_trapped (k = 0, 1, 2) at the start site of geometry
+    (s + 1, W - 1 - s).  Cached per width, so every geometry and spinor of
+    one strip shares one SVD and one Stein solve (:func:`_stein_doubling`).
 
     X_right needs no solve of its own: reversing the whole site-major
     amplitude vector (site s -> W - 2 - s, coin c -> 2 - c) maps A to
@@ -408,12 +411,16 @@ def _strip_blocks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kernel_sites = kernel.reshape(sites, 3, size - rank)
     x_left = (rest_sites @ x) @ rest_sites.transpose(0, 2, 1)
     trapped = kernel_sites @ kernel_sites.transpose(0, 2, 1)
-    blocks = []
-    for b in (x_left, x_left[::-1, ::-1, ::-1], trapped):
-        b = 0.5 * (b + b.transpose(0, 2, 1))
-        b.flags.writeable = False
-        blocks.append(b)
-    return tuple(blocks)
+    blocks = np.stack((x_left, x_left[::-1, ::-1, ::-1], trapped))
+    blocks = 0.5 * (blocks + blocks.transpose(0, 1, 3, 2))
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _strip_forms(blocks: np.ndarray, spinor) -> list[float]:
+    """psi^H B psi for each 3x3 block B of a ``(k, 3, 3)`` stack, in one contraction."""
+    psi = np.asarray(spinor, dtype=complex)
+    return (psi.conj() @ blocks @ psi).real.tolist()
 
 
 def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,8 +444,8 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     is the site-and-coin mirror of X_L, so it needs no second solve.
 
     A depends only on the width m + n, so the work (one SVD, one Stein
-    solve) is done once per width and cached, and every (m, n) with the
-    same sum reads its blocks from it; see :func:`absorption_profile`.
+    solve) is done once per width and cached as one read-only array that
+    every (m, n) with the same sum reads; see :func:`absorption_profile`.
     The returned arrays are fresh copies the caller may modify.
 
     Each block is real symmetric, in ``(L, S, R)`` order, and for every unit
@@ -446,7 +453,7 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     one call answers every spinor of the geometry.
     """
     validate_input(left=m, right=n)
-    return tuple(b[m - 1].copy() for b in _strip_blocks(int(m + n)))
+    return tuple(b.copy() for b in _strip_blocks(int(m + n))[:, m - 1])
 
 
 def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,11 +468,6 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     validate_steps(width, 2, "width")
     return tuple(b.copy() for b in _strip_blocks(int(width)))
-
-
-def _form(x: np.ndarray, spinor) -> float:
-    psi = np.asarray(spinor, dtype=complex)
-    return float(np.real(np.conj(psi) @ x @ psi))
 
 
 def prob_two_boundary(
@@ -492,12 +494,9 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        # the query is already validated, so read the cached read-only
-        # blocks in place instead of absorption_matrices' fresh copies
-        blocks = _strip_blocks(int(query.left + query.right))
-        p_left, p_right, trapped = (
-            _form(b[query.left - 1], query.spinor) for b in blocks
-        )
+        # the query is validated: read the cached blocks in place, uncopied
+        blocks = _strip_blocks(int(query.left + query.right))[:, query.left - 1]
+        p_left, p_right, trapped = _strip_forms(blocks, query.spinor)
         total = p_left + p_right
         return AbsorptionAnswer(
             p_left=p_left,

@@ -292,9 +292,10 @@ def _cmd_absorb(args) -> tuple[tuple, list, int]:
     try:
         ans = absorption_answer(query, spec)
     except ToleranceError as exc:
-        # side attribution is unknown when one of two integrals fails, so
-        # the partial value is only reported as a flagged total
-        rows = [(None, None, exc.value, 1.0 - exc.value, exc.error, 1)]
+        # with two boundaries the partial value is one side's integral, and
+        # which side is unknown, so only the error estimate is reported
+        partial = (None, None) if two else (exc.value, 1.0 - exc.value)
+        rows = [(None, None, *partial, exc.error, 1)]
         return columns, rows, 3
     rows = [(ans.p_left, ans.p_right, ans.total, ans.deficit, ans.error_estimate, 0)]
     return columns, rows, 0

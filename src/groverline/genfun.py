@@ -73,6 +73,8 @@ def _quadratic(z):
 
 def _as_complex_array(z):
     arr = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("evaluation points must be finite")
     return arr, arr.ndim == 0
 
 
@@ -112,8 +114,9 @@ def _delta_arc(theta):
 def delta_on_circle(theta):
     """Delta(e^{i theta}) on the branch analytic in the disk, vectorized.
 
-    ``theta`` must be real: an angle with a nonzero imaginary part raises
-    ``ValueError`` rather than losing that part.
+    ``theta`` must be real and finite: an angle with a nonzero imaginary
+    part raises ``ValueError`` rather than losing that part, and so does a
+    NaN or infinite one.
     """
     theta_arr, scalar = _as_complex_array(theta)
     if np.any(theta_arr.imag != 0):
@@ -129,7 +132,7 @@ def delta(z):
 
     On the circle this is the branch continuous along the circle from
     z = 1 (where Delta = +sqrt(24)) within each arc between the branch
-    points.
+    points.  A non-finite z raises ``ValueError``.
     """
     z_arr, scalar = _as_complex_array(z)
     zs = np.atleast_1d(z_arr)
@@ -152,6 +155,9 @@ def _delta_or(dl, z):
 
 def _closed_eval(z, dl, numerator, z_factor, limit):
     """Evaluate numerator(z, delta)/z_factor(z), filling z = 0 with ``limit``.
+
+    A non-finite z raises ``ValueError`` before any arithmetic, even when
+    ``dl`` is given.
 
     z = 0 is a removable singularity of all four closed forms; the filled
     value is the series constant term.

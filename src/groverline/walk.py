@@ -335,10 +335,6 @@ class AbsorptionReport:
     def cumulative_right(self) -> float:
         return float(np.sum(self.absorbed_right))
 
-    @property
-    def deficit(self) -> float:
-        return self.residual_norm
-
 
 def run_walk(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> AbsorptionReport:
     """Run the measured walk for ``steps`` steps from spinor ``init`` at 0.

@@ -13,7 +13,7 @@ from groverline.absorb import (
     AbsorptionQuery,
     QuadratureSpec,
     ToleranceError,
-    _form,
+    _strip_forms,
     absorption_answer,
     absorption_matrices,
     integrate_periodic,
@@ -186,6 +186,36 @@ class TestIntegratePeriodic:
             integrate_periodic(f, QuadratureSpec("trapezoid", 1e-30, max_points))
         assert sizes == expected
 
+    @pytest.mark.parametrize("method", ["trapezoid", "gauss-split"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_level_fails_at_once(self, method, bad):
+        # finer levels cannot repair a NaN or inf mean, so the loop stops
+        # at the first one instead of climbing to max_points
+        sizes = []
+
+        def f(theta):
+            sizes.append(theta.size)
+            return np.full(theta.shape, bad)
+
+        with pytest.raises(ToleranceError, match="last difference nan") as exc_info:
+            integrate_periodic(f, QuadratureSpec(method))
+        assert sizes == [64]
+        assert np.isnan(exc_info.value.error)
+        assert not np.isfinite(exc_info.value.value)
+
+    def test_non_finite_level_after_finite_ones(self):
+        sizes = []
+
+        def f(theta):
+            sizes.append(theta.size)
+            corner = np.abs(np.sin(theta / 2))
+            return corner if theta.size < 256 else np.full(theta.shape, np.nan)
+
+        with pytest.raises(ToleranceError) as exc_info:
+            integrate_periodic(f, QuadratureSpec("trapezoid", 1e-30))
+        assert sizes == [64, 128, 256]
+        assert np.isnan(exc_info.value.value)
+
     def test_spec_rejects_non_finite_tol_and_non_integer_max_points(self):
         for tol in (float("inf"), float("nan"), True, "1e-3", None, 1e-3j):
             with pytest.raises(ValueError, match="abs_tol"):
@@ -311,8 +341,11 @@ class TestTwoBoundary:
         # reading the cached blocks in place changes no bit of the answer
         psi = _gauss_split_spinors()[-1]
         ans = prob_two_boundary(AbsorptionQuery(psi, left=m, right=n))
-        p_left, p_right, trapped = (_form(x, psi) for x in absorption_matrices(m, n))
-        assert (ans.p_left, ans.p_right, ans.trapped) == (p_left, p_right, trapped)
+        forms = _strip_forms(np.stack(absorption_matrices(m, n)), psi)
+        assert [ans.p_left, ans.p_right, ans.trapped] == forms
+        # and the forms are psi^H X psi of each block
+        for form, x in zip(forms, absorption_matrices(m, n)):
+            assert form == pytest.approx(np.real(np.conj(psi) @ x @ psi), abs=1e-15)
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import groverline.cli
+from groverline.absorb import ToleranceError
 from groverline.cli import main
 
 
@@ -79,6 +81,20 @@ class TestAbsorbCommand:
         assert record["warning"] == "1"
         assert record["p_left"] == ""
         assert float(record["total"]) == pytest.approx(0.0940812419, abs=1e-6)
+
+    def test_two_boundary_flag_reports_no_side(self, capsys, monkeypatch):
+        # which of the two integrals failed is unknown, so the flagged row
+        # keeps the error estimate and no probability; a real failing run
+        # climbs the whole 2^22-node ladder, so the failure is injected
+        def fail(query, spec):
+            raise ToleranceError("stuck", value=0.161919993552, error=3.97e-13)
+
+        monkeypatch.setattr(groverline.cli, "absorption_answer", fail)
+        code, out = run_cli(
+            capsys, ["absorb", "--left", "2", "--right", "5", "--tol", "1e-18"]
+        )
+        assert code == 3
+        assert out.splitlines()[1] == ",,,,3.97e-13,1"
 
     def test_missing_boundary_rejected(self, capsys):
         code = main(["absorb"])

@@ -100,6 +100,23 @@ class TestDelta:
             out = f(np.zeros(shape))
             assert out.shape == shape and out.dtype == complex
 
+    @pytest.mark.parametrize(
+        "f", [delta, delta_on_circle, l_closed, s_closed, r_closed],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0)],
+        ids=repr,
+    )
+    def test_non_finite_point_rejected(self, f, bad):
+        # refused before any arithmetic, so no RuntimeWarning fires first
+        for point in (bad, np.array([0.5, bad]), np.array([[0.0], [bad]])):
+            with pytest.raises(ValueError, match="finite"):
+                f(point)
+        if f is not delta and f is not delta_on_circle:
+            with pytest.raises(ValueError, match="finite"):
+                f(bad, dl=3.0)
+
     def test_complex_angle_rejected(self):
         with pytest.raises(ValueError, match="real angles"):
             delta_on_circle(0.5j)

@@ -188,15 +188,30 @@ def test_profile_is_every_start_site(width):
             assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("width", [2, 3, 7, 40])
+def test_cache_is_one_read_only_array(width):
+    blocks = absorb._strip_blocks(width)
+    assert isinstance(blocks, np.ndarray)
+    assert blocks.shape == (3, width - 1, 3, 3)
+    assert not blocks.flags.writeable
+    assert np.array_equal(blocks, blocks.transpose(0, 1, 3, 2))
+    # X_right is X_left's site-and-coin mirror, to the bit
+    assert np.array_equal(blocks[1], blocks[0][::-1, ::-1, ::-1])
+
+
 def test_returned_blocks_do_not_alias_the_cache():
     spinor = random_spinors(11, 1)[0]
-    query = AbsorptionQuery(spinor, left=3, right=4)
-    before = prob_two_boundary(query)
-    for block in absorption_matrices(3, 4) + absorption_profile(7):
+    queries = [AbsorptionQuery(spinor, left=m, right=7 - m) for m in range(1, 7)]
+    before = [prob_two_boundary(q) for q in queries]
+    cached = absorb._strip_blocks(7).copy()
+    returned = absorption_matrices(3, 4) + absorption_profile(7)
+    assert [b.shape for b in returned] == [(3, 3)] * 3 + [(6, 3, 3)] * 3
+    for block in returned:
+        assert block.flags.writeable
         block[...] = 7.0
-    assert prob_two_boundary(query) == before
-    for block in absorb._strip_blocks(7):
-        assert not block.flags.writeable
+    assert [prob_two_boundary(q) for q in queries] == before
+    assert np.array_equal(absorb._strip_blocks(7), cached)
+    assert all(np.array_equal(b, c) for b, c in zip(absorption_profile(7), cached))
 
 
 def test_cold_solve_reproduces_cached_answer():
