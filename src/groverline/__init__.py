@@ -17,11 +17,12 @@ Four independent routes to the same physics cross-validate each other:
   long simulator runs.
 
 The package holds only the production routes and what the ``groverline``
-command runs.  The independent forms the tests hold them against are
-test oracles under ``tests/``: ``walk_oracle.py`` (the sparse walk),
-``series_oracle.py`` (the coefficient sweep), ``genfun_oracle.py`` (the
-tracked branch, the transfer-matrix forms and the identities) and
-``strip_oracle.py`` (the dense two-solve strip construction).
+command and the benchmark run.  The independent forms the tests hold
+them against are test oracles under ``tests/``: ``walk_oracle.py`` (the
+sparse walk), ``series_oracle.py`` (the coefficient sweep),
+``genfun_oracle.py`` (the tracked branch, the transfer-matrix forms and
+the identities) and ``strip_oracle.py`` (the dense two-solve strip
+construction).
 """
 
 from .absorb import (
@@ -37,7 +38,6 @@ from .absorb import (
     prob_one_boundary,
     prob_two_boundary,
     table1,
-    theorem4_crosscheck,
     theorem4_sequence,
 )
 from .genfun import (
@@ -51,17 +51,14 @@ from .genfun import (
 )
 from .localize import (
     OscillationTrace,
-    decay_slope,
     oscillation_trace,
     residual_near_origin,
     stationary_profile,
-    tail_decay_fit,
     two_peak_profile,
 )
 from .series import (
     TruncatedSeries,
     one_boundary_series,
-    partial_absorption,
     two_boundary_series,
 )
 from .walk import (
@@ -72,7 +69,6 @@ from .walk import (
     evolve,
     grover_coin,
     run_walk,
-    spinor_mass_history,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +90,6 @@ __all__ = [
     "absorption_answer",
     "absorption_matrices",
     "absorption_profile",
-    "decay_slope",
     "delta",
     "delta_on_circle",
     "evolve",
@@ -103,18 +98,14 @@ __all__ = [
     "l_closed",
     "one_boundary_series",
     "oscillation_trace",
-    "partial_absorption",
     "prob_one_boundary",
     "prob_two_boundary",
     "r_closed",
     "residual_near_origin",
     "run_walk",
     "s_closed",
-    "spinor_mass_history",
     "stationary_profile",
     "table1",
-    "tail_decay_fit",
-    "theorem4_crosscheck",
     "theorem4_sequence",
     "two_boundary_series",
     "two_peak_profile",

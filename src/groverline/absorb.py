@@ -79,7 +79,6 @@ __all__ = [
     "absorption_profile",
     "absorption_answer",
     "theorem4_sequence",
-    "theorem4_crosscheck",
     "table1",
 ]
 
@@ -131,7 +130,6 @@ class QuadratureSpec:
         validate_steps(self.max_points, 16, "max_points")
 
 
-_TWO_BOUNDARY_SPEC = QuadratureSpec(method="trapezoid", abs_tol=1e-12)
 _ONE_BOUNDARY_SPEC = QuadratureSpec(method="gauss-split", abs_tol=1e-10)
 
 
@@ -564,19 +562,6 @@ def theorem4_sequence(max_n: int) -> np.ndarray:
     for k in range(max_n):
         out[k + 1] = (2 + 3 * out[k]) / (3 + 4 * out[k])
     return out
-
-
-def theorem4_crosscheck(n: int) -> float:
-    """|quadrature - recurrence| for p_n; two fully independent routes.
-
-    The circle quadrature (trapezoid, abs_tol 1e-12) always runs here,
-    never the exact strip route.
-    """
-    validate_steps(n, 1, "n")
-    answer = prob_two_boundary(
-        AbsorptionQuery(spinor=(0, 0, 1), left=1, right=n), _TWO_BOUNDARY_SPEC
-    )
-    return float(abs(answer.p_left - theorem4_sequence(n)[n]))
 
 
 @dataclass(frozen=True)

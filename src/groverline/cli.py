@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add an independent quadrature column (slower)",
     )
-    p.add_argument("--tol", type=_positive_float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None,
+                   help="absolute tolerance for the --crosscheck column")
     _add_output_args(p)
     p.set_defaults(func=_cmd_theorem4)
 
@@ -336,26 +337,21 @@ def _cmd_table1(args) -> tuple[tuple, list, int]:
 def _cmd_theorem4(args) -> tuple[tuple, list, int]:
     seq = theorem4_sequence(args.max_n)
     if not args.crosscheck:
+        if args.tol is not None:
+            raise ValueError("--tol applies with --crosscheck only")
         return ("n", "p_recurrence"), [(n, seq[n]) for n in range(len(seq))], 0
     spec = _spec_for(args, method="trapezoid", default_tol=1e-12)
-    rows = []
-    for n in range(len(seq)):
-        if n == 0:
-            rows.append((0, seq[0], None))
-            continue
-        ans = prob_two_boundary(
-            AbsorptionQuery(spinor=(0, 0, 1), left=1, right=n), spec
-        )
+    rows = [(0, seq[0], None)]
+    for n in range(1, len(seq)):
+        ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=1, right=n), spec)
         rows.append((n, seq[n], ans.p_left))
     return ("n", "p_recurrence", "p_quadrature"), rows, 0
 
 
 def _cmd_localize(args) -> tuple[tuple, list, int]:
     trace = oscillation_trace(args.steps, init=CoinSpinor(*args.spinor))
-    rows = [
-        (int(t), float(a), float(b), float(a + b))
-        for t, a, b in zip(trace.steps, trace.p_minus1, trace.p_zero)
-    ]
+    columns = (trace.steps, trace.p_minus1, trace.p_zero, trace.total)
+    rows = list(zip(*(c.tolist() for c in columns)))
     return ("t", "p_minus1", "p_zero", "total"), rows, 0
 
 

@@ -4,9 +4,9 @@ The walk traps a constant fraction of the mass near its start: site
 probabilities oscillate around nonzero means instead of decaying, the
 time-averaged profile has twin peaks at the start's two neighbors with
 geometric tails, and a single absorbing boundary can leave a large
-never-absorbed remainder parked next to it.  These helpers extract the
-corresponding observables from the simulator; the infinite-time profile,
-the start state's projection onto the flat band, is in closed form.
+never-absorbed remainder parked next to it.  These helpers read them off
+their own loops over :func:`~groverline.walk.evolve`; the infinite-time
+profile, the start state's flat-band projection, is in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import BoundarySpec, CoinSpinor, evolve, spinor_mass_history, validate_steps
+from .walk import BoundarySpec, CoinSpinor, evolve, validate_steps
 
 __all__ = [
     "OscillationTrace",
@@ -24,8 +24,6 @@ __all__ = [
     "two_peak_profile",
     "stationary_profile",
     "residual_near_origin",
-    "decay_slope",
-    "tail_decay_fit",
 ]
 
 
@@ -52,11 +50,16 @@ def oscillation_trace(
     """
     validate_steps(steps, 1)
     init = init or CoinSpinor(0, 0, 1)
-    hist = spinor_mass_history(init, BoundarySpec(), steps, positions=(-1, 0))
+    walk = evolve(init, BoundarySpec(), steps)
+    engine = next(walk)
+    cols = np.array([engine.index(-1), engine.index(0)])
+    probs = np.empty((steps, 2))
+    for w in walk:
+        probs[w.t - 1] = np.sum(np.abs(w.amps[:, cols]) ** 2, axis=0)
     return OscillationTrace(
         steps=np.arange(1, steps + 1),
-        p_minus1=hist[:, 0],
-        p_zero=hist[:, 1],
+        p_minus1=probs[:, 0],
+        p_zero=probs[:, 1],
     )
 
 
@@ -116,12 +119,16 @@ def stationary_profile(span: int = 8) -> dict[int, float]:
     k-fold into q^k, so 2 q^k is taken as 2 / (t + sqrt(t^2 - 1)) with the
     integer t = T_k(5) = ((5 + 2 sqrt(6))^k + q^k) / 2, divided through by
     t so that a t too large for a float gives 0, not OverflowError.
+    From the first such 0 on (|m| >= 163) the rest is filled with 0.0,
+    so the integers stop growing there and the cost is linear in ``span``.
     """
     validate_steps(span, 1, "span")
     half = []
     t, t_prev = 5, 5  # T_k(5) and T_{k-2}(5) at odd k = 2j + 1; T_{-1} = T_1
-    for _ in range(span + 1):
+    while len(half) <= span:
         half.append((2 / t) / (1 + math.sqrt(1 - (1 / t) ** 2)))
+        if half[-1] == 0.0:
+            half += [0.0] * (span + 1 - len(half))
         t, t_prev = 98 * t - t_prev, t
     return {m: half[m if m >= 0 else -1 - m] for m in range(-span, span + 1)}
 
@@ -144,38 +151,3 @@ def residual_near_origin(
     for engine in evolve(init, BoundarySpec(left=left_boundary), steps):
         pass
     return engine.mass_within(window)
-
-
-def decay_slope(rows) -> float:
-    """Least-squares slope of log2(scaled deficit) against strip width.
-
-    ``rows`` is the table produced by :func:`groverline.absorb.table1`;
-    rows without a deficit entry (the widest strip) are skipped.  The
-    deficit shrinks geometrically, so the points are nearly affine and
-    the slope estimates the per-site decay exponent.
-    """
-    pts = [(row.n, row.log2_deficit) for row in rows if row.log2_deficit is not None]
-    if len(pts) < 3:
-        raise ValueError("need at least three rows with a deficit entry")
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.array([p[1] for p in pts], dtype=float)
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def tail_decay_fit(
-    profile: dict[int, float], positions
-) -> tuple[float, float]:
-    """Affine fit of log2 probability along one tail of a profile.
-
-    Returns (slope per site, max absolute deviation from the fit).  Only
-    positions carrying more than 1e-12 of mass participate; fewer than
-    three such points is an error.
-    """
-    pts = [(m, profile[m]) for m in positions if profile.get(m, 0.0) > 1e-12]
-    if len(pts) < 3:
-        raise ValueError("need at least three usable tail positions")
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.log2([p[1] for p in pts])
-    coeffs = np.polyfit(xs, ys, 1)
-    resid = ys - np.polyval(coeffs, xs)
-    return float(coeffs[0]), float(np.max(np.abs(resid)))

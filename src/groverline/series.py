@@ -72,7 +72,6 @@ __all__ = [
     "TruncatedSeries",
     "one_boundary_series",
     "two_boundary_series",
-    "partial_absorption",
 ]
 
 DEFAULT_ORDER = 1000
@@ -234,8 +233,3 @@ def two_boundary_series(
         zero = TruncatedSeries.zeros(order)
         return zero, zero, zero
     return _from_s(_two_boundary_s(int(n_right), int(order) + 1))
-
-
-def partial_absorption(f: TruncatedSeries) -> float:
-    """Sum of |c_t|^2 for t = 1..T: a monotone lower bound of absorption."""
-    return float(np.sum(np.abs(f.coeffs[1:]) ** 2))

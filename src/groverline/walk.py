@@ -12,9 +12,9 @@ The production engine is the dense :class:`WindowWalk`: it multiplies
 only the light cone of the start, padded by a fixed block of zero columns,
 with the coin and the shift fused into one matrix product per step, and
 is fast enough for thousands of steps.
-Every simulator entry point (:func:`run_walk`, :func:`spinor_mass_history`,
-the localization studies and the ``simulate`` command) steps it through
-the one generator :func:`evolve`, which validates the start spinor.
+Every simulator entry point (:func:`run_walk`, the localization studies
+and the ``simulate`` command) steps it through the one generator
+:func:`evolve`, which validates the start spinor.
 :func:`run_walk` returns an :class:`AbsorptionReport` of the per-step hit
 amplitudes and masses and the residual norm.
 
@@ -25,10 +25,10 @@ with it and lives in ``tests/walk_oracle.py``.
 
 from __future__ import annotations
 
+import cmath
 import numbers
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "validate_input",
     "validate_steps",
     "run_walk",
-    "spinor_mass_history",
 ]
 
 #: normalization slack accepted for initial spinors; anything worse is rejected
@@ -74,8 +73,9 @@ def validate_input(spinor=None, **boundaries) -> None:
     """Reject a spinor or boundary distance that no route can start from.
 
     The one check behind every entry point that takes these inputs.
-    ``spinor`` (skipped when ``None``) must have three finite components
-    and unit squared norm within ``INIT_NORM_TOL``; nothing is rescaled.
+    ``spinor`` (skipped when ``None``) must be a sequence of three finite
+    numbers (``bool`` and strings do not count) with unit squared norm
+    within ``INIT_NORM_TOL``; nothing is rescaled.
     Each keyword names a boundary distance (``None`` means no boundary on
     that side), which must be an integer >= 1; ``bool`` does not count as
     an integer here.  Raises :class:`ValueError` on the first violation.
@@ -87,11 +87,17 @@ def validate_input(spinor=None, **boundaries) -> None:
             raise ValueError(f"{name} boundary must be an integer >= 1, got {v!r}")
     if spinor is None:
         return
-    if len(spinor) != 3:
+    try:
+        comps = tuple(spinor)
+    except TypeError:
+        raise ValueError(f"spinor must be a sequence, got {spinor!r}") from None
+    if len(comps) != 3:
         raise ValueError("spinor needs exactly three components")
-    if not np.all(np.isfinite(np.asarray(spinor, dtype=complex))):
-        raise ValueError(f"spinor components must be finite, got {tuple(spinor)!r}")
-    n2 = sum(abs(c) ** 2 for c in spinor)
+    if any(isinstance(c, bool) or not isinstance(c, numbers.Number) for c in comps):
+        raise ValueError(f"spinor components must be numbers, got {comps!r}")
+    if not all(map(cmath.isfinite, comps)):
+        raise ValueError(f"spinor components must be finite, got {comps!r}")
+    n2 = sum(abs(c) ** 2 for c in comps)
     if abs(n2 - 1.0) > INIT_NORM_TOL:
         raise ValueError(
             f"spinor must have unit norm within {INIT_NORM_TOL}, got squared norm {n2!r}"
@@ -354,27 +360,3 @@ def run_walk(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> AbsorptionRe
         first_hit_right=np.array(w.hit_right),
         residual_norm=w.norm2(),
     )
-
-
-def spinor_mass_history(
-    init: CoinSpinor, bounds: BoundarySpec, steps: int, positions: Iterable[int]
-) -> np.ndarray:
-    """P(t, m) for t = 1..steps at the given positions, shape (steps, len).
-
-    Convenience driver for localization traces; runs the dense engine once.
-    Positions must be integers (``TypeError`` otherwise); those outside the
-    window read 0.  Each step reads all the others in one expression,
-    bit-identical to :meth:`WindowWalk.position_probability`.
-    """
-    pos = list(positions)
-    walk = evolve(init, bounds, steps)
-    engine = next(walk)
-    cols = np.array([engine.index(operator.index(m)) for m in pos], dtype=np.intp)
-    inside = (cols >= 0) & (cols < engine.width)
-    cols = cols[inside]
-    probs = np.empty((steps, len(cols)))
-    for w in walk:
-        probs[w.t - 1] = np.sum(np.abs(w.amps[:, cols]) ** 2, axis=0)
-    out = np.zeros((steps, len(pos)))
-    out[:, inside] = probs
-    return out

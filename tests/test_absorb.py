@@ -20,7 +20,6 @@ from groverline.absorb import (
     prob_one_boundary,
     prob_two_boundary,
     table1,
-    theorem4_crosscheck,
     theorem4_sequence,
 )
 from groverline.genfun import BranchPointError, r_closed
@@ -424,6 +423,20 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="integer"):
             BoundarySpec(left=True)
 
+    @pytest.mark.parametrize(
+        "spinor",
+        [("1", 0, 0), 5, (True, False, False), (np.True_, 0, 0)],
+        ids=["str", "scalar", "bool", "numpy-bool"],
+    )
+    def test_malformed_spinor_is_value_error(self, spinor):
+        with pytest.raises(ValueError, match="spinor"):
+            prob_one_boundary(1, spinor)
+        with pytest.raises(ValueError, match="spinor"):
+            AbsorptionQuery(spinor, left=1, right=2)
+        if isinstance(spinor, tuple):
+            with pytest.raises(ValueError, match="spinor"):
+                run_walk(CoinSpinor(*spinor), BoundarySpec(left=1), 3)
+
     def test_fractional_two_boundary_is_value_error(self):
         with pytest.raises(ValueError, match="integer"):
             AbsorptionQuery((0, 0, 1), left=2.5, right=2)
@@ -439,8 +452,6 @@ class TestInputValidation:
             theorem4_sequence(bad)
         with pytest.raises(ValueError, match="max_n must be"):
             table1(bad)
-        with pytest.raises(ValueError, match="n must be"):
-            theorem4_crosscheck(bad)
 
     def test_numpy_integer_counts_accepted(self):
         assert np.array_equal(theorem4_sequence(np.int64(4)), theorem4_sequence(4))
@@ -490,14 +501,15 @@ class TestTheorem4:
         assert np.all(np.diff(seq[:8]) > 0)
 
     def test_crosscheck_against_quadrature(self):
+        seq = theorem4_sequence(10)
+        spec = QuadratureSpec("trapezoid", 1e-12)
         for n in range(1, 11):
-            assert theorem4_crosscheck(n) < 1e-8
+            ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=1, right=n), spec)
+            assert abs(ans.p_left - seq[n]) < 1e-8
 
     def test_validation(self):
         with pytest.raises(ValueError):
             theorem4_sequence(-1)
-        with pytest.raises(ValueError):
-            theorem4_crosscheck(0)
 
 
 @pytest.fixture(scope="module")

@@ -18,10 +18,10 @@ import numpy as np
 
 from groverline.absorb import (
     AbsorptionQuery,
+    QuadratureSpec,
     prob_one_boundary,
     prob_two_boundary,
     table1,
-    theorem4_crosscheck,
     theorem4_sequence,
 )
 from groverline.genfun import l_closed, r_closed, s_closed
@@ -75,8 +75,11 @@ def test_criterion_2_adjacent_boundary_recurrence():
         failures.append(f"p_1 = {seq[1]!r} is not 2/3")
     if abs(seq[25] - 1 / np.sqrt(2)) > 1e-9:
         failures.append(f"p_25 = {seq[25]!r} has not reached 1/sqrt(2)")
+    # the trapezoid circle quadrature, a route independent of the recurrence
+    spec = QuadratureSpec("trapezoid", 1e-12)
     for n in range(1, 11):
-        gap = theorem4_crosscheck(n)
+        ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=1, right=n), spec)
+        gap = abs(ans.p_left - seq[n])
         if gap >= 1e-8:
             failures.append(f"crosscheck n={n}: |quad - recurrence| = {gap:.3g}")
     elapsed = time.perf_counter() - start

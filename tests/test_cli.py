@@ -218,6 +218,13 @@ class TestTheorem4Command:
         for row in rows[1:]:
             assert float(row[1]) == pytest.approx(float(row[2]), abs=1e-8)
 
+    def test_tol_without_crosscheck_exits_2(self, capsys):
+        code = main(["theorem4", "--max-n", "3", "--tol", "1e-9"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("groverline: ") and err.count("\n") == 1
+
 
 class TestLocalizeCommand:
     def test_first_step(self, capsys):

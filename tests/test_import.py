@@ -81,22 +81,23 @@ PUBLIC = {
     "BranchPointError", "CoinSpinor", "OscillationTrace", "PoleError",
     "QuadratureSpec", "Table1Row", "ToleranceError", "TruncatedSeries",
     "WindowWalk", "absorption_answer", "absorption_matrices", "absorption_profile",
-    "decay_slope", "delta", "delta_on_circle", "evolve", "grover_coin",
-    "integrate_periodic", "l_closed", "one_boundary_series", "oscillation_trace",
-    "partial_absorption", "prob_one_boundary", "prob_two_boundary", "r_closed",
-    "residual_near_origin", "run_walk", "s_closed", "spinor_mass_history",
-    "stationary_profile", "table1", "tail_decay_fit", "theorem4_crosscheck",
-    "theorem4_sequence", "two_boundary_series", "two_peak_profile",
+    "delta", "delta_on_circle", "evolve", "grover_coin", "integrate_periodic",
+    "l_closed", "one_boundary_series", "oscillation_trace", "prob_one_boundary",
+    "prob_two_boundary", "r_closed", "residual_near_origin", "run_walk", "s_closed",
+    "stationary_profile", "table1", "theorem4_sequence", "two_boundary_series",
+    "two_peak_profile",
 }
 
-#: names the package no longer holds: test oracles now under tests/, and
-#: code nothing but its own tests called
+#: names the package no longer holds: test oracles now under tests/, code
+#: nothing but its own tests called, and a second path to a CLI check
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
     "WalkState", "apply_evolution", "project_is_at", "position_distribution",
     "_rescaled", "first_hit_amplitudes", "_BASIS", "COIN_ORDER",
     "prob_one_boundary_right", "_trapezoid_doubling", "_gauss_split",
+    "theorem4_crosscheck", "_TWO_BOUNDARY_SPEC", "decay_slope", "tail_decay_fit",
+    "partial_absorption", "spinor_mass_history",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
@@ -107,7 +108,7 @@ GONE_SERIES_METHODS = (
 def test_public_surface_is_pinned():
     import groverline
 
-    assert len(groverline.__all__) == len(PUBLIC) == 40
+    assert len(groverline.__all__) == len(PUBLIC) == 35
     assert set(groverline.__all__) == PUBLIC
     for name in groverline.__all__:
         assert getattr(groverline, name) is not None, name

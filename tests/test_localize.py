@@ -1,17 +1,17 @@
 """Trapped-mass observables: oscillation, twin peaks, decay of the deficit."""
 
+import time
+
 import numpy as np
 import pytest
 
 from groverline.localize import (
-    decay_slope,
     oscillation_trace,
     residual_near_origin,
     stationary_profile,
-    tail_decay_fit,
     two_peak_profile,
 )
-from groverline.walk import CoinSpinor
+from groverline.walk import BoundarySpec, CoinSpinor, evolve
 
 from test_series import BAD_COUNTS
 
@@ -28,6 +28,10 @@ class TestInputValidation:
     def test_oscillation_trace_rejects_zero_spinor(self):
         with pytest.raises(ValueError):
             oscillation_trace(5, init=CoinSpinor(0, 0, 0))
+
+    def test_oscillation_trace_rejects_unnormalized_spinor(self):
+        with pytest.raises(ValueError):
+            oscillation_trace(3, init=CoinSpinor(0.5, 0, 0))
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
     def test_oscillation_trace_rejects_non_integer_steps(self, steps):
@@ -96,6 +100,17 @@ class TestOscillationTrace:
         assert trace500.p_minus1[half].std() > 5e-3
         assert trace500.p_zero[half].std() > 5e-3
 
+    @pytest.mark.parametrize("init", [CoinSpinor(0, 0, 1), CoinSpinor(0.48, 0.6, 0.64j)])
+    def test_bit_identical_to_position_probability(self, init):
+        trace = oscillation_trace(40, init=init)
+        want = np.array([
+            (w.position_probability(-1), w.position_probability(0))
+            for w in evolve(init, BoundarySpec(), 40) if w.t
+        ])
+        assert np.array_equal(trace.steps, np.arange(1, 41))
+        assert np.array_equal(trace.p_minus1, want[:, 0])
+        assert np.array_equal(trace.p_zero, want[:, 1])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             oscillation_trace(0)
@@ -144,11 +159,12 @@ class TestStationaryProfile:
             assert prof[-1 - j] == pytest.approx(prof[j], abs=1e-15)
 
     def test_geometric_tails(self, prof):
-        slope_l, resid_l = tail_decay_fit(prof, (-2, -3, -4))
-        slope_r, resid_r = tail_decay_fit(prof, (1, 2, 3))
-        assert resid_l < 0.2 and resid_r < 0.2
-        assert slope_l == pytest.approx(-np.log2(TAIL_RATIO), abs=1e-6)
-        assert slope_r == pytest.approx(np.log2(TAIL_RATIO), abs=1e-6)
+        # affine fits of log2 P(m) along each tail, slope per site
+        for tail, sign in (((-2, -3, -4), -1), ((1, 2, 3), 1)):
+            ys = np.log2([prof[m] for m in tail])
+            coeffs = np.polyfit(tail, ys, 1)
+            assert np.max(np.abs(ys - np.polyval(coeffs, tail))) < 0.2
+            assert coeffs[0] == pytest.approx(sign * np.log2(TAIL_RATIO), abs=1e-6)
 
     def test_tail_ratio_value(self, prof):
         assert prof[-3] / prof[-2] == pytest.approx(TAIL_RATIO, abs=1e-9)
@@ -173,6 +189,15 @@ class TestStationaryProfile:
         for m in (-1, 0):
             assert profile500[m] == pytest.approx(prof[m], abs=5e-3)
 
+    def test_wide_span_stops_at_the_float_floor(self):
+        narrow = stationary_profile(200)
+        start = time.perf_counter()
+        wide = stationary_profile(100_000)
+        assert time.perf_counter() - start < 0.5
+        assert len(wide) == 200_001
+        assert all(wide[m] == p for m, p in narrow.items())
+        assert not any(p for m, p in wide.items() if abs(m) > 200)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             stationary_profile(span=0)
@@ -193,45 +218,11 @@ class TestResidualNearOrigin:
             residual_near_origin(0)
 
 
-class _Row:
-    def __init__(self, n, log2_deficit):
-        self.n = n
-        self.log2_deficit = log2_deficit
-
-
 class TestDecaySlope:
-    def test_exact_geometric_input(self):
-        rows = [_Row(n, -7.0 * n) for n in range(1, 6)]
-        assert decay_slope(rows) == pytest.approx(-7.0, abs=1e-12)
-
-    def test_constant_input(self):
-        rows = [_Row(n, 3.0) for n in range(1, 6)]
-        assert decay_slope(rows) == pytest.approx(0.0, abs=1e-12)
-
-    def test_skips_rows_without_deficit(self):
-        rows = [_Row(n, -2.0 * n) for n in range(1, 5)] + [_Row(5, None)]
-        assert decay_slope(rows) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_too_few_rows(self):
-        with pytest.raises(ValueError):
-            decay_slope([_Row(1, -1.0), _Row(2, -2.0)])
-
     def test_table_slope(self, table1_rows):
-        slope = decay_slope(table1_rows)
+        # least-squares slope of log2(scaled deficit) against strip width
+        pts = [(row.n, row.log2_deficit) for row in table1_rows if row.log2_deficit is not None]
+        slope = np.polyfit(*zip(*pts), 1)[0]
         # equals the stationary tail's per-site exponent
         assert slope == pytest.approx(np.log2(TAIL_RATIO), abs=1e-3)
         assert abs(slope - (-7.11)) < 0.5
-
-
-class TestTailDecayFit:
-    def test_noise_floor_filter(self):
-        prof = stationary_profile()
-        # positions at or below 1e-12 are dropped: -7 and -8 fall away,
-        # so the fit over -2..-8 equals the fit over -2..-6
-        wide = tail_decay_fit(prof, range(-2, -9, -1))
-        narrow = tail_decay_fit(prof, range(-2, -7, -1))
-        assert wide == pytest.approx(narrow, abs=1e-12)
-
-    def test_too_few_usable(self):
-        with pytest.raises(ValueError):
-            tail_decay_fit({-2: 0.5, -3: 1e-15, -4: 1e-15}, (-2, -3, -4))

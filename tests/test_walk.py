@@ -10,8 +10,8 @@ from groverline.walk import (
     evolve,
     grover_coin,
     run_walk,
-    spinor_mass_history,
 )
+from groverline.localize import oscillation_trace
 
 from walk_oracle import WalkState, apply_evolution, position_distribution, project_is_at
 
@@ -242,28 +242,6 @@ class TestInvariants:
         assert engine.mass_within(1) < total
 
 
-class TestMassHistory:
-    @pytest.mark.parametrize("bounds", [BoundarySpec(), BoundarySpec(left=2)])
-    def test_bit_identical_to_position_probability(self, bounds):
-        init = CoinSpinor(0.48, 0.6, 0.64j)
-        steps = 40
-        # -3 lies outside the half-line window, +-50 outside every window
-        positions = (-50, -3, -1, 0, 1, 7, 0, 39, 50)
-        hist = spinor_mass_history(init, bounds, steps, positions)
-        want = np.zeros_like(hist)
-        for w in evolve(init, bounds, steps):
-            if w.t:
-                want[w.t - 1] = [w.position_probability(m) for m in positions]
-        assert np.array_equal(hist, want)
-        assert np.any(hist[:, positions.index(-3)]) == (bounds.left is None)
-        assert not np.any(hist[:, [0, -1]])
-
-    @pytest.mark.parametrize("position", [0.5, 1.0, "0"])
-    def test_rejects_non_integer_position(self, position):
-        with pytest.raises(TypeError):
-            spinor_mass_history(CoinSpinor(0, 0, 1), BoundarySpec(), 3, (0, position))
-
-
 class TestEngineGuards:
     @pytest.mark.parametrize(
         "spinor", [CoinSpinor(2, 0, 0), CoinSpinor(np.nan, 0, 1), CoinSpinor(0, 0, 0)]
@@ -271,10 +249,6 @@ class TestEngineGuards:
     def test_engine_rejects_bad_spinor(self, spinor):
         with pytest.raises(ValueError):
             WindowWalk(spinor, BoundarySpec(), 3)
-
-    def test_mass_history_rejects_bad_spinor(self):
-        with pytest.raises(ValueError):
-            spinor_mass_history(CoinSpinor(0.5, 0, 0), BoundarySpec(), 3, (0,))
 
     def test_step_past_horizon_raises(self):
         # a free edge holds steps + 1 sites of slack; one more step would
@@ -324,9 +298,9 @@ class TestStepsValidation:
             run_walk(R_START, LEFT_1, steps)
 
     @pytest.mark.parametrize("steps", BAD_STEPS)
-    def test_spinor_mass_history(self, steps):
+    def test_oscillation_trace(self, steps):
         with pytest.raises(ValueError, match="steps"):
-            spinor_mass_history(R_START, LEFT_1, steps, (0,))
+            oscillation_trace(steps, init=R_START)
 
     def test_numpy_integer_steps_accepted(self):
         report = run_walk(R_START, LEFT_1, np.int64(3))
