@@ -6,14 +6,15 @@ absorption probability is a Hermitian form psi^H X psi whose matrix solves
 a Stein equation, and the never-absorbed mass is the form of the
 projection onto the eigenvalue-1 flat band, the W - 2 compactly supported
 states of a strip of width W = M + N.  The contraction depends only on the
-strip width, and the right side's matrix is the site-and-coin mirror of
-the left side's, so one SVD and one Stein solve per width, cached as one
-read-only array, give both sides and the trapped mass at every start site;
-a query reads its three forms in one contraction.  The Stein equation is
-summed by Smith's doubling with matrix products alone, so this route needs
-numpy only.  :func:`absorption_matrices` returns the three start-site
-blocks of one geometry and :func:`absorption_profile` those of every start
-site of one strip; each answers every spinor.
+strip width, the flat band is known in closed form, and the right side's
+matrix is the site-and-coin mirror of the left side's, so one QR of the
+band and one Stein solve per width, cached as one read-only array, give
+both sides and the trapped mass at every start site; a query reads its
+three forms in one contraction.  The Stein equation is summed by Smith's
+doubling with matrix products alone, so this route needs numpy only.
+:func:`absorption_matrices` returns the three start-site blocks of one
+geometry and :func:`absorption_profile` those of every start site of one
+strip; each answers every spinor.
 
 Circle quadrature: the total absorption probability is also the sum of
 squared first-hit amplitudes, i.e. the Hadamard square of a generating
@@ -378,7 +379,8 @@ def _strip_blocks(width: int) -> np.ndarray:
     array whose ``[k, s]`` is the symmetric 3x3 diagonal block of X_left,
     X_right or P_trapped (k = 0, 1, 2) at the start site of geometry
     (s + 1, W - 1 - s).  Cached per width, so every geometry and spinor of
-    one strip shares one SVD and one Stein solve (:func:`_stein_doubling`).
+    one strip shares one QR of the closed-form flat band and one Stein
+    solve (:func:`_stein_doubling`).
 
     X_right needs no solve of its own: reversing the whole site-major
     amplitude vector (site s -> W - 2 - s, coin c -> 2 - c) maps A to
@@ -396,17 +398,22 @@ def _strip_blocks(width: int) -> np.ndarray:
     for c, shift in ((0, 1), (1, 0), (2, -1)):
         target = np.arange(max(0, -shift), sites - max(0, shift))
         bands[target, c, target + shift] = coin[c]
-    # one SVD splits the space into ker(A - I), the flat band of dimension
-    # W - 2 (one compactly supported state per pair of adjacent interior
-    # sites), and its orthonormal complement
-    _, _, vt = np.linalg.svd(a - np.eye(size))
-    rank = size - (width - 2)
-    rest, kernel = vt[:rank].T, vt[rank:].T
+    # ker(A - I) is the flat band, known in closed form: one state per pair
+    # of adjacent interior sites, (1, 1/2, 0) on the first and (0, 1/2, 1)
+    # on the second.  One complete QR of those W - 2 states gives an
+    # orthonormal basis of the band and of its orthogonal complement.
+    flat = width - 2
+    band = np.zeros((sites, 3, flat))
+    pair = np.arange(flat)
+    band[pair, :, pair] = (1.0, 0.5, 0.0)
+    band[pair + 1, :, pair] = (0.0, 0.5, 1.0)
+    q, _ = np.linalg.qr(band.reshape(size, flat), mode="complete")
+    kernel, rest = q[:, :flat], q[:, flat:]
     a_rest = rest.T @ a @ rest
     c_rest = coin[0] @ rest[:3]  # the L row of the coin at the leftmost site
     x = _stein_doubling(a_rest, np.outer(c_rest, c_rest))
-    rest_sites = rest.reshape(sites, 3, rank)
-    kernel_sites = kernel.reshape(sites, 3, size - rank)
+    rest_sites = rest.reshape(sites, 3, size - flat)
+    kernel_sites = kernel.reshape(sites, 3, flat)
     x_left = (rest_sites @ x) @ rest_sites.transpose(0, 2, 1)
     trapped = kernel_sites @ kernel_sites.transpose(0, 2, 1)
     blocks = np.stack((x_left, x_left[::-1, ::-1, ::-1], trapped))
@@ -434,14 +441,14 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     dimension m+n-2: the states with (1, 1/2, 0) on one interior site and
     (0, 1/2, 1) on the next); a contraction's unitary part reduces it, so
     the band is projected out orthogonally, leaving a strictly stable
-    Stein equation, and its projection P is the trapped mass.  An SVD of
-    A - I supplies the kernel and its orthonormal complement; the known
-    dimension, not a singular-value threshold, splits them.  The stable
+    Stein equation, and its projection P is the trapped mass.  One
+    complete QR of the closed-form band states supplies orthonormal bases
+    of the band and of its complement, with no rank to decide.  The stable
     Stein equation on the complement is summed by doubling (Smith, 1968),
     X <- X + B^T X B with B = A^(2^k), numpy matrix products only.  X_R
     is the site-and-coin mirror of X_L, so it needs no second solve.
 
-    A depends only on the width m + n, so the work (one SVD, one Stein
+    A depends only on the width m + n, so the work (one QR, one Stein
     solve) is done once per width and cached as one read-only array that
     every (m, n) with the same sum reads; see :func:`absorption_profile`.
     The returned arrays are fresh copies the caller may modify.

@@ -95,10 +95,14 @@ def validate_input(spinor=None, **boundaries) -> None:
         raise ValueError("spinor needs exactly three components")
     if any(isinstance(c, bool) or not isinstance(c, numbers.Number) for c in comps):
         raise ValueError(f"spinor components must be numbers, got {comps!r}")
-    if not all(map(cmath.isfinite, comps)):
-        raise ValueError(f"spinor components must be finite, got {comps!r}")
-    n2 = sum(abs(c) ** 2 for c in comps)
-    if abs(n2 - 1.0) > INIT_NORM_TOL:
+    try:
+        if not all(map(cmath.isfinite, comps)):
+            raise ValueError(f"spinor components must be finite, got {comps!r}")
+        n2 = sum(abs(c) ** 2 for c in comps)
+        off = abs(n2 - 1.0)
+    except OverflowError:  # an integer beyond a float, or a squared norm
+        raise ValueError("spinor component too large for a float") from None
+    if off > INIT_NORM_TOL:
         raise ValueError(
             f"spinor must have unit norm within {INIT_NORM_TOL}, got squared norm {n2!r}"
         )

@@ -6,6 +6,8 @@ simulator.  The scaled deficits are also checked against the independent
 30-digit walk of ``tests/test_highprec.py``.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -425,8 +427,10 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "spinor",
-        [("1", 0, 0), 5, (True, False, False), (np.True_, 0, 0)],
-        ids=["str", "scalar", "bool", "numpy-bool"],
+        [("1", 0, 0), 5, (True, False, False), (np.True_, 0, 0),
+         (10 ** 400, 0, 0), (1e200, 0, 0)],
+        ids=["str", "scalar", "bool", "numpy-bool", "int-beyond-float",
+             "norm-beyond-float"],
     )
     def test_malformed_spinor_is_value_error(self, spinor):
         with pytest.raises(ValueError, match="spinor"):
@@ -538,6 +542,19 @@ class TestTable1:
 
     def test_rational_first_row(self, rows):
         assert rows[0].deficit_scaled == pytest.approx(2 / 495 * 1e12, abs=0.05)
+
+    def test_deficit_steps_are_exact(self, rows):
+        # the trapped mass t_N = 1 - s_N of coin R between -2 and +N obeys
+        # t_0 = 0, t_(N+1) = 16 / (40 - t_N); every scaled step
+        # (t_(N+1) - t_N) * 1e12 within 1e-4 (measured at most 2.7e-5)
+        t = [Fraction(0)]
+        for _ in range(6):
+            t.append(16 / (40 - t[-1]))
+        steps = [b - a for a, b in zip(t[1:], t[2:])]
+        assert steps == [Fraction(2, 495), Fraction(1, 24255), Fraction(1, 2376745),
+                         Fraction(2, 465793515), Fraction(2, 45643010985)]
+        for row, step in zip(rows, steps):
+            assert abs(row.deficit_scaled - float(step * 10 ** 12)) < 1e-4
 
     def test_geometric_decay_of_deficit(self, rows):
         logs = [r.log2_deficit for r in rows[:5]]
