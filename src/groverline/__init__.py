@@ -10,8 +10,8 @@ Four independent routes to the same physics cross-validate each other:
   including the square-root branch on the unit circle and the
   two-boundary widening iteration;
 * :mod:`groverline.absorb` turns them into absorption probabilities:
-  exactly on a finite strip, by one Stein solve on the strip's
-  contraction (a doubling sum, numpy only), and by circle-averaging
+  exactly on a finite strip, by one mirror-split Stein solve on the
+  strip's contraction (a doubling sum, numpy only), and by circle-averaging
   quadrature for one boundary and as the two-boundary cross-check;
   :mod:`groverline.localize` extracts the trapped-mass observables from
   long simulator runs.

@@ -4,14 +4,17 @@ Two boundaries (production route): between the boundaries one step of the
 walk is a real contraction on the interior amplitudes, so each side's
 absorption probability is a Hermitian form psi^H X psi whose matrix solves
 a Stein equation, and the never-absorbed mass is the form of the
-projection onto the eigenvalue-1 flat band, the W - 2 compactly supported
-states of a strip of width W = M + N.  The contraction depends only on the
-strip width, the flat band is known in closed form, and the right side's
-matrix is the site-and-coin mirror of the left side's, so one QR of the
-band and one Stein solve per width, cached as one read-only array, give
-both sides and the trapped mass at every start site; a query reads its
-three forms in one contraction.  The Stein equation is summed by Smith's
-doubling with matrix products alone, so this route needs numpy only.
+projection P onto the eigenvalue-1 flat band, the W - 2 compactly
+supported states of a strip of width W = M + N.  The contraction depends
+only on the strip width and the flat band is known in closed form, so P
+takes one small linear solve.  The site-and-coin mirror maps the left side
+to the right one, and with the ledger X_left + X_right + P = I it fixes
+the mirror-even half of X_left as (I - P)/2; only the mirror-odd half is
+summed, by Smith's doubling across the two half-size mirror sectors with
+matrix products alone, so this route needs numpy only.  One such solve
+per width, cached as one read-only array, gives both sides and the
+trapped mass at every start site; a query reads its three forms in one
+contraction.
 :func:`absorption_matrices` returns the three start-site blocks of one
 geometry and :func:`absorption_profile` those of every start site of one
 strip; each answers every spinor.
@@ -336,37 +339,46 @@ def _two_boundary_integrand(m: int, n: int, spinor):
     return f
 
 
-#: Doublings before :func:`_stein_doubling` gives up.  Its sum covers
-#: 2^k steps after k doublings; widths 3-60 stop after 8-22.
+#: Doublings before :func:`_mirror_doubling` gives up.  Its sum covers
+#: 2^k steps after k doublings; widths 2-60 stop after 5-21, 180 after 25.
 _STEIN_MAX_DOUBLINGS = 64
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_SQRT_HALF = math.sqrt(0.5)
 
 
-def _stein_doubling(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """X = sum_t (A^T)^t Q A^t, the solution of X = A^T X A + Q, by doubling.
+def _mirror_doubling(b_even: np.ndarray, b_odd: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Y = sum_t (B_e^T)^t Q B_o^t, the solution of Y = B_e^T Y B_o + Q, by doubling.
 
-    Smith's doubling: X <- X + B^T X B, B <- B^2 with B = A^(2^k) adds
-    the next 2^k terms of the sum, so a strictly stable A converges
-    quadratically.  Stops once an increment is below double-precision
-    resolution of X; raises :class:`RuntimeError` on a non-finite
-    increment or after :data:`_STEIN_MAX_DOUBLINGS` doublings, both of
-    which mean A is not a strict contraction.
+    Smith's doubling across two sectors: Y <- Y + B_e^T Y B_o with
+    B_e = b_even^(2^k) and B_o = b_odd^(2^k) adds the next 2^k terms of
+    the sum, and both powers are squared in one stacked product (the
+    smaller sector padded with zeros).  Stops once both powers are below
+    sqrt(eps) in every entry: that bounds the rest of the sum by rounding
+    and certifies that both b_even and b_odd are strictly stable, which
+    an increment alone cannot (it vanishes when one sector decays, however
+    the other behaves).  Raises :class:`RuntimeError` on a non-finite power
+    or sum, or after :data:`_STEIN_MAX_DOUBLINGS` doublings.
     """
-    eps = np.finfo(float).eps
-    x, b = q, a
+    n_odd = len(b_odd)
+    powers = np.zeros((2, len(b_even), len(b_even)))
+    powers[0] = b_even
+    powers[1, :n_odd, :n_odd] = b_odd
+    y = q
     # an overflow is reported below as a non-finite increment
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_STEIN_MAX_DOUBLINGS):
-            step = b.T @ x @ b
-            size = abs(step).max()  # NaN and inf propagate
-            if not math.isfinite(size):
-                raise RuntimeError("Stein doubling diverged: non-finite increment")
-            x = x + step
-            if size <= eps * abs(x).max():
-                return x
-            b = b @ b
-    raise RuntimeError(
-        f"Stein doubling did not converge in {_STEIN_MAX_DOUBLINGS} doublings"
-    )
+            y = y + powers[0].T @ y @ powers[1, :n_odd, :n_odd]
+            powers = powers @ powers
+            largest = abs(powers).max()  # NaN and inf propagate
+            if not (math.isfinite(largest) and largest > _SQRT_EPS):
+                break
+        else:
+            raise RuntimeError(
+                f"Stein doubling did not converge in {_STEIN_MAX_DOUBLINGS} doublings"
+            )
+    if not (math.isfinite(largest) and np.isfinite(y).all()):
+        raise RuntimeError("Stein doubling diverged: non-finite increment")
+    return y
 
 
 @functools.lru_cache(maxsize=64)
@@ -379,14 +391,26 @@ def _strip_blocks(width: int) -> np.ndarray:
     array whose ``[k, s]`` is the symmetric 3x3 diagonal block of X_left,
     X_right or P_trapped (k = 0, 1, 2) at the start site of geometry
     (s + 1, W - 1 - s).  Cached per width, so every geometry and spinor of
-    one strip shares one QR of the closed-form flat band and one Stein
-    solve (:func:`_stein_doubling`).
+    one strip shares one solve.
 
-    X_right needs no solve of its own: reversing the whole site-major
-    amplitude vector (site s -> W - 2 - s, coin c -> 2 - c) maps A to
-    itself and the left loss row to the right one, so X_right = J X_left J
-    with J that reversal, i.e. its blocks are X_left's reversed on all
-    three axes.
+    The solve rests on the site-and-coin mirror J, the reversal of the
+    whole site-major amplitude vector (site s -> W - 2 - s, coin
+    c -> 2 - c).  J maps A to itself, the flat band to itself and the left
+    loss row to the right one, so X_right = J X_left J: its blocks are
+    X_left's reversed on all three axes.  The ledger X_left + X_right + P
+    = I then fixes the mirror-even half of X_left, (X_left + J X_left J)/2
+    = (I - P)/2, and only the mirror-odd half is summed: with E_e and E_o
+    orthonormal bases of J's even and odd subspaces, A - P (the band moved
+    to eigenvalue 0) is the direct sum of B_e = E_e^T (A - P) E_e and
+    B_o = E_o^T (A - P) E_o, and X_left = (I - P)/2 + D + D^T with
+    D = E_e Y E_o^T and Y = sum_t (B_e^T)^t c_e^T c_o B_o^t
+    (:func:`_mirror_doubling`, whose stop certifies that both halves are
+    strictly stable, which is what makes (I - P)/2 exact).  Everything is
+    sliced, not multiplied: E_e pairs index i with its mirror 3W - 4 - i
+    at weight 1/sqrt(2) (a middle index is its own mirror, weight 1),
+    E_o at weights +-1/sqrt(2).  P = B (B^T B)^-1 B^T comes from the
+    closed-form band B with one small solve, so no QR, SVD or
+    eigendecomposition runs.
     """
     coin = grover_coin()
     sites = width - 1
@@ -400,24 +424,48 @@ def _strip_blocks(width: int) -> np.ndarray:
         bands[target, c, target + shift] = coin[c]
     # ker(A - I) is the flat band, known in closed form: one state per pair
     # of adjacent interior sites, (1, 1/2, 0) on the first and (0, 1/2, 1)
-    # on the second.  One complete QR of those W - 2 states gives an
-    # orthonormal basis of the band and of its orthogonal complement.
+    # on the second; its Gram matrix is tridiag(1/4, 5/2, 1/4)
     flat = width - 2
     band = np.zeros((sites, 3, flat))
     pair = np.arange(flat)
     band[pair, :, pair] = (1.0, 0.5, 0.0)
     band[pair + 1, :, pair] = (0.0, 0.5, 1.0)
-    q, _ = np.linalg.qr(band.reshape(size, flat), mode="complete")
-    kernel, rest = q[:, :flat], q[:, flat:]
-    a_rest = rest.T @ a @ rest
-    c_rest = coin[0] @ rest[:3]  # the L row of the coin at the leftmost site
-    x = _stein_doubling(a_rest, np.outer(c_rest, c_rest))
-    rest_sites = rest.reshape(sites, 3, size - flat)
-    kernel_sites = kernel.reshape(sites, 3, flat)
-    x_left = (rest_sites @ x) @ rest_sites.transpose(0, 2, 1)
-    trapped = kernel_sites @ kernel_sites.transpose(0, 2, 1)
-    blocks = np.stack((x_left, x_left[::-1, ::-1, ::-1], trapped))
-    blocks = 0.5 * (blocks + blocks.transpose(0, 1, 3, 2))
+    band = band.reshape(size, flat)
+    p = band @ np.linalg.solve(band.T @ band, band.T)
+    # fold A - P and the left loss row c (the coin's L row at the leftmost
+    # site) into the mirror sectors; A - P commutes with J, so its top rows
+    # carry both halves
+    n_odd = size // 2
+    n_even = size - n_odd  # one more when size is odd: the middle index
+    c = np.zeros(size)
+    c[:3] = coin[0]
+    rows = a[:n_even] - p[:n_even]
+    near, far = rows[:, :n_even], rows[:, ::-1][:, :n_even]
+    b_even, b_odd = near + far, (near - far)[:n_odd, :n_odd]
+    c_even = (c[:n_even] + c[::-1][:n_even]) * _SQRT_HALF
+    c_odd = (c[:n_odd] - c[::-1][:n_odd]) * _SQRT_HALF
+    if n_even > n_odd:
+        b_even[-1] *= _SQRT_HALF
+        b_even[:, -1] *= _SQRT_HALF
+        c_even[-1] *= _SQRT_HALF
+    y = _mirror_doubling(b_even, b_odd, np.outer(c_even, c_odd))
+    # site blocks of D = E_e Y E_o^T: index i reads Y at its sector index
+    # min(i, size - 1 - i), weighted 1/2 (1/sqrt(2) on the middle row) and
+    # signed +1 on the left half of the columns, -1 on the right, 0 in the
+    # middle
+    y = 0.5 * y
+    if n_even > n_odd:
+        y[-1] *= math.sqrt(2.0)
+    index = np.arange(size).reshape(sites, 3)
+    sector = np.minimum(index, size - 1 - index)
+    sign = np.sign(size - 1 - 2 * index)
+    d = y[sector[:, :, None], np.minimum(sector, n_odd - 1)[:, None, :]] * sign[:, None, :]
+    site = np.arange(sites)
+    trapped = p.reshape(sites, 3, sites, 3)[site, :, site]
+    blocks = np.empty((3, sites, 3, 3))
+    blocks[2] = 0.5 * (trapped + trapped.transpose(0, 2, 1))
+    blocks[0] = 0.5 * (np.eye(3) - blocks[2]) + (d + d.transpose(0, 2, 1))
+    blocks[1] = blocks[0, ::-1, ::-1, ::-1]
     blocks.flags.writeable = False
     return blocks
 
@@ -440,22 +488,27 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     flat band (the compactly supported states that never reach a boundary,
     dimension m+n-2: the states with (1, 1/2, 0) on one interior site and
     (0, 1/2, 1) on the next); a contraction's unitary part reduces it, so
-    the band is projected out orthogonally, leaving a strictly stable
-    Stein equation, and its projection P is the trapped mass.  One
-    complete QR of the closed-form band states supplies orthonormal bases
-    of the band and of its complement, with no rank to decide.  The stable
-    Stein equation on the complement is summed by doubling (Smith, 1968),
-    X <- X + B^T X B with B = A^(2^k), numpy matrix products only.  X_R
-    is the site-and-coin mirror of X_L, so it needs no second solve.
+    the band is moved to eigenvalue 0 (A - P), leaving a strictly stable
+    Stein equation, and its projection P = B (B^T B)^-1 B^T, from the
+    closed-form band states B with one small solve, is the trapped mass.
+    X_R is the site-and-coin mirror J X_L J, so it needs no second solve,
+    and the ledger X_L + X_R + P = I fixes X_L's mirror-even half,
+    (I - P)/2.  Only the mirror-odd half is summed: A - P splits into
+    half-size blocks on J's even and odd subspaces, and their cross Stein
+    sum is summed by doubling (Smith, 1968), Y <- Y + B_e^T Y B_o with
+    B = (A - P)^(2^k) per sector, numpy matrix products only, until both
+    powers vanish to sqrt(eps), which certifies both sectors strictly
+    stable.
 
-    A depends only on the width m + n, so the work (one QR, one Stein
-    solve) is done once per width and cached as one read-only array that
-    every (m, n) with the same sum reads; see :func:`absorption_profile`.
+    A depends only on the width m + n, so the work (one small solve, one
+    half-size doubling) is done once per width and cached as one read-only
+    array that every (m, n) with the same sum reads; see
+    :func:`absorption_profile`.
     The returned arrays are fresh copies the caller may modify.
 
     Each block is real symmetric, in ``(L, S, R)`` order, and for every unit
-    spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to rounding, so
-    one call answers every spinor of the geometry.
+    spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to rounding (by
+    construction), so one call answers every spinor of the geometry.
     """
     validate_input(left=m, right=n)
     return tuple(b.copy() for b in _strip_blocks(int(m + n))[:, m - 1])
@@ -483,7 +536,11 @@ def prob_two_boundary(
     With ``spec=None`` (production) both sides are the forms psi^H X psi of
     :func:`absorption_matrices`, ``trapped`` is psi^H P_trapped psi, and
     ``error_estimate`` is the ledger residual
-    |psi^H (X_left + X_right + P_trapped) psi - 1|.
+    |psi^H (X_left + X_right + P_trapped) psi - 1|.  The solve builds the
+    blocks so that this ledger holds, so the residual reads rounding only;
+    the solve's own check is the stop of its doubling, which raises
+    instead of answering when the strip's contraction is not certified
+    strictly stable.
 
     With a :class:`QuadratureSpec` the circle quadrature answers instead,
     as an independent cross-check: the left probability integrates

@@ -87,17 +87,21 @@ def validate_input(spinor=None, **boundaries) -> None:
             raise ValueError(f"{name} boundary must be an integer >= 1, got {v!r}")
     if spinor is None:
         return
+    # messages name a component's index and type, never its value: the repr
+    # of an integer beyond 4300 digits raises a ValueError of its own
     try:
         comps = tuple(spinor)
     except TypeError:
-        raise ValueError(f"spinor must be a sequence, got {spinor!r}") from None
+        raise ValueError(f"spinor must be a sequence, got {type(spinor).__name__}") from None
     if len(comps) != 3:
         raise ValueError("spinor needs exactly three components")
-    if any(isinstance(c, bool) or not isinstance(c, numbers.Number) for c in comps):
-        raise ValueError(f"spinor components must be numbers, got {comps!r}")
+    for i, c in enumerate(comps):
+        if isinstance(c, bool) or not isinstance(c, numbers.Number):
+            raise ValueError(f"spinor component {i} must be a number, got {type(c).__name__}")
     try:
-        if not all(map(cmath.isfinite, comps)):
-            raise ValueError(f"spinor components must be finite, got {comps!r}")
+        for i, c in enumerate(comps):
+            if not cmath.isfinite(c):
+                raise ValueError(f"spinor component {i} must be finite")
         n2 = sum(abs(c) ** 2 for c in comps)
         off = abs(n2 - 1.0)
     except OverflowError:  # an integer beyond a float, or a squared norm
@@ -133,10 +137,6 @@ class CoinSpinor:
     aL: complex = 0j
     aS: complex = 0j
     aR: complex = 0j
-
-    @classmethod
-    def from_array(cls, v) -> "CoinSpinor":
-        return cls(complex(v[0]), complex(v[1]), complex(v[2]))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.aL, self.aS, self.aR], dtype=complex)
@@ -280,12 +280,6 @@ class WindowWalk:
 
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-    def position_probability(self, m: int) -> float:
-        i = self.index(m)
-        if not 0 <= i < self.width:
-            return 0.0
-        return float(np.sum(np.abs(self.amps[:, i]) ** 2))
 
     def probability_array(self) -> np.ndarray:
         """P(m) over the whole window, indexed by ``index(m)``."""

@@ -7,8 +7,9 @@ the construction ``absorption_matrices`` used before it went per width,
 kept so the production blocks (and the mirror that now supplies X_right)
 are checked against a direct solve rather than against themselves.  It
 shares no algorithm with production: its flat band is the numerical
-kernel of the SVD, not the closed form with one QR, and its Stein solves
-are scipy's ``solve_discrete_lyapunov``, not a doubling sum.
+kernel of the SVD, not the closed-form band, and its Stein solves are
+scipy's ``solve_discrete_lyapunov`` on the full complement, not a
+mirror-split doubling sum.
 
 ``longdouble_strip_blocks(width)`` is the 80-bit reference for the strips
 where the dense oracle's own rounding reaches the test bound (its SVD

@@ -350,8 +350,8 @@ class TestTwoBoundary:
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and
-        # some totals round above 1, where 1 - total would read negative;
-        # the deficit is the directly computed trapped mass all the same
+        # the deficit is the directly computed trapped mass, never 1 - total;
+        # no total rounds above 1 either (none does for n = 1..119)
         answers = [
             prob_two_boundary(AbsorptionQuery((0, 0, 1), left=1, right=n))
             for n in range(1, 15)
@@ -359,7 +359,7 @@ class TestTwoBoundary:
         for ans in answers:
             assert ans.deficit == ans.trapped
             assert 0.0 <= ans.trapped < 1e-30
-        assert any(1.0 - ans.total < 0 for ans in answers)
+        assert all(ans.total <= 1.0 for ans in answers)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(5)
@@ -440,6 +440,20 @@ class TestInputValidation:
         if isinstance(spinor, tuple):
             with pytest.raises(ValueError, match="spinor"):
                 run_walk(CoinSpinor(*spinor), BoundarySpec(left=1), 3)
+
+    def test_message_names_the_component_not_its_value(self):
+        # formatting an integer of more than 4300 digits raises Python's own
+        # ValueError, so the messages name the component's index and type
+        huge = 10 ** 5000
+        nan_beside_huge = (float("nan"), huge, 0)
+        with pytest.raises(ValueError, match="spinor component 0 must be finite"):
+            prob_one_boundary(1, nan_beside_huge)
+        with pytest.raises(ValueError, match="spinor component 0 must be finite"):
+            AbsorptionQuery(nan_beside_huge, left=1, right=2)
+        with pytest.raises(ValueError, match="spinor component 1 must be a number, got str"):
+            AbsorptionQuery((huge, "0", 0), left=1)
+        with pytest.raises(ValueError, match="spinor must be a sequence, got int"):
+            prob_one_boundary(1, huge)
 
     def test_fractional_two_boundary_is_value_error(self):
         with pytest.raises(ValueError, match="integer"):

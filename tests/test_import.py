@@ -97,7 +97,7 @@ GONE = (
     "_rescaled", "first_hit_amplitudes", "_BASIS", "COIN_ORDER",
     "prob_one_boundary_right", "_trapezoid_doubling", "_gauss_split",
     "theorem4_crosscheck", "_TWO_BOUNDARY_SPEC", "decay_slope", "tail_decay_fit",
-    "partial_absorption", "spinor_mass_history",
+    "partial_absorption", "spinor_mass_history", "_stein_doubling",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
@@ -126,6 +126,8 @@ def test_moved_and_deleted_names_are_gone():
     for name in GONE_SERIES_METHODS:
         assert not hasattr(series.TruncatedSeries, name), name
     assert not hasattr(walk.CoinSpinor, "is_normalized")
+    assert not hasattr(walk.CoinSpinor, "from_array")
+    assert not hasattr(walk.WindowWalk, "position_probability")
     assert "trace" not in inspect.signature(genfun.delta).parameters
 
 

@@ -14,6 +14,7 @@ from groverline.localize import (
 from groverline.walk import BoundarySpec, CoinSpinor, evolve
 
 from test_series import BAD_COUNTS
+from walk_oracle import position_probability
 
 
 class TestInputValidation:
@@ -104,7 +105,7 @@ class TestOscillationTrace:
     def test_bit_identical_to_position_probability(self, init):
         trace = oscillation_trace(40, init=init)
         want = np.array([
-            (w.position_probability(-1), w.position_probability(0))
+            (position_probability(w, -1), position_probability(w, 0))
             for w in evolve(init, BoundarySpec(), 40) if w.t
         ])
         assert np.array_equal(trace.steps, np.arange(1, 41))

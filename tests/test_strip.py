@@ -1,9 +1,10 @@
 """The exact finite-strip route against the circle quadrature and itself.
 
 ``absorption_matrices`` answers two-boundary queries from the closed-form
-flat band, one QR and one Stein solve per strip width (a doubling sum),
-cached; ``prob_two_boundary`` with an explicit ``QuadratureSpec`` still
-runs the independent circle quadrature, which is the reference here,
+flat band and one mirror-split Stein solve per strip width (a doubling
+sum over the mirror-odd half), cached; ``prob_two_boundary`` with an
+explicit ``QuadratureSpec`` still runs the independent circle
+quadrature, which is the reference here,
 ``strip_oracle`` keeps the dense construction with one SVD and one scipy
 Stein solve per side and an 80-bit construction with no LAPACK call, and
 theorem4's recurrence run in ``Fraction`` gives one block entry exactly.
@@ -105,19 +106,31 @@ def test_strip_limit_is_not_the_half_line():
     assert prob_one_boundary(1, (0, 0, 1)) == pytest.approx(0.6692653092, abs=1e-10)
 
 
+# a quarter turn (eigenvalues +-i, squared exactly) beside a decaying mode
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+
+
 @pytest.mark.parametrize(
     "a,q,message",
     [
-        (1.01 * np.eye(3), np.eye(3), "non-finite increment"),
-        (np.full((3, 3), np.nan), np.eye(3), "non-finite increment"),
-        (0.5 * np.eye(3), np.full((3, 3), np.nan), "non-finite increment"),
-        (np.eye(3), np.eye(3), "did not converge in 64 doublings"),
+        ((1.01 * np.eye(3),) * 2, np.eye(3), "non-finite increment"),
+        ((np.full((3, 3), np.nan),) * 2, np.eye(3), "non-finite increment"),
+        ((0.5 * np.eye(3),) * 2, np.full((3, 3), np.nan), "non-finite increment"),
+        ((np.eye(3),) * 2, np.eye(3), "did not converge in 64 doublings"),
+        # a unit-modulus pair in the even sector, a strictly stable odd one:
+        # the sum's increments vanish, but only the powers certify both
+        (
+            (QUARTER_TURN, 0.5 * np.eye(2)),
+            np.ones((3, 2)),
+            "did not converge in 64 doublings",
+        ),
     ],
 )
 def test_stein_doubling_fails_fast(a, q, message):
+    b_even, b_odd = a
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match=message):
-        absorb._stein_doubling(a, q)
+        absorb._mirror_doubling(b_even, b_odd, q)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -251,10 +264,10 @@ def test_longdouble_reference_is_exact(width):
 @EXTENDED
 @pytest.mark.parametrize("width", REFERENCE_WIDTHS)
 def test_agrees_with_longdouble_reference(width):
-    # every start site; measured at most 7.7e-14 (width 60), with one BLAS
+    # every start site; measured at most 2.7e-15 (width 60), with one BLAS
     # thread or two
     blocks = absorb._strip_blocks(width)
-    assert np.max(np.abs(blocks - longdouble_strip_blocks(width))) < 1e-13
+    assert np.max(np.abs(blocks - longdouble_strip_blocks(width))) < 2e-14
 
 
 def test_trapped_blocks_match_svd_kernel():
@@ -270,5 +283,18 @@ def test_strip_solve_needs_no_svd(monkeypatch):
 
     absorb._strip_blocks.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", no_svd)
+    x_left, x_right, trapped = absorption_profile(25)
+    assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
+
+
+def test_strip_solve_needs_no_factorization(monkeypatch):
+    # the band's projection takes one linear solve and the rest is matrix
+    # products: no QR, SVD or eigendecomposition
+    def refuse(*args, **kwargs):
+        raise AssertionError("the strip solve called a matrix factorization")
+
+    absorb._strip_blocks.cache_clear()
+    for name in ("qr", "svd", "eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     x_left, x_right, trapped = absorption_profile(25)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12

@@ -5,14 +5,29 @@ A :class:`WalkState` maps each occupied site to its :class:`CoinSpinor`;
 dictionary shift, and :func:`project_is_at` measures one site.  It shares
 no stepping code with ``groverline.walk.WindowWalk`` (no window, no light
 cone, no fused product, no float view), so the engine is checked against
-it rather than against itself.
+it rather than against itself.  :func:`spinor_from_array` and
+:func:`position_probability` are the two small readers the tests use on
+either side.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from groverline.walk import CoinSpinor, grover_coin
+from groverline.walk import CoinSpinor, WindowWalk, grover_coin
+
+
+def spinor_from_array(v) -> CoinSpinor:
+    """The :class:`CoinSpinor` of a length-3 sequence, in ``(L, S, R)`` order."""
+    return CoinSpinor(complex(v[0]), complex(v[1]), complex(v[2]))
+
+
+def position_probability(engine: WindowWalk, m: int) -> float:
+    """P(m) of a window engine's current amplitudes; 0 outside its window."""
+    i = engine.index(m)
+    if not 0 <= i < engine.width:
+        return 0.0
+    return float(np.sum(np.abs(engine.amps[:, i]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -63,7 +78,7 @@ def apply_evolution(state: WalkState, coin: np.ndarray | None = None) -> WalkSta
         bump(m, 1, phi[1])
         bump(m + 1, 2, phi[2])
     new_amps = {
-        m: CoinSpinor.from_array(v) for m, v in acc.items() if np.any(v != 0)
+        m: spinor_from_array(v) for m, v in acc.items() if np.any(v != 0)
     }
     return replace(state, amplitudes=new_amps, t=state.t + 1)
 
