@@ -53,9 +53,10 @@ def oscillation_trace(
     walk = evolve(init, BoundarySpec(), steps)
     engine = next(walk)
     cols = np.array([engine.index(-1), engine.index(0)])
-    probs = np.empty((steps, 2))
+    amps = np.empty((steps, 3, 2), dtype=complex)
     for w in walk:
-        probs[w.t - 1] = np.sum(np.abs(w.amps[:, cols]) ** 2, axis=0)
+        amps[w.t - 1] = w.amps[:, cols]
+    probs = np.sum(np.abs(amps) ** 2, axis=1)
     return OscillationTrace(
         steps=np.arange(1, steps + 1),
         p_minus1=probs[:, 0],

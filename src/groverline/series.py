@@ -29,7 +29,14 @@ z s^2 + (3 + z) s - 2z = 0 by Newton iteration from s = 0, carrying the
 inverse of the derivative along at the precision it holds.  Every series
 inverse is itself Newton's g <- g (2 - d g).  Each pass doubles the
 number of correct coefficients, so with FFT products a series of order T
-costs O(T log T) (Brent and Kung, J. ACM 25, 1978).
+costs O(T log T) (Brent and Kung, J. ACM 25, 1978).  At the orders asked
+(a few thousand) the cost is numpy's fixed overhead per call, not the
+transform: an ``rfft``/``irfft`` product takes 23-33 us at lengths
+8-256, where ``np.convolve`` takes 3-18 us (2-vCPU x86_64, numpy 2.4).
+So a product of length at most :data:`DIRECT_MAX`, and both products of
+a Newton pass that reaches at most that length, are direct convolutions,
+and only the longer ones go by FFT.  The cost stays O(T log T): the direct part is the same handful
+of short passes at every order.
 
 The cancelled form matters for rounding.  The uncancelled denominator
 3 + z - 2z (1 + z) q vanishes at z = 1 for every k >= 2 and for one
@@ -38,8 +45,9 @@ grows with T.  Taken that way (the r root of the one-boundary quadratic,
 then l and s from the uncancelled level), l was 3e-15 to 3e-14 off the
 walk at T = 3000 and 5e-14 to 1e-13 off at T = 12000, depending on the
 FFT lengths.  The cancelled denominators stay away from zero on the unit
-circle, and the error stays at rounding level: within 7e-16 of the
-coefficient sweep at every order tested, up to T = 6000.
+circle, and the error stays at rounding level: within 5e-16 of the
+coefficient sweep at every order and width tested, up to T = 6000 and
+width 12.
 
 No branch is chosen.  The derivative 3 + z + 2z s is 3 at z = 0, so
 Newton's iteration from s = 0 can only reach the one power-series root
@@ -48,14 +56,18 @@ of the closed forms in :mod:`groverline.genfun`, which pick a branch of
 sqrt(9 + 6z + 9z^2).  That is why it is the analytic oracle the closed
 forms are checked against, and not the reverse.
 
-FFT rounding is safe here.  Every coefficient is real, so the products
-are ``numpy.fft.rfft``/``irfft`` pairs.  An FFT product's error in each
-coefficient is about the unit roundoff times the l2 norms of its two
-factors (and a slowly growing factor in log T).  The factors are the
-amplitudes (l2 norm at most 1), the inverses (below 0.7) and short
-polynomials in them (below 6), so every coefficient, large or small,
-is off by a few 1e-16 at most.
-Constant terms are structural zeros.  They are never formed by an FFT,
+Product rounding is safe here.  Every coefficient is real, so the long
+products are ``numpy.fft.rfft``/``irfft`` pairs.  An FFT product's error
+in each coefficient is about the unit roundoff times the l2 norms of its
+two factors (and a slowly growing factor in log T).  A direct product's
+coefficient k is off by at most about k times the unit roundoff times
+sum_i |a_i| |b_(k-i)|, which is at most the l2 norms' product, with
+k <= DIRECT_MAX; its rounding errors add like a random walk, so the
+typical error grows like the square root of k instead.  The factors are the amplitudes
+(l2 norm at most 1), the inverses (below 0.7) and short polynomials in
+them (below 6), so every coefficient, large or small, is off by a few
+1e-16 in practice.
+Constant terms are structural zeros.  They are never formed by a product,
 so they come out exactly 0.
 
 The coefficient-by-coefficient sweep that the Newton route replaced is
@@ -75,6 +87,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 1000
+#: longest product taken as a direct convolution; longer ones go by FFT
+DIRECT_MAX = 256
 
 
 class TruncatedSeries:
@@ -117,29 +131,45 @@ def _fft_size(n: int) -> int:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients 0..n-1 of the product of two real series, by FFT."""
+    """Coefficients 0..n-1 of the product of two real series.
+
+    Up to length :data:`DIRECT_MAX` the product is a direct convolution,
+    zero-padded when the factors are too short to fill n; past it, an
+    ``rfft``/``irfft`` pair, squaring one transform when ``b`` is ``a``.
+    """
+    square = b is a
+    a, b = a[:n], b[:n]
+    if n <= DIRECT_MAX:
+        c = np.convolve(a, b)[:n]
+        return c if len(c) == n else np.concatenate([c, np.zeros(n - len(c))])
     from numpy.fft import irfft, rfft
 
-    a, b = a[:n], b[:n]
     size = _fft_size(max(n, len(a) + len(b) - 1))
-    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+    a_hat = rfft(a, size)
+    return irfft(a_hat * (a_hat if square else rfft(b, size)), size)[:n]
 
 
 def _inverse(d: np.ndarray, n: int, g: np.ndarray | None = None) -> np.ndarray:
     """Coefficients 0..n-1 of 1/d, by Newton's g <- g (2 - d g).
 
     Each pass doubles the number of correct coefficients of ``g``, seeded
-    with 1/d_0 or with a ``g`` that is correct through its own length.
-    The product d g is taken cyclically at the new length: the part that
-    wraps around lands only on coefficients below the old length, which
-    are already known to be 1, 0, 0, ...
+    with 1/d_0 or with a ``g`` that is correct through its own length m.
+    A pass to a new length m2 at most :data:`DIRECT_MAX` takes its two
+    products by :func:`_mul`, so as direct convolutions.  A longer pass
+    takes d g cyclically at the FFT length, reusing the transform of ``g``
+    for the second product: the part that wraps around lands only on
+    coefficients below m, which are already known to be 1, 0, 0, ...
     """
-    from numpy.fft import irfft, rfft
-
     if g is None:
         g = np.array([1.0 / d[0]])
     while len(g) < n:
         m, m2 = len(g), min(2 * len(g), n)
+        if m2 <= DIRECT_MAX:
+            err = _mul(d, g, m2)[m:]
+            g = np.concatenate([g, -_mul(g, err, m2 - m)])
+            continue
+        from numpy.fft import irfft, rfft
+
         size = _fft_size(m2)
         g_hat = rfft(g, size)
         err = irfft(rfft(d[:m2], size) * g_hat, size)[m:m2]

@@ -29,6 +29,9 @@ import groverline as gl
 seen["import"] = loaded()
 gl.one_boundary_series(70)
 gl.two_boundary_series(3, 70)
+seen["short_series"] = loaded()
+gl.one_boundary_series(3000)
+gl.two_boundary_series(3, 3000)
 seen["series"] = loaded()
 gl.prob_one_boundary(3, (0, 0, 1))
 seen["prob_one_boundary"] = loaded()
@@ -63,8 +66,10 @@ def _probe() -> dict:
 def test_scipy_stays_off_the_default_routes():
     seen = _probe()
     assert seen["import"]["scipy"] == []
-    # numpy.fft is imported by the series functions, not by the package
+    # numpy.fft is imported by the series functions, not by the package, and
+    # only for products longer than the direct-convolution crossover
     assert not seen["import"]["fft"]
+    assert not seen["short_series"]["fft"]
     assert seen["series"]["fft"]
     assert seen["series"]["scipy"] == []
     # the default routes, the exact strip solve included, are numpy-only

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from groverline import series
 from groverline.series import (
+    DIRECT_MAX,
     TruncatedSeries,
     one_boundary_series,
     two_boundary_series,
@@ -14,8 +16,14 @@ from groverline.walk import BoundarySpec, CoinSpinor, run_walk
 
 from series_oracle import sweep_series
 
-#: powers of two +- 1 exercise the last, partial doubling of each Newton loop
-ORDERS = (1, 2, 3, 4, 5, 63, 64, 65, 1000, 3000)
+#: powers of two +- 1 exercise the last, partial doubling of each Newton loop;
+#: the orders around DIRECT_MAX and its double run products and inverse passes
+#: on both sides of the switch from direct convolution to FFT
+ORDERS = (1, 2, 3, 4, 5, 63, 64, 65, DIRECT_MAX - 1, DIRECT_MAX, DIRECT_MAX + 1,
+          2 * DIRECT_MAX - 1, 2 * DIRECT_MAX + 1, 1000, 3000)
+#: product lengths on both sides of the crossover
+CROSSOVER_LENGTHS = (DIRECT_MAX - 1, DIRECT_MAX, DIRECT_MAX + 1,
+                     2 * DIRECT_MAX - 1, 2 * DIRECT_MAX + 1)
 BAD_COUNTS = (True, False, "3", 3.0, 3.5, None)
 BASIS = {"L": CoinSpinor(1, 0, 0), "S": CoinSpinor(0, 1, 0), "R": CoinSpinor(0, 0, 1)}
 
@@ -71,6 +79,42 @@ class TestArithmetic:
         z = 0.3
         direct = l_closed(z) * r_closed(z)
         assert abs(polyval(z, prod) - direct) < 1e-10
+
+
+class TestProductRule:
+    """Direct and FFT products agree, whichever side of DIRECT_MAX they fall."""
+
+    @staticmethod
+    def both_ways(monkeypatch, fn, *args):
+        monkeypatch.setattr(series, "DIRECT_MAX", 1 << 20)
+        direct = fn(*args)
+        monkeypatch.setattr(series, "DIRECT_MAX", 0)
+        return direct, fn(*args)
+
+    @pytest.mark.parametrize("n", CROSSOVER_LENGTHS)
+    @pytest.mark.parametrize("len_a, len_b", [(None, None), (None, 7), (10, 20)])
+    def test_products_agree(self, monkeypatch, n, len_a, len_b):
+        # unit-norm factors, like the amplitudes; (10, 20) leaves the
+        # product shorter than n, so its tail is zero padding
+        rng = np.random.default_rng(n)
+        a, b = (rng.standard_normal(k or n) for k in (len_a, len_b))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        for x, y in ((a, b), (a, a)):
+            direct, fft = self.both_ways(monkeypatch, series._mul, x, y, n)
+            assert direct.shape == fft.shape == (n,)
+            assert np.max(np.abs(direct - fft)) < 1e-15
+            want = np.zeros(n)
+            full = np.convolve(x, y)[:n]
+            want[: len(full)] = full
+            assert np.array_equal(direct, want)
+
+    @pytest.mark.parametrize("n", CROSSOVER_LENGTHS)
+    def test_inverses_agree(self, monkeypatch, n):
+        d = np.array([3.0, 4.0, 2.0])  # a level denominator at s = 0
+        direct, fft = self.both_ways(monkeypatch, series._inverse, d, n)
+        assert direct.shape == fft.shape == (n,)
+        assert np.max(np.abs(direct - fft)) < 1e-15
+        assert np.max(np.abs(np.convolve(d, direct)[:n] - np.eye(1, n)[0])) < 1e-15
 
 
 class TestOneBoundarySeries:
