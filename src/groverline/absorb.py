@@ -13,8 +13,9 @@ the mirror-even half of X_left as (I - P)/2; only the mirror-odd half is
 summed, by Smith's doubling across the two half-size mirror sectors with
 matrix products alone, so this route needs numpy only.  One such solve
 per width, cached as one read-only array, gives both sides and the
-trapped mass at every start site; a query reads its three forms in one
-contraction.
+trapped mass at every start site; each block is real symmetric, so a
+query reads its three forms as one real contraction of the spinor's six
+Gram terms with the blocks' entries, in plain floats.
 :func:`absorption_matrices` returns the three start-site blocks of one
 geometry and :func:`absorption_profile` those of every start site of one
 strip; each answers every spinor.
@@ -471,9 +472,23 @@ def _strip_blocks(width: int) -> np.ndarray:
 
 
 def _strip_forms(blocks: np.ndarray, spinor) -> list[float]:
-    """psi^H B psi for each 3x3 block B of a ``(k, 3, 3)`` stack, in one contraction."""
-    psi = np.asarray(spinor, dtype=complex)
-    return (psi.conj() @ blocks @ psi).real.tolist()
+    """psi^H B psi for each real symmetric 3x3 block B of a ``(k, 3, 3)`` stack.
+
+    Symmetry makes each form the real contraction
+    sum_i B_ii |psi_i|^2 + 2 sum_{i<j} B_ij Re(conj(psi_i) psi_j), so the
+    six real Gram terms of the spinor meet the blocks' entries in plain
+    float arithmetic: no complex array is built, and on a cached width
+    this is the whole of a query's arithmetic.  A basis spinor e_k reads
+    each block's B_kk exactly.
+    """
+    a, b, c = map(complex, spinor)
+    ar, ai, br, bi, cr, ci = a.real, a.imag, b.real, b.imag, c.real, c.imag
+    aa, bb, cc = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci
+    ab, ac, bc = 2.0 * (ar * br + ai * bi), 2.0 * (ar * cr + ai * ci), 2.0 * (br * cr + bi * ci)
+    return [
+        x00 * aa + x11 * bb + x22 * cc + x01 * ab + x02 * ac + x12 * bc
+        for (x00, x01, x02), (_, x11, x12), (_, _, x22) in blocks.tolist()
+    ]
 
 
 def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -51,6 +51,9 @@ INIT_NORM_TOL = 1e-9
 #: set of the kernel's views serves this many steps
 _BLOCK = 32
 
+#: component types accepted as numbers by identity, before any ABC check
+_BUILTIN_NUMBERS = (complex, float, int)
+
 
 def grover_coin() -> np.ndarray:
     """Return the 3x3 Grover coin: -1/3 on the diagonal, 2/3 elsewhere.
@@ -79,9 +82,15 @@ def validate_input(spinor=None, **boundaries) -> None:
     Each keyword names a boundary distance (``None`` means no boundary on
     that side), which must be an integer >= 1; ``bool`` does not count as
     an integer here.  Raises :class:`ValueError` on the first violation.
+
+    Exact built-in types (``int`` boundaries, ``complex``, ``float`` and
+    ``int`` components) pass before the slower abstract-base-class checks,
+    which on a cached strip query cost about as much as its arithmetic;
+    ``bool`` is never an exact ``int``, and every other type takes those
+    checks, so no verdict moves.
     """
     for name, v in boundaries.items():
-        if v is None:
+        if v is None or (type(v) is int and v >= 1):
             continue
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
             raise ValueError(f"{name} boundary must be an integer >= 1, got {v!r}")
@@ -96,6 +105,8 @@ def validate_input(spinor=None, **boundaries) -> None:
     if len(comps) != 3:
         raise ValueError("spinor needs exactly three components")
     for i, c in enumerate(comps):
+        if type(c) in _BUILTIN_NUMBERS:
+            continue
         if isinstance(c, bool) or not isinstance(c, numbers.Number):
             raise ValueError(f"spinor component {i} must be a number, got {type(c).__name__}")
     try:

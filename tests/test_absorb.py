@@ -6,6 +6,10 @@ simulator.  The scaled deficits are also checked against the independent
 30-digit walk of ``tests/test_highprec.py``.
 """
 
+import math
+import re
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -339,14 +343,23 @@ class TestTwoBoundary:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 20), (20, 40)])
     def test_exact_answer_is_the_forms_of_the_matrices(self, m, n):
-        # reading the cached blocks in place changes no bit of the answer
-        psi = _gauss_split_spinors()[-1]
-        ans = prob_two_boundary(AbsorptionQuery(psi, left=m, right=n))
-        forms = _strip_forms(np.stack(absorption_matrices(m, n)), psi)
-        assert [ans.p_left, ans.p_right, ans.trapped] == forms
-        # and the forms are psi^H X psi of each block
-        for form, x in zip(forms, absorption_matrices(m, n)):
-            assert form == pytest.approx(np.real(np.conj(psi) @ x @ psi), abs=1e-15)
+        blocks = absorption_matrices(m, n)
+        # the float basis spinors and an all-int one: a basis spinor e_k
+        # reads the diagonal entry of each block exactly
+        basis = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0, -1, 0)]
+        for k, e in zip((0, 1, 2, 1), basis):
+            ans = prob_two_boundary(AbsorptionQuery(e, left=m, right=n))
+            assert [ans.p_left, ans.p_right, ans.trapped] == [x[k, k] for x in blocks]
+        psi = _gauss_split_spinors()[-1]  # numpy complex128 components
+        for spinor in basis + [psi, tuple(map(complex, psi))]:
+            # reading the cached blocks in place changes no bit of the answer
+            ans = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))
+            forms = _strip_forms(np.stack(blocks), spinor)
+            assert [ans.p_left, ans.p_right, ans.trapped] == forms
+            # and the forms are psi^H X psi of each block
+            for form, x in zip(forms, blocks):
+                want = np.real(np.conj(spinor) @ x @ np.array(spinor))
+                assert form == pytest.approx(want, abs=1e-15)
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and
@@ -390,6 +403,14 @@ class TestTwoBoundary:
             AbsorptionQuery((0, 0, 1), left=-1, right=2)
         with pytest.raises(ValueError):
             AbsorptionQuery((1, 1, 1), left=1)
+
+
+class _Distance(IntEnum):
+    TWO = 2
+
+
+class _Float(float):
+    pass
 
 
 class TestInputValidation:
@@ -458,6 +479,43 @@ class TestInputValidation:
     def test_fractional_two_boundary_is_value_error(self):
         with pytest.raises(ValueError, match="integer"):
             AbsorptionQuery((0, 0, 1), left=2.5, right=2)
+
+    @pytest.mark.parametrize(
+        "left", [np.int32(2), np.int64(2), _Distance.TWO], ids=["int32", "int64", "int-enum"]
+    )
+    def test_non_builtin_boundary_accepted(self, left):
+        # types that are not exactly int take the abstract-base-class checks
+        psi = (0.6, 0, 0.8j)
+        ans = prob_two_boundary(AbsorptionQuery(psi, left=left, right=3))
+        assert ans == prob_two_boundary(AbsorptionQuery(psi, left=2, right=3))
+        assert AbsorptionQuery(psi, left=1, right=left).right == 2
+        assert BoundarySpec(right=left).right == 2
+
+    @pytest.mark.parametrize(
+        "spinor,builtin",
+        [((np.float64(0.6), 0, 0.8), (0.6, 0, 0.8)),
+         ((0, np.complex128(0.6j), 0.8), (0, 0.6j, 0.8)),
+         ((np.float32(0.5), 0.5, math.sqrt(0.5)), (0.5, 0.5, math.sqrt(0.5))),
+         ((Fraction(3, 5), 0, Fraction(4, 5)), (0.6, 0, 0.8))],
+        ids=["float64", "complex128", "float32", "fraction"],
+    )
+    def test_non_builtin_components_accepted(self, spinor, builtin):
+        # components that are not exactly complex, float or int take the
+        # number check, and the forms read them as the same complex values
+        ans = prob_two_boundary(AbsorptionQuery(spinor, left=2, right=3))
+        assert ans == prob_two_boundary(AbsorptionQuery(builtin, left=2, right=3))
+
+    @pytest.mark.parametrize(
+        "spinor,kwargs,message",
+        [((0, 0, 1), {"left": np.True_, "right": 2},
+          f"left boundary must be an integer >= 1, got {np.True_!r}"),
+         ((0, Decimal("nan"), 1), {"left": 1, "right": 2}, "spinor component 1 must be finite"),
+         ((0, _Float("nan"), 1), {"left": 1, "right": 2}, "spinor component 1 must be finite")],
+        ids=["numpy-bool-boundary", "decimal-nan", "float-subclass-nan"],
+    )
+    def test_non_builtin_types_rejected(self, spinor, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AbsorptionQuery(spinor, **kwargs)
 
     def test_numpy_integer_boundary_accepted(self):
         ans = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=np.int64(1), right=1))

@@ -14,7 +14,7 @@ from groverline.localize import (
 from groverline.walk import BoundarySpec, CoinSpinor, evolve
 
 from test_series import BAD_COUNTS
-from walk_oracle import position_probability
+from walk_oracle import WalkState, apply_evolution, position_distribution, position_probability
 
 
 class TestInputValidation:
@@ -126,6 +126,25 @@ class TestTwoPeakProfile:
         prof = two_peak_profile(50)
         top2 = sorted(prof, key=prof.get, reverse=True)[:2]
         assert sorted(top2) == [-1, 0]
+
+    @pytest.mark.parametrize("init", [CoinSpinor(0, 0, 1), CoinSpinor(0.48, 0.6, 0.64j)])
+    def test_values_match_the_sparse_oracle(self, init):
+        # the profile's accumulation of float squares against the sparse
+        # walk's own |psi|^2, averaged over the same steps T//2..T
+        steps = 40
+        state = WalkState.initial(init)
+        want: dict[int, float] = {}
+        count = 0
+        for t in range(1, steps + 1):
+            state = apply_evolution(state)
+            if t >= steps // 2:
+                for m, p in position_distribution(state).items():
+                    want[m] = want.get(m, 0.0) + p
+                count += 1
+        got = two_peak_profile(steps, init)
+        assert got.keys() == want.keys()
+        for m, p in want.items():
+            assert got[m] == pytest.approx(p / count, abs=1e-15)
 
     def test_total_mass_conserved(self, profile500):
         assert sum(profile500.values()) == pytest.approx(1.0, abs=1e-9)
