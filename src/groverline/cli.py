@@ -32,7 +32,7 @@ from .absorb import (
     theorem4_sequence,
 )
 from .localize import oscillation_trace
-from .walk import BoundarySpec, CoinSpinor, evolve, validate_input, validate_steps
+from .walk import BoundarySpec, CoinSpinor, WindowWalk, evolve, validate_input, validate_steps
 
 __all__ = ["main"]
 
@@ -268,14 +268,14 @@ def _cmd_simulate(args) -> tuple[tuple, list, int]:
             raise ValueError("--snapshots must be comma-separated integers") from None
         if any(t < 0 or t > args.steps for t in times):
             raise ValueError("snapshot times must lie in [0, steps]")
-    want = set(times)
+    engine = WindowWalk(init, bounds, args.steps)
     rows = []
-    for engine in evolve(init, bounds, args.steps):
-        if engine.t in want:
-            probs = engine.probability_array()
-            for i, p in enumerate(probs):
-                if p > 0.0:
-                    rows.append((engine.t, engine.lo + i, float(p)))
+    for t in times:
+        engine.advance(t - engine.t)
+        probs = engine.probability_array()
+        for i, p in enumerate(probs):
+            if p > 0.0:
+                rows.append((t, engine.lo + i, float(p)))
     return ("t", "position", "probability"), rows, 0
 
 

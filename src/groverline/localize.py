@@ -5,8 +5,10 @@ probabilities oscillate around nonzero means instead of decaying, the
 time-averaged profile has twin peaks at the start's two neighbors with
 geometric tails, and a single absorbing boundary can leave a large
 never-absorbed remainder parked next to it.  These helpers read them off
-their own loops over :func:`~groverline.walk.evolve`; the infinite-time
-profile, the start state's flat-band projection, is in closed form.
+the walk engine, :class:`~groverline.walk.WindowWalk`: a trace of every
+step through :func:`~groverline.walk.evolve`, anything else by advancing
+the engine straight to the times it reads.  The infinite-time profile,
+the start state's flat-band projection, is in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import BoundarySpec, CoinSpinor, evolve, validate_steps
+from .walk import BoundarySpec, CoinSpinor, WindowWalk, evolve, validate_steps
 
 __all__ = [
     "OscillationTrace",
@@ -79,20 +81,17 @@ def two_peak_profile(
     """
     validate_steps(steps, 2)
     init = init or CoinSpinor(0, 0, 1)
-    walk = evolve(init, BoundarySpec(), steps)
-    engine = next(walk)
-    t_lo = steps // 2
+    engine = WindowWalk(init, BoundarySpec(), steps)
     # squares of the float view (re, im interleaved), paired once at the end:
     # no complex abs, which goes through hypot and allocates twice per step
     acc = np.zeros(2 * engine.width)
-    count = 0
-    for engine in walk:
-        if engine.t >= t_lo:
-            cone = engine.cone()
-            f = engine.amps[:, cone].view(float)
-            acc[2 * cone.start:2 * cone.stop] += np.einsum("ij,ij->j", f, f)
-            count += 1
-    acc = (acc[0::2] + acc[1::2]) / count
+    times = range(steps // 2, steps + 1)
+    for t in times:
+        engine.advance(t - engine.t)
+        cone = engine.cone()
+        f = engine.amps[:, cone].view(float)
+        acc[2 * cone.start:2 * cone.stop] += np.einsum("ij,ij->j", f, f)
+    acc = (acc[0::2] + acc[1::2]) / len(times)
     return {
         engine.lo + i: float(p) for i, p in enumerate(acc) if p > 0.0
     }
@@ -152,6 +151,6 @@ def residual_near_origin(
     validate_steps(left_boundary, 1, "left_boundary")
     validate_steps(window, 0, "window")
     init = init or CoinSpinor(0, 0, 1)
-    for engine in evolve(init, BoundarySpec(left=left_boundary), steps):
-        pass
+    engine = WindowWalk(init, BoundarySpec(left=left_boundary), steps)
+    engine.advance(steps)
     return engine.mass_within(window)

@@ -11,10 +11,14 @@ analytic modules reproduce.
 The production engine is the dense :class:`WindowWalk`: it multiplies
 only the light cone of the start, padded by a fixed block of zero columns,
 with the coin and the shift fused into one matrix product per step, and
-is fast enough for thousands of steps.
-Every simulator entry point (:func:`run_walk`, the localization studies
-and the ``simulate`` command) steps it through the one generator
-:func:`evolve`, which validates the start spinor.
+is fast enough for thousands of steps.  Its one stepping loop is
+:meth:`WindowWalk.advance`, which runs any number of steps;
+:meth:`WindowWalk.step` is one of them.  Every simulator entry point goes
+through it: :func:`run_walk`, ``residual_near_origin`` and the
+``simulate`` command's snapshots jump straight to the times they read,
+and observers of every step (the ``simulate`` rows with boundaries, the
+localization traces) use the generator :func:`evolve`, which steps it one
+step at a time.  The engine validates the start spinor and the step count.
 :func:`run_walk` returns an :class:`AbsorptionReport` of the per-step hit
 amplitudes and masses and the residual norm.
 
@@ -178,12 +182,30 @@ class WindowWalk:
     Positions run from ``lo`` to ``hi`` inclusive; a bounded side pins the
     window edge at the boundary site, a free side leaves ``steps + 1`` of
     slack so nothing can fall off the edge within ``steps`` steps, and
-    stepping further raises.  After each step the amplitude at a boundary
-    site is recorded and zeroed: only the L component can be populated on
-    the left edge and only R on the right, so that one element is read and
-    zeroed.  The rest of a boundary column stays zero by itself: its S
-    component is the coin applied to the all-zero column, and its other
-    component is never written (it would come from outside the window).
+    advancing further raises.
+
+    :meth:`advance` is the one stepping loop: it runs n steps with its
+    per-step state in locals, and :meth:`step` is ``advance(1)``.  A
+    bounded side's boundary site is a *sink column*: the product writes
+    into it but never multiplies it, so mass that lands there goes no
+    further.  Only the L component can land on the left boundary (from
+    the first interior column) and only R on the right one; each step
+    reads that one element, left first, as the step's hit amplitude, and
+    nothing is zeroed inside the loop.  When ``advance`` returns it zeroes
+    the boundary elements of the current buffer once, so ``amps``,
+    :meth:`norm2`, :meth:`mass_within` and :meth:`probability_array` read
+    the measured state after every call.  The rest of a boundary column
+    is never written and stays zero.
+
+    Clipping the product to the interior leaves one element unwritten in
+    each interior column beside a boundary: R of the first one (it would
+    come from the left boundary column) and L of the last one.  Those
+    elements are zero in the walk, and in the buffers they stay zero,
+    except that buffer 0 holds the start spinor until the first step: with
+    a boundary next to the start, a component of it would linger there and
+    be multiplied again two steps later.  So buffer 0 is cleared after the
+    first step: the views built at t = 0 serve that step alone, and their
+    rebuild at t = 1 clears it.
 
     The kernel keeps two (3, W + 2) complex buffers, the window plus one
     guard column on each side, and alternates between them, so a step
@@ -196,13 +218,14 @@ class WindowWalk:
     its buffer, and nothing reads them.
 
     ``cols`` is the light cone |m| <= t padded by ``_BLOCK`` columns per
-    side and clipped to the window.  Outside the cone every amplitude is
-    zero, so the padding only writes exact zeros, and the same
-    (source, target) view pair serves the next ``_BLOCK`` steps.  The
-    pairs of both parities are rebuilt only when the cone outgrows them,
-    so a step makes no ``cone()`` call and slices nothing; once the padded
-    cone covers the whole window (at once on a strip narrower than the
-    padding) they serve to the end of the run.
+    side and clipped to the window's interior (the window itself on a free
+    side).  Outside the cone every amplitude is zero, so the padding only
+    writes exact zeros, and the same (source, target) view pair serves
+    the next ``_BLOCK`` steps.  The pairs of both parities are rebuilt
+    only when the cone outgrows them, so a step makes no ``cone()`` call
+    and slices nothing; once the padded cone covers the whole interior (at
+    once on a strip narrower than the padding) they serve to the end of
+    the run.
 
     The product runs on float views of the same memory (real and imaginary
     parts interleaved, so window column j is float columns 2j and 2j + 1)
@@ -213,8 +236,8 @@ class WindowWalk:
     wide, so numpy always sends it through gemm; a one-column product
     would go through gemv, whose rounding differs (a one-column complex
     product would).  ``tests/test_walk_properties.py`` pins every step,
-    across several view rebuilds, bit for bit to the plain full-window
-    complex product.
+    across several view rebuilds and in chunks of any length, bit for bit
+    to the plain full-window complex product.
     """
 
     def __init__(self, init: CoinSpinor, bounds: BoundarySpec, steps: int):
@@ -241,6 +264,11 @@ class WindowWalk:
         self.hit_left: list[complex] = []
         self.hit_right: list[complex] = []
         self._coin = grover_coin()
+        # where each step's hit amplitude goes, per side; None on a free side
+        self._records = (
+            self.hit_left.append if bounds.left is not None else None,
+            self.hit_right.append if bounds.right is not None else None,
+        )
         # per parity of t: (source, target, window after the step)
         self._views: list[tuple] = []
         # the last t the views serve; the first step builds them
@@ -253,41 +281,70 @@ class WindowWalk:
         """Window columns the walk can occupy now: |m| <= t, clipped to the window."""
         return slice(max(0, self.index(-self.t)), min(self.width, self.index(self.t) + 1))
 
-    def _refresh(self) -> None:
-        """Build both parities' views over the cone padded by ``_BLOCK`` columns.
+    def _refresh(self, t: int) -> None:
+        """Build both parities' views over the cone at ``t`` padded by ``_BLOCK`` columns.
 
-        Also the step limit: ``_fresh_until`` never passes ``steps - 1``, so
-        a step at t = ``steps`` always lands here and raises.
+        The views built at t = 0 serve the first step only, so that the
+        call at t = 1 can clear buffer 0 before it is written.
         """
-        if self.t == self.steps:
-            raise RuntimeError(f"the window only holds {self.steps} steps")
-        cone = self.cone()
-        start = max(0, cone.start - _BLOCK)
-        stop = min(self.width, cone.stop + _BLOCK)
+        if t == 1:
+            self._windows[0].fill(0)
+        # the multiplied columns stop short of a bounded side's sink column
+        first = 0 if self.bounds.left is None else 1
+        last = self.width if self.bounds.right is None else self.width - 1
+        start = max(first, self.index(-t) - _BLOCK)
+        stop = min(last, self.index(t) + 1 + _BLOCK)
         floats = slice(2 * start, 2 * stop)
         self._views = [
             (self._sources[cur][:, floats], self._targets[1 - cur][:, floats],
              self._windows[1 - cur])
             for cur in (0, 1)
         ]
-        saturated = start == 0 and stop == self.width
-        self._fresh_until = self.steps - 1 if saturated else min(self.t + _BLOCK, self.steps - 1)
+        if not t:
+            self._fresh_until = 0
+        elif start == first and stop == last:
+            self._fresh_until = self.steps - 1
+        else:
+            self._fresh_until = min(t + _BLOCK, self.steps - 1)
+
+    def advance(self, n: int) -> None:
+        """Run ``n`` steps: coin and shift, then boundary measurements (left first).
+
+        ``n`` is checked like ``steps`` (an integer >= 0, not ``bool``,
+        else :class:`ValueError`), and a run past ``steps`` raises
+        :class:`RuntimeError`; either way before anything moves.
+        """
+        if type(n) is not int or n < 0:  # a plain int >= 0 skips the slower checks
+            validate_steps(n, name="n")
+            n = int(n)
+        t = self.t
+        end = t + n
+        if end > self.steps:
+            raise RuntimeError(f"the window only holds {self.steps} steps")
+        matmul, coin = np.matmul, self._coin
+        record_left, record_right = self._records
+        views, fresh_until, amps = self._views, self._fresh_until, self.amps
+        while t < end:
+            if t > fresh_until:
+                self._refresh(t)
+                views, fresh_until = self._views, self._fresh_until
+            source, target, amps = views[t & 1]
+            matmul(coin, source, out=target)
+            if record_left is not None:
+                record_left(amps.item(0, 0))
+            if record_right is not None:
+                record_right(amps.item(2, -1))
+            t += 1
+        self.t = end
+        self.amps = amps
+        if record_left is not None:
+            amps[0, 0] = 0j
+        if record_right is not None:
+            amps[2, -1] = 0j
 
     def step(self) -> None:
-        """Advance one step: coin and shift, then boundary measurements (left first)."""
-        t = self.t
-        if t > self._fresh_until:
-            self._refresh()
-        source, target, amps = self._views[t & 1]
-        np.matmul(self._coin, source, out=target)
-        self.amps = amps
-        self.t = t + 1
-        if self.bounds.left is not None:
-            self.hit_left.append(amps.item(0, 0))
-            amps[0, 0] = 0j
-        if self.bounds.right is not None:
-            self.hit_right.append(amps.item(2, -1))
-            amps[2, -1] = 0j
+        """Advance one step: ``advance(1)``."""
+        self.advance(1)
 
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
@@ -306,10 +363,12 @@ class WindowWalk:
 def evolve(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> Iterator[WindowWalk]:
     """Step one walk from spinor ``init`` at 0; yield its engine at t = 0..steps.
 
-    The single stepping loop behind every simulator entry point.  The same
-    engine object is yielded each time, advanced in place, so read what is
-    needed before asking for the next step.  The engine is built, and its
-    inputs validated (spinor finite and normalized within
+    For observers of every step: it calls :meth:`WindowWalk.step` (that
+    is, ``advance(1)``) between yields.  A caller that reads only some
+    times calls :meth:`WindowWalk.advance` up to each of them instead.
+    The same engine object is yielded each time, advanced in place, so
+    read what is needed before asking for the next step.  The engine is
+    built, and its inputs validated (spinor finite and normalized within
     ``INIT_NORM_TOL``, ``steps`` an integer >= 0), when ``evolve`` is
     called, not on the first ``next``.
     """
@@ -318,8 +377,9 @@ def evolve(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> Iterator[Windo
 
 def _stepped(engine: WindowWalk) -> Iterator[WindowWalk]:
     yield engine
+    advance = engine.advance
     for _ in range(engine.steps):
-        engine.step()
+        advance(1)
         yield engine
 
 
@@ -329,7 +389,10 @@ class AbsorptionReport:
 
     ``absorbed_left[t-1]`` is the probability mass absorbed at the left
     boundary on step t (empty array when that side is free); likewise for
-    the right.  ``first_hit_left`` holds the underlying complex amplitudes.
+    the right.  ``first_hit_left`` holds the underlying complex amplitudes
+    (``complex128``, empty on a free side or after zero steps), and
+    ``absorbed_left`` is exactly ``np.abs(first_hit_left) ** 2``
+    (``float64``).
     ``residual_norm`` is the squared norm still on the lattice after the
     last step; for bounded runs it estimates the localization deficit, the
     mass that will never be absorbed.
@@ -358,14 +421,17 @@ def run_walk(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> AbsorptionRe
     rejected rather than silently rescaled.  Each step applies the
     evolution and then measures the left boundary, then the right one
     (the projectors commute, the order is fixed for reproducibility).
+    The whole run is one :meth:`WindowWalk.advance` call.
     """
-    for w in evolve(init, bounds, steps):
-        pass
+    engine = WindowWalk(init, bounds, steps)
+    engine.advance(steps)
+    hit_left = np.array(engine.hit_left, dtype=complex)
+    hit_right = np.array(engine.hit_right, dtype=complex)
     return AbsorptionReport(
         steps=steps,
-        absorbed_left=np.abs(np.array(w.hit_left)) ** 2,
-        absorbed_right=np.abs(np.array(w.hit_right)) ** 2,
-        first_hit_left=np.array(w.hit_left),
-        first_hit_right=np.array(w.hit_right),
-        residual_norm=w.norm2(),
+        absorbed_left=np.abs(hit_left) ** 2,
+        absorbed_right=np.abs(hit_right) ** 2,
+        first_hit_left=hit_left,
+        first_hit_right=hit_right,
+        residual_norm=engine.norm2(),
     )

@@ -143,6 +143,24 @@ class TestRunWalk:
             absorbed = sum(abs(a) ** 2 for a in engine.hit_left)
             assert engine.norm2() + absorbed == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "bounds, steps",
+        [(BoundarySpec(left=1, right=2), 0), (BoundarySpec(left=2), 7), (BoundarySpec(right=2), 7),
+         (BoundarySpec(), 5), (BoundarySpec(left=1, right=3), 40)],
+    )
+    def test_report_dtypes(self, bounds, steps):
+        # hit amplitudes are complex and masses float even when a list is
+        # empty (a free side, or no steps); the masses are their squares exactly
+        report = run_walk(CoinSpinor(0.48, 0.6, 0.64j), bounds, steps)
+        for hits, masses, bounded in (
+            (report.first_hit_left, report.absorbed_left, bounds.left is not None),
+            (report.first_hit_right, report.absorbed_right, bounds.right is not None),
+        ):
+            assert hits.dtype == np.complex128
+            assert masses.dtype == np.float64
+            assert len(hits) == (steps if bounded else 0)
+            assert np.array_equal(masses, np.abs(hits) ** 2)
+
     def test_boundary_spec_validation(self):
         with pytest.raises(ValueError):
             BoundarySpec(left=0)
@@ -266,6 +284,40 @@ class TestEngineGuards:
             engine.step()
         assert engine.t == 3
         assert engine.norm2() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_advance_zero_is_a_no_op(self, t):
+        engine = WindowWalk(CoinSpinor(0.48, 0.6, 0.64j), BoundarySpec(left=1, right=1), 4)
+        engine.advance(t)
+        amps, hits = engine.amps.copy(), (list(engine.hit_left), list(engine.hit_right))
+        engine.advance(0)
+        assert engine.t == t
+        assert np.array_equal(engine.amps, amps)
+        assert (engine.hit_left, engine.hit_right) == hits
+
+    def test_advance_past_horizon_moves_nothing(self):
+        engine = WindowWalk(CoinSpinor(0.48, 0.6, 0.64j), BoundarySpec(left=2), 5)
+        engine.advance(3)
+        amps, hits = engine.amps.copy(), list(engine.hit_left)
+        with pytest.raises(RuntimeError):
+            engine.advance(3)
+        assert engine.t == 3
+        assert np.array_equal(engine.amps, amps)
+        assert engine.hit_left == hits and engine.hit_right == []
+        engine.advance(2)
+        assert engine.t == 5
+
+    @pytest.mark.parametrize("n", [True, 2.0, -1, np.float64(1.0), "1"])
+    def test_advance_rejects_bad_counts(self, n):
+        engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(left=1), 5)
+        with pytest.raises(ValueError, match="n must be"):
+            engine.advance(n)
+        assert engine.t == 0 and engine.hit_left == []
+
+    def test_advance_accepts_numpy_integers(self):
+        engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(left=1), 5)
+        engine.advance(np.int64(3))
+        assert type(engine.t) is int and engine.t == 3 and len(engine.hit_left) == 3
 
     def test_evolve_yields_every_time_once(self):
         seen = [(w.t, w.norm2()) for w in evolve(CoinSpinor(0, 1, 0), BoundarySpec(left=2), 4)]

@@ -10,8 +10,12 @@
 Every run starts with the one-column first step, where the cone is a
 single complex column.  The kernel multiplies the cone padded by
 ``_BLOCK`` columns per side and rebuilds its views when the cone outgrows
-them, so the longer runs below cross several rebuilds.
+them, so the longer runs below cross several rebuilds.  The same runs
+are also advanced in chunks of random lengths, and must match the plain
+step bit for bit at the end of every chunk.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -100,6 +104,43 @@ def assert_bit_identical_run(init: CoinSpinor, bounds: BoundarySpec, n_steps: in
     assert engine.t == n_steps
 
 
+def assert_chunks_bit_identical(init: CoinSpinor, bounds: BoundarySpec, n_steps: int, chunks) -> None:
+    """Advancing by ``chunks`` in turn equals ``reference_step`` after every chunk."""
+    engine = WindowWalk(init, bounds, n_steps)
+    amps = engine.amps.copy()
+    want_left, want_right = [], []
+    for n in itertools.cycle(chunks):
+        n = min(n, n_steps - engine.t)
+        engine.advance(n)
+        for _ in range(n):
+            amps, hits = reference_step(amps, bounds)
+            if bounds.left is not None:
+                want_left.append(hits[0])
+            if bounds.right is not None:
+                want_right.append(hits[-1])
+        assert np.array_equal(engine.amps, amps)
+        assert engine.hit_left == want_left
+        assert engine.hit_right == want_right
+        if engine.t == n_steps:
+            break
+
+
+# chunk lengths, zero included, taken in turn until the run ends; not all zero
+chunks = st.lists(st.integers(0, 2 * _BLOCK + 3), min_size=1, max_size=6).filter(any)
+# the start beside both boundaries with all three components nonzero: the
+# product never writes R beside the left sink or L beside the right one,
+# so the start spinor lingers there unless buffer 0 is cleared
+START = ((0.48, 0.0), (0.6, 0.0), (0.0, 0.64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_spinor, boundary, boundary, steps, chunks)
+@example(START, 1, 1, 30, [30])
+@example(START, 1, 1, 30, [1, 0, 2])
+def test_chunked_advance_is_bit_identical_to_stepping(raw, left, right, n_steps, sizes):
+    assert_chunks_bit_identical(normalized(raw), BoundarySpec(left=left, right=right), n_steps, sizes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(raw_spinor, boundary, boundary, steps)
 def test_kernel_is_bit_identical_to_full_window_step(raw, left, right, n_steps):
@@ -108,7 +149,6 @@ def test_kernel_is_bit_identical_to_full_window_step(raw, left, right, n_steps):
 
 # free and half-line sides, and strips narrower and wider than one block
 wide_boundary = st.none() | st.integers(min_value=1, max_value=3 * _BLOCK)
-START = ((0.48, 0.0), (0.6, 0.0), (0.0, 0.64))
 
 
 @settings(max_examples=25, deadline=None)
@@ -131,3 +171,12 @@ def test_one_column_first_step_bit_identical():
     want, _ = reference_step(engine.amps.copy(), bounds)
     engine.step()
     assert np.array_equal(engine.amps, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw_spinor, wide_boundary, wide_boundary, st.integers(_BLOCK, 3 * _BLOCK + 2), chunks)
+@example(START, 1, 1, 3 * _BLOCK + 2, [3 * _BLOCK + 2])
+@example(START, None, None, 3 * _BLOCK + 2, [_BLOCK - 1, 1, _BLOCK + 1])
+@example(START, _BLOCK + 5, 2 * _BLOCK, 3 * _BLOCK + 2, [7])
+def test_chunked_advance_is_bit_identical_across_view_rebuilds(raw, left, right, n_steps, sizes):
+    assert_chunks_bit_identical(normalized(raw), BoundarySpec(left=left, right=right), n_steps, sizes)
