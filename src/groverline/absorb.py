@@ -15,7 +15,8 @@ matrix products alone, so this route needs numpy only.  One such solve
 per width, cached as one read-only array, gives both sides and the
 trapped mass at every start site; each block is real symmetric, so a
 query reads its three forms as one real contraction of the spinor's six
-Gram terms with the blocks' entries, in plain floats.
+Gram terms with the blocks' entries, in plain floats: the entries of its
+start site, converted to float rows once, the first time it is asked.
 :func:`absorption_matrices` returns the three start-site blocks of one
 geometry and :func:`absorption_profile` those of every start site of one
 strip; each answers every spinor.
@@ -245,18 +246,51 @@ def _adaptive_split(f, spec: QuadratureSpec) -> tuple[float, float]:
     return value, abserr
 
 
-@dataclass(frozen=True)
+def _components(spinor):
+    """The spinor's components as a tuple, taken once.
+
+    A one-shot iterable is consumed here, so the validator and the route
+    read the same components; an object that cannot be iterated is passed
+    on as it is, for :func:`validate_input` to refuse by its type.
+    """
+    try:
+        return tuple(spinor)
+    except TypeError:
+        return spinor
+
+
+@dataclass(frozen=True, init=False)
 class AbsorptionQuery:
-    """Initial spinor plus at least one absorbing boundary."""
+    """Initial spinor plus at least one absorbing boundary.
+
+    The spinor is stored as the tuple of its validated components, so a
+    one-shot iterable answers like its tuple and a query built from a
+    numpy array hashes.  ``__init__`` is written out: the generated one of a
+    frozen dataclass sets each field through its own ``object.__setattr__``
+    call and then calls ``__post_init__``, while this one runs the boundary
+    check and the :func:`validate_input` call and then fills the instance's
+    ``__dict__`` in one call.  Fields, defaults, signature, ``==``, ``hash``
+    and ``repr`` are the dataclass's, and :func:`dataclasses.replace` calls
+    this ``__init__``, so it validates again.  A NamedTuple would build as
+    fast, but it is a tuple: it equals a bare tuple of its values, and
+    :func:`dataclasses.replace` refuses it.
+    """
 
     spinor: tuple[complex, complex, complex]
     left: int | None = None
     right: int | None = None
 
-    def __post_init__(self):
-        if self.left is None and self.right is None:
+    def __init__(
+        self,
+        spinor: tuple[complex, complex, complex],
+        left: int | None = None,
+        right: int | None = None,
+    ) -> None:
+        if left is None and right is None:
             raise ValueError("at least one boundary is required")
-        validate_input(self.spinor, left=self.left, right=self.right)
+        spinor = _components(spinor)
+        validate_input(spinor, left=left, right=right)
+        self.__dict__.update(spinor=spinor, left=left, right=right)
 
     @property
     def reversed_spinor(self) -> tuple[complex, complex, complex]:
@@ -264,7 +298,7 @@ class AbsorptionQuery:
         return (g, b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AbsorptionAnswer:
     """Left/right absorption plus the never-absorbed deficit.
 
@@ -276,6 +310,13 @@ class AbsorptionAnswer:
     the exact route the deficit is that directly computed ``trapped``
     (never below zero, however small); the quadrature routes report
     1 - total, which rounds to about 1e-16 around a true zero.
+
+    ``__init__`` is written out, as for :class:`AbsorptionQuery`: it fills
+    the instance's ``__dict__`` in one call instead of one
+    ``object.__setattr__`` call per field, which took a good part of a
+    cached strip query.  It stays a frozen dataclass, not a NamedTuple, so
+    :func:`dataclasses.replace` works on it and it never equals a bare
+    tuple.
     """
 
     p_left: float | None
@@ -284,6 +325,24 @@ class AbsorptionAnswer:
     deficit: float
     error_estimate: float
     trapped: float | None = None
+
+    def __init__(
+        self,
+        p_left: float | None,
+        p_right: float | None,
+        total: float,
+        deficit: float,
+        error_estimate: float,
+        trapped: float | None = None,
+    ) -> None:
+        self.__dict__.update(
+            p_left=p_left,
+            p_right=p_right,
+            total=total,
+            deficit=deficit,
+            error_estimate=error_estimate,
+            trapped=trapped,
+        )
 
 
 def _one_boundary_integrand(m: int, spinor):
@@ -319,6 +378,7 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
 
 
 def _one_boundary_value(m, spinor, spec=None) -> tuple[float, float]:
+    spinor = _components(spinor)
     validate_input(spinor, m=m)
     spec = spec or _ONE_BOUNDARY_SPEC
     return integrate_periodic(_one_boundary_integrand(m, spinor), spec)
@@ -382,8 +442,7 @@ def _mirror_doubling(b_even: np.ndarray, b_odd: np.ndarray, q: np.ndarray) -> np
     return y
 
 
-@functools.lru_cache(maxsize=64)
-def _strip_blocks(width: int) -> np.ndarray:
+def _solve_strip(width: int) -> np.ndarray:
     """Start-site blocks of ``(X_left, X_right, P_trapped)`` for every start site.
 
     The strip between boundaries at -m and +n has W - 1 interior sites
@@ -391,8 +450,8 @@ def _strip_blocks(width: int) -> np.ndarray:
     start site picks the block.  Returns one read-only ``(3, W - 1, 3, 3)``
     array whose ``[k, s]`` is the symmetric 3x3 diagonal block of X_left,
     X_right or P_trapped (k = 0, 1, 2) at the start site of geometry
-    (s + 1, W - 1 - s).  Cached per width, so every geometry and spinor of
-    one strip shares one solve.
+    (s + 1, W - 1 - s).  :func:`_strip_cache` keeps it per width, so every
+    geometry and spinor of one strip shares one solve.
 
     The solve rests on the site-and-coin mirror J, the reversal of the
     whole site-major amplitude vector (site s -> W - 2 - s, coin
@@ -471,15 +530,38 @@ def _strip_blocks(width: int) -> np.ndarray:
     return blocks
 
 
-def _strip_forms(blocks: np.ndarray, spinor) -> list[float]:
+@functools.lru_cache(maxsize=64)
+def _strip_cache(width: int) -> tuple[np.ndarray, list]:
+    """One width's cached solve: its read-only blocks and one row slot per start site.
+
+    A slot starts as ``None``; :func:`prob_two_boundary` fills it with the
+    site's three blocks as nested float lists the first time it asks that
+    site, so each (width, site) is converted from the array once, and the
+    rows share the blocks' cache entry: they are bounded by its size and
+    dropped with it, by eviction or ``cache_clear``.
+    """
+    return _solve_strip(width), [None] * (width - 1)
+
+
+def _strip_blocks(width: int) -> np.ndarray:
+    """The cached ``(3, W - 1, 3, 3)`` blocks of :func:`_solve_strip`, read-only."""
+    return _strip_cache(width)[0]
+
+
+# the blocks and their rows are one cache entry, so clearing either clears both
+_strip_blocks.cache_clear = _strip_cache.cache_clear
+
+
+def _strip_forms(blocks, spinor) -> list[float]:
     """psi^H B psi for each real symmetric 3x3 block B of a ``(k, 3, 3)`` stack.
 
     Symmetry makes each form the real contraction
     sum_i B_ii |psi_i|^2 + 2 sum_{i<j} B_ij Re(conj(psi_i) psi_j), so the
     six real Gram terms of the spinor meet the blocks' entries in plain
     float arithmetic: no complex array is built, and on a cached width
-    this is the whole of a query's arithmetic.  A basis spinor e_k reads
-    each block's B_kk exactly.
+    this is the whole of a query's arithmetic.  ``blocks`` is nested float
+    lists, as a query reads them; an array gives the same values as numpy
+    floats.  A basis spinor e_k reads each block's B_kk exactly.
     """
     a, b, c = map(complex, spinor)
     ar, ai, br, bi, cr, ci = a.real, a.imag, b.real, b.imag, c.real, c.imag
@@ -487,7 +569,7 @@ def _strip_forms(blocks: np.ndarray, spinor) -> list[float]:
     ab, ac, bc = 2.0 * (ar * br + ai * bi), 2.0 * (ar * cr + ai * ci), 2.0 * (br * cr + bi * ci)
     return [
         x00 * aa + x11 * bb + x22 * cc + x01 * ab + x02 * ac + x12 * bc
-        for (x00, x01, x02), (_, x11, x12), (_, _, x22) in blocks.tolist()
+        for (x00, x01, x02), (_, x11, x12), (_, _, x22) in blocks
     ]
 
 
@@ -571,9 +653,15 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        # the query is validated: read the cached blocks in place, uncopied
-        blocks = _strip_blocks(int(query.left + query.right))[:, query.left - 1]
-        p_left, p_right, trapped = _strip_forms(blocks, query.spinor)
+        # the query is validated: read its start site's blocks as the float
+        # rows kept in the width's cache entry, converted from the read-only
+        # array the first time this width and site are asked
+        site = query.left - 1
+        blocks, rows = _strip_cache(int(query.left + query.right))
+        row = rows[site]
+        if row is None:
+            row = rows[site] = blocks[:, site].tolist()
+        p_left, p_right, trapped = _strip_forms(row, query.spinor)
         total = p_left + p_right
         return AbsorptionAnswer(
             p_left=p_left,

@@ -6,7 +6,10 @@ simulator.  The scaled deficits are also checked against the independent
 30-digit walk of ``tests/test_highprec.py``.
 """
 
+import dataclasses
+import inspect
 import math
+import pickle
 import re
 from decimal import Decimal
 from enum import IntEnum
@@ -15,7 +18,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import groverline.absorb as absorb
 from groverline.absorb import (
+    AbsorptionAnswer,
     AbsorptionQuery,
     QuadratureSpec,
     ToleranceError,
@@ -231,6 +236,11 @@ class TestIntegratePeriodic:
         assert QuadratureSpec("trapezoid", 1e-10, np.int64(4096)).max_points == 4096
 
 
+def _bits(*values):
+    """Each value's exact bits (``None`` kept), so a comparison tells -0.0 from 0.0."""
+    return [None if v is None else float(v).hex() for v in values]
+
+
 def _gauss_split_spinors():
     rng = np.random.default_rng(20140527)
     spinors = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -341,8 +351,13 @@ class TestTwoBoundary:
         assert quad.total == quad.p_left + quad.p_right
         assert quad.total + quad.deficit == 1.0
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 20), (20, 40)])
+    @pytest.mark.parametrize(
+        "m,n", [(m, w - m) for w in range(2, 31) for m in range(1, w)] + [(20, 40)]
+    )
     def test_exact_answer_is_the_forms_of_the_matrices(self, m, n):
+        # every start site of widths 2-30, from a cold solve, so the first
+        # query converts the site's rows and the later ones read them
+        absorb._strip_blocks.cache_clear()
         blocks = absorption_matrices(m, n)
         # the float basis spinors and an all-int one: a basis spinor e_k
         # reads the diagonal entry of each block exactly
@@ -352,14 +367,42 @@ class TestTwoBoundary:
             assert [ans.p_left, ans.p_right, ans.trapped] == [x[k, k] for x in blocks]
         psi = _gauss_split_spinors()[-1]  # numpy complex128 components
         for spinor in basis + [psi, tuple(map(complex, psi))]:
-            # reading the cached blocks in place changes no bit of the answer
+            # reading the cached rows changes no bit of the answer
             ans = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))
             forms = _strip_forms(np.stack(blocks), spinor)
-            assert [ans.p_left, ans.p_right, ans.trapped] == forms
+            assert _bits(ans.p_left, ans.p_right, ans.trapped) == _bits(*forms)
             # and the forms are psi^H X psi of each block
             for form, x in zip(forms, blocks):
                 want = np.real(np.conj(spinor) @ x @ np.array(spinor))
                 assert form == pytest.approx(want, abs=1e-15)
+
+    def test_rows_are_converted_once_and_cleared_with_the_blocks(self):
+        spinors = [(0.6, 0.8j, 0), (0.48, -0.6, 0.64j)]
+        absorb._strip_blocks.cache_clear()
+        first = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
+        blocks, rows = absorb._strip_cache(7)
+        # only the asked site is converted, to the array's entries as floats
+        assert [row is not None for row in rows] == [False, False, True, False, False, False]
+        row = rows[2]
+        assert row == blocks[:, 2].tolist()
+        assert {type(x) for block in row for line in block for x in line} == {float}
+        assert all(type(v) is float for v in dataclasses.astuple(first))
+        # a second spinor and another geometry of the width reuse the one solve,
+        # and the site's row is not converted again
+        prob_two_boundary(AbsorptionQuery(spinors[1], left=3, right=4))
+        prob_two_boundary(AbsorptionQuery(spinors[1], left=1, right=6))
+        assert absorb._strip_cache.cache_info().misses == 1
+        assert absorb._strip_cache(7)[1][2] is row
+        assert [r is not None for r in absorb._strip_cache(7)[1]] == [True, False, True] + [False] * 3
+        # clearing the blocks drops the rows: the next query solves and
+        # converts anew, to the same bits
+        absorb._strip_blocks.cache_clear()
+        assert absorb._strip_cache.cache_info().currsize == 0
+        again = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
+        assert _bits(*dataclasses.astuple(again)) == _bits(*dataclasses.astuple(first))
+        assert absorb._strip_cache.cache_info().misses == 1
+        fresh = absorb._strip_cache(7)[1][2]
+        assert fresh is not row and fresh == row
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and
@@ -476,6 +519,34 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="spinor must be a sequence, got int"):
             prob_one_boundary(1, huge)
 
+    def test_one_shot_iterable_spinor_answers_like_its_tuple(self):
+        # the components are taken once, so validation does not use them up
+        psi = (0.48, -0.6, 0.64j)
+        for left, right in ((1, 2), (3, 4), (2, None), (None, 2)):
+            query = AbsorptionQuery(iter(psi), left=left, right=right)
+            assert query.spinor == psi
+            want = absorption_answer(AbsorptionQuery(psi, left=left, right=right))
+            got = absorption_answer(query)
+            assert _bits(*dataclasses.astuple(got)) == _bits(*dataclasses.astuple(want))
+        assert _bits(prob_one_boundary(2, iter(psi))) == _bits(prob_one_boundary(2, psi))
+        assert _bits(prob_one_boundary(2, (c for c in (0, 0, 1)))) == _bits(
+            prob_one_boundary(2, (0, 0, 1))
+        )
+        with pytest.raises(ValueError, match="three components"):
+            AbsorptionQuery(iter((0, 1)), left=1, right=2)
+        with pytest.raises(ValueError, match="unit norm"):
+            prob_one_boundary(2, iter((1, 1, 0)))
+
+    def test_array_spinor_query_hashes(self):
+        query = AbsorptionQuery(np.array([0.6, 0.0, 0.8]), left=1, right=2)
+        assert isinstance(query.spinor, tuple)
+        same = AbsorptionQuery((0.6, 0.0, 0.8), left=1, right=2)
+        assert query == same and hash(query) == hash(same)
+        assert prob_two_boundary(query) == prob_two_boundary(same)
+        assert hash(AbsorptionQuery(np.array([0, 1j, 0]), right=2)) == hash(
+            AbsorptionQuery((0, 1j, 0), right=2)
+        )
+
     def test_fractional_two_boundary_is_value_error(self):
         with pytest.raises(ValueError, match="integer"):
             AbsorptionQuery((0, 0, 1), left=2.5, right=2)
@@ -561,6 +632,88 @@ class TestDispatch:
         assert absorption_answer(query, spec).trapped is None
         assert absorption_answer(AbsorptionQuery((0, 0, 1), left=2)).trapped is None
         assert absorption_answer(AbsorptionQuery((0, 0, 1), right=2)).trapped is None
+
+
+class TestRecords:
+    """Query and answer are frozen dataclasses with hand-written ``__init__``."""
+
+    def test_fields_and_signatures(self):
+        query_fields = [(f.name, f.default) for f in dataclasses.fields(AbsorptionQuery)]
+        assert query_fields == [
+            ("spinor", dataclasses.MISSING), ("left", None), ("right", None)
+        ]
+        answer_fields = [(f.name, f.default) for f in dataclasses.fields(AbsorptionAnswer)]
+        assert answer_fields == [
+            ("p_left", dataclasses.MISSING), ("p_right", dataclasses.MISSING),
+            ("total", dataclasses.MISSING), ("deficit", dataclasses.MISSING),
+            ("error_estimate", dataclasses.MISSING), ("trapped", None),
+        ]
+        assert str(inspect.signature(AbsorptionQuery, eval_str=True)) == (
+            "(spinor: tuple[complex, complex, complex], left: int | None = None, "
+            "right: int | None = None) -> None"
+        )
+        assert str(inspect.signature(AbsorptionAnswer, eval_str=True)) == (
+            "(p_left: float | None, p_right: float | None, total: float, "
+            "deficit: float, error_estimate: float, trapped: float | None = None) -> None"
+        )
+        assert AbsorptionQuery.__match_args__ == ("spinor", "left", "right")
+
+    def test_positional_and_keyword_construction(self):
+        query = AbsorptionQuery((0, 0, 1), 2, 3)
+        assert query == AbsorptionQuery(spinor=(0, 0, 1), left=2, right=3)
+        assert (query.spinor, query.left, query.right) == ((0, 0, 1), 2, 3)
+        assert AbsorptionQuery((0, 0, 1), right=3).left is None
+        answer = AbsorptionAnswer(0.25, 0.5, 0.75, 0.25, 0.0)
+        assert answer == AbsorptionAnswer(
+            p_left=0.25, p_right=0.5, total=0.75, deficit=0.25, error_estimate=0.0
+        )
+        assert answer.trapped is None
+        assert dataclasses.astuple(answer) == (0.25, 0.5, 0.75, 0.25, 0.0, None)
+        with pytest.raises(TypeError):
+            AbsorptionAnswer(0.25, 0.5, 0.75, 0.25)
+        with pytest.raises(TypeError):
+            AbsorptionQuery((0, 0, 1), 1, 2, 3)
+
+    def test_eq_hash_and_repr(self):
+        query = AbsorptionQuery((0, 0, 1), left=1, right=1)
+        answer = prob_two_boundary(query)
+        assert repr(query) == "AbsorptionQuery(spinor=(0, 0, 1), left=1, right=1)"
+        assert repr(answer) == (
+            "AbsorptionAnswer(p_left=0.6666666666666667, p_right=0.3333333333333333, "
+            "total=1.0, deficit=0.0, error_estimate=0.0, trapped=0.0)"
+        )
+        assert answer == prob_two_boundary(AbsorptionQuery([0, 0, 1], left=1, right=1))
+        assert answer != dataclasses.replace(answer, trapped=None)
+        assert answer != dataclasses.astuple(answer)
+        assert len({query, AbsorptionQuery([0, 0, 1], left=1, right=1)}) == 1
+        assert hash(answer) == hash(prob_two_boundary(query))
+        for record in (query, answer):
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_fields_are_frozen(self):
+        query = AbsorptionQuery((0, 0, 1), left=1, right=2)
+        answer = prob_two_boundary(query)
+        for record, name in ((query, "left"), (query, "spinor"), (answer, "p_right")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 3)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert query.left == 1 and answer == prob_two_boundary(query)
+
+    def test_replace(self):
+        query = AbsorptionQuery((0, 0, 1), left=1, right=2)
+        answer = prob_two_boundary(query)
+        moved = dataclasses.replace(answer, p_right=answer.p_right + 1e-6)
+        assert moved.p_right == answer.p_right + 1e-6
+        assert dataclasses.astuple(moved)[2:] == dataclasses.astuple(answer)[2:]
+        assert dataclasses.replace(query, left=3) == AbsorptionQuery((0, 0, 1), left=3, right=2)
+        # replace calls __init__, which validates again
+        with pytest.raises(ValueError, match="left boundary must be an integer >= 1"):
+            dataclasses.replace(query, left=0)
+        with pytest.raises(ValueError, match="at least one boundary"):
+            dataclasses.replace(query, left=None, right=None)
+        with pytest.raises(ValueError, match="unit norm"):
+            dataclasses.replace(query, spinor=(1, 0, 1))
 
 
 class TestTheorem4:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from groverline.absorb import (  # noqa: E402
     AbsorptionQuery,
+    _strip_forms,
     absorption_matrices,
     prob_one_boundary,
     prob_two_boundary,
@@ -54,6 +55,19 @@ def test_mirror_swaps_sides(raw, m, n):
     assert fwd.p_left == pytest.approx(rev.p_right, abs=TOL)
     assert fwd.p_right == pytest.approx(rev.p_left, abs=TOL)
     assert fwd.deficit == pytest.approx(rev.deficit, abs=TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_spinor, st.integers(min_value=2, max_value=30), st.data())
+def test_answer_is_the_forms_of_the_matrices_to_the_bit(raw, width, data):
+    # any start site, first asked or already converted: the cached rows give
+    # the bits of the forms of the returned blocks
+    m = data.draw(st.integers(min_value=1, max_value=width - 1), label="m")
+    spinor = normalized(raw)
+    answer = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=width - m))
+    forms = _strip_forms(np.stack(absorption_matrices(m, width - m)), spinor)
+    got = [answer.p_left, answer.p_right, answer.trapped]
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in forms]
 
 
 def smallest_eigenvalue(x):
