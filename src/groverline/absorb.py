@@ -21,6 +21,15 @@ start site, converted to float rows once, the first time it is asked.
 geometry and :func:`absorption_profile` those of every start site of one
 strip; each answers every spinor.
 
+The blocks have a boundary layer: moving a wall one site farther from the
+start changes them (3 - 2 sqrt 2)^2 = 0.0294 times as much as the move
+before, the multiplier of the paper's Theorem 4 map p -> (2 + 3p)/(3 + 4p)
+at its fixed point 1/sqrt 2.  So every route reads geometry (M, N) at
+(min(M, K), min(N, K)) with K = :data:`_CLAMP` = 14, where the error of
+that truncation is below 1e-20, far below the solve's own rounding, and no
+strip wider than 2K is ever solved: the cache holds at most 2K - 1 widths,
+and a wider profile is assembled from at most K of them.
+
 Circle quadrature: the total absorption probability is also the sum of
 squared first-hit amplitudes, i.e. the Hadamard square of a generating
 function evaluated at 1, which turns into the circle average
@@ -400,8 +409,24 @@ def _two_boundary_integrand(m: int, n: int, spinor):
     return f
 
 
+#: K, the depth of the strips' boundary layer: a wall more than K sites from
+#: the start is read at distance K, X(M, N) = X(min(M, K), min(N, K)).  The
+#: blocks forget a wall's distance geometrically.  For M = 1 and coin R the
+#: left block's R-R entry is the orbit of Theorem 4's map
+#: p -> (2 + 3p)/(3 + 4p), whose multiplier at its fixed point 1/sqrt 2 is
+#: 1/(3 + 2 sqrt 2)^2 = (3 - 2 sqrt 2)^2 = 0.0294, and every entry of every
+#: block, at every M, converges at that rate per site (measured in the
+#: 80-bit reference of the tests).  The truncation error of the clamp at K,
+#: the largest entry change over all geometries, is measured at about
+#: 0.36 * 0.0294^(K - 1) for K = 4-11 (K = 10: 5.9e-15, K = 11: 1.8e-16);
+#: K = 14 is the least K that puts it below 1e-20, so the answer is a
+#: truncation whose error is bounded far below the solve's own rounding
+#: (about 1e-15).  Fixed, not a knob: there is one strip route.
+_CLAMP = 14
+
 #: Doublings before :func:`_mirror_doubling` gives up.  Its sum covers
-#: 2^k steps after k doublings; widths 2-60 stop after 5-21, 180 after 25.
+#: 2^k steps after k doublings; widths 2-28 (2K, the widest ever solved)
+#: stop after 5-17.
 _STEIN_MAX_DOUBLINGS = 64
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _SQRT_HALF = math.sqrt(0.5)
@@ -530,22 +555,44 @@ def _solve_strip(width: int) -> np.ndarray:
     return blocks
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=None)
 def _strip_cache(width: int) -> tuple[np.ndarray, list]:
     """One width's cached solve: its read-only blocks and one row slot per start site.
 
-    A slot starts as ``None``; :func:`prob_two_boundary` fills it with the
-    site's three blocks as nested float lists the first time it asks that
-    site, so each (width, site) is converted from the array once, and the
-    rows share the blocks' cache entry: they are bounded by its size and
-    dropped with it, by eviction or ``cache_clear``.
+    Only widths 2..2K are asked (:data:`_CLAMP`), so the cache is unbounded
+    and holds at most 2K - 1 entries.  A slot starts as ``None``;
+    :func:`prob_two_boundary` fills it with the site's three blocks as
+    nested float lists the first time it asks that site, so each (width,
+    site) is converted from the array once, and the rows share the blocks'
+    cache entry: they are dropped with it by ``cache_clear``.
     """
     return _solve_strip(width), [None] * (width - 1)
 
 
 def _strip_blocks(width: int) -> np.ndarray:
-    """The cached ``(3, W - 1, 3, 3)`` blocks of :func:`_solve_strip`, read-only."""
-    return _strip_cache(width)[0]
+    """The ``(3, W - 1, 3, 3)`` blocks of every start site, each at its clamped geometry.
+
+    Site s is geometry (s + 1, W - 1 - s), read at (min(s + 1, K),
+    min(W - 1 - s, K)) from the cached solve of that width.  Up to width
+    K + 1 no distance is clamped and this is the cached array itself;
+    above, a fresh read-only array is assembled from at most K cached
+    widths: one copied block per site within K of a wall, and the block of
+    (K, K) broadcast over the sites with both walls beyond K.  X_right
+    stays X_left's site-and-coin mirror to the bit, since each cached
+    width's is.
+    """
+    if width <= _CLAMP + 1:
+        return _strip_cache(width)[0]
+    sites = width - 1
+    out = np.empty((3, sites, 3, 3))
+    inner = range(_CLAMP, sites - _CLAMP)  # both walls beyond K
+    if inner:
+        out[:, inner.start : inner.stop] = _strip_cache(2 * _CLAMP)[0][:, _CLAMP - 1, None]
+    for s in (*range(_CLAMP), *range(max(_CLAMP, sites - _CLAMP), sites)):
+        m, n = min(s + 1, _CLAMP), min(sites - s, _CLAMP)
+        out[:, s] = _strip_cache(m + n)[0][:, m - 1]
+    out.flags.writeable = False
+    return out
 
 
 # the blocks and their rows are one cache entry, so clearing either clears both
@@ -603,12 +650,21 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     :func:`absorption_profile`.
     The returned arrays are fresh copies the caller may modify.
 
+    The blocks are read at the clamped geometry (min(m, K), min(n, K)),
+    K = :data:`_CLAMP` = 14, so no strip wider than 28 is solved.  That is
+    a truncation: a wall's distance moves the blocks less at each site, by
+    the factor (3 - 2 sqrt 2)^2 = 0.0294 of Theorem 4's recurrence at its
+    fixed point, and past K the whole remaining change is below 1e-20,
+    far below the solve's rounding.  Geometries with m, n <= K are solved
+    as they are.
+
     Each block is real symmetric, in ``(L, S, R)`` order, and for every unit
     spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to rounding (by
     construction), so one call answers every spinor of the geometry.
     """
     validate_input(left=m, right=n)
-    return tuple(b.copy() for b in _strip_blocks(int(m + n))[:, m - 1])
+    m, n = min(m, _CLAMP), min(n, _CLAMP)
+    return tuple(b.copy() for b in _strip_cache(int(m + n))[0][:, m - 1])
 
 
 def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -620,6 +676,13 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     +(width - 1 - s), so psi^H X_left[s] psi is the paper's two-boundary
     left absorption probability for that geometry, and the three blocks
     of every entry sum to the identity.  The arrays are fresh copies.
+
+    Each entry is read at its clamped geometry, as in
+    :func:`absorption_matrices`, to the bit: up to width 15 that is one
+    solve of the strip, and a wider profile is assembled in O(width) from
+    at most K = 14 cached solves of widths up to 28, with the block of
+    (14, 14) on every site more than 14 sites from both walls.  The clamp's
+    truncation error is below 1e-20.
     """
     validate_steps(width, 2, "width")
     return tuple(b.copy() for b in _strip_blocks(int(width)))
@@ -631,7 +694,8 @@ def prob_two_boundary(
     """Both-sided absorption for boundaries at -M and +N.
 
     With ``spec=None`` (production) both sides are the forms psi^H X psi of
-    :func:`absorption_matrices`, ``trapped`` is psi^H P_trapped psi, and
+    :func:`absorption_matrices`, read at the clamped geometry
+    (min(M, 14), min(N, 14)), ``trapped`` is psi^H P_trapped psi, and
     ``error_estimate`` is the ledger residual
     |psi^H (X_left + X_right + P_trapped) psi - 1|.  The solve builds the
     blocks so that this ledger holds, so the residual reads rounding only;
@@ -653,14 +717,17 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        # the query is validated: read its start site's blocks as the float
-        # rows kept in the width's cache entry, converted from the read-only
-        # array the first time this width and site are asked
-        site = query.left - 1
-        blocks, rows = _strip_cache(int(query.left + query.right))
-        row = rows[site]
+        # the query is validated: read its clamped geometry's start-site
+        # blocks as the float rows kept in the width's cache entry, converted
+        # from the read-only array the first time this width and site are
+        # asked (conditional expressions: two min() calls cost more)
+        m, n = query.left, query.right
+        m = m if m < _CLAMP else _CLAMP
+        n = n if n < _CLAMP else _CLAMP
+        blocks, rows = _strip_cache(int(m + n))
+        row = rows[m - 1]
         if row is None:
-            row = rows[site] = blocks[:, site].tolist()
+            row = rows[m - 1] = blocks[:, m - 1].tolist()
         p_left, p_right, trapped = _strip_forms(row, query.spinor)
         total = p_left + p_right
         return AbsorptionAnswer(
@@ -767,6 +834,12 @@ def table1(
     and each deficit is 1 - total; at the default ``left = 2`` every total
     lies in [0.5, 1], where 1 - total is exact, so the step is the
     difference of the totals to the bit.
+
+    The exact route reads every right boundary n >= K = 14 at 14
+    (:func:`absorption_matrices`), so with ``spec=None`` the deficit step
+    of every row n >= 14 is exactly 0.0 and its ``log2_deficit`` is None:
+    the true step there is below 1e-20, where the unclamped solve gave
+    only rounding noise.
     """
     validate_steps(max_n, 2, "max_n")
     queries = [

@@ -76,13 +76,19 @@ def grover_coin() -> np.ndarray:
     return (2.0 * np.ones((3, 3)) - 3.0 * np.eye(3)) / 3.0
 
 
-def validate_input(spinor=None, **boundaries) -> None:
+#: ``validate_input``'s default spinor: a boundary-only call checks no spinor.
+#: A private sentinel, not ``None``, so a ``None`` spinor is refused like
+#: any other non-sequence.
+_NO_SPINOR = object()
+
+
+def validate_input(spinor=_NO_SPINOR, **boundaries) -> None:
     """Reject a spinor or boundary distance that no route can start from.
 
     The one check behind every entry point that takes these inputs.
-    ``spinor`` (skipped when ``None``) must be a sequence of three finite
-    numbers (``bool`` and strings do not count) with unit squared norm
-    within ``INIT_NORM_TOL``; nothing is rescaled.
+    ``spinor`` (skipped only when not passed) must be a sequence of three
+    finite numbers (``bool``, strings and ``None`` do not count) with unit
+    squared norm within ``INIT_NORM_TOL``; nothing is rescaled.
     Each keyword names a boundary distance (``None`` means no boundary on
     that side), which must be an integer >= 1; ``bool`` does not count as
     an integer here.  Raises :class:`ValueError` on the first violation.
@@ -98,7 +104,7 @@ def validate_input(spinor=None, **boundaries) -> None:
             continue
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
             raise ValueError(f"{name} boundary must be an integer >= 1, got {v!r}")
-    if spinor is None:
+    if spinor is _NO_SPINOR:
         return
     # messages name a component's index and type, never its value: the repr
     # of an integer beyond 4300 digits raises a ValueError of its own

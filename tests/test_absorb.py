@@ -34,7 +34,7 @@ from groverline.absorb import (
     theorem4_sequence,
 )
 from groverline.genfun import BranchPointError, r_closed
-from groverline.walk import BoundarySpec, CoinSpinor, run_walk
+from groverline.walk import BoundarySpec, CoinSpinor, run_walk, validate_input
 
 from test_series import BAD_COUNTS
 
@@ -404,6 +404,23 @@ class TestTwoBoundary:
         fresh = absorb._strip_cache(7)[1][2]
         assert fresh is not row and fresh == row
 
+    def test_far_walls_read_the_clamped_geometry(self):
+        # a wall beyond K is read at K: (20, 40), (14, 40) and (20, 14) are
+        # the query of (14, 14) to the bit and share its converted row, and
+        # (3, 40) is (3, 14); no width above 2K enters the cache
+        k = absorb._CLAMP
+        spinor = (0.48, -0.6, 0.64j)
+        absorb._strip_blocks.cache_clear()
+        want = prob_two_boundary(AbsorptionQuery(spinor, left=k, right=k))
+        row = absorb._strip_cache(2 * k)[1][k - 1]
+        for m, n in ((20, 40), (k, 40), (20, k), (np.int64(100), np.int64(100))):
+            assert prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n)) == want
+        assert absorb._strip_cache(2 * k)[1][k - 1] is row
+        assert prob_two_boundary(AbsorptionQuery(spinor, left=3, right=40)) == prob_two_boundary(
+            AbsorptionQuery(spinor, left=3, right=k)
+        )
+        assert absorb._strip_cache.cache_info().currsize == 2
+
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and
         # the deficit is the directly computed trapped mass, never 1 - total;
@@ -492,18 +509,31 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "spinor",
         [("1", 0, 0), 5, (True, False, False), (np.True_, 0, 0),
-         (10 ** 400, 0, 0), (1e200, 0, 0)],
+         (10 ** 400, 0, 0), (1e200, 0, 0), None],
         ids=["str", "scalar", "bool", "numpy-bool", "int-beyond-float",
-             "norm-beyond-float"],
+             "norm-beyond-float", "none"],
     )
     def test_malformed_spinor_is_value_error(self, spinor):
         with pytest.raises(ValueError, match="spinor"):
             prob_one_boundary(1, spinor)
         with pytest.raises(ValueError, match="spinor"):
             AbsorptionQuery(spinor, left=1, right=2)
+        with pytest.raises(ValueError, match="spinor"):
+            AbsorptionQuery(spinor, right=1)
         if isinstance(spinor, tuple):
             with pytest.raises(ValueError, match="spinor"):
                 run_walk(CoinSpinor(*spinor), BoundarySpec(left=1), 3)
+
+    def test_none_spinor_is_not_a_missing_spinor(self):
+        # validate_input skips the spinor only when none is passed; the
+        # boundary-only callers keep working
+        with pytest.raises(ValueError, match="spinor must be a sequence, got NoneType"):
+            validate_input(None, left=1, right=2)
+        with pytest.raises(ValueError, match="spinor must be a sequence, got NoneType"):
+            validate_input(None)
+        validate_input(left=1, right=2)
+        assert BoundarySpec(left=1, right=2).right == 2
+        assert absorption_matrices(1, 2)[0].shape == (3, 3)
 
     def test_message_names_the_component_not_its_value(self):
         # formatting an integer of more than 4300 digits raises Python's own
@@ -793,3 +823,17 @@ class TestTable1:
     def test_validation(self):
         with pytest.raises(ValueError):
             table1(max_n=1)
+
+    def test_steps_past_the_clamp_are_zero(self, rows):
+        # the exact route reads every right boundary n >= K at K, so those
+        # deficit steps are exactly 0.0 (the true step is below 1e-20);
+        # rows n <= 6 are unchanged to the bit
+        wide = table1(max_n=20)
+        k = absorb._CLAMP
+        assert wide[:5] == rows[:5]
+        assert dataclasses.replace(wide[5], deficit_scaled=None, log2_deficit=None) == rows[5]
+        assert wide[5].deficit_scaled > 0
+        for row in wide[k - 1 : -1]:
+            assert row.deficit_scaled == 0.0 and row.log2_deficit is None
+        assert wide[-1].deficit_scaled is None
+        assert all(row.precision_ok for row in wide)

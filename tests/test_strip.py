@@ -8,6 +8,9 @@ quadrature, which is the reference here,
 ``strip_oracle`` keeps the dense construction with one SVD and one scipy
 Stein solve per side and an 80-bit construction with no LAPACK call, and
 theorem4's recurrence run in ``Fraction`` gives one block entry exactly.
+Every route reads a geometry at its boundary-layer clamp
+(min(M, K), min(N, K)); the clamp is held to the 80-bit reference, to a
+direct solve of the unclamped width, and to the per-site rate it rests on.
 """
 
 import math
@@ -32,6 +35,8 @@ from test_series import BAD_COUNTS
 SWEEP = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 6, 8, 10, 12)]
 J = np.eye(3)[::-1]  # reverses the coin order (L, S, R) -> (R, S, L)
 REFERENCE_WIDTHS = [*range(2, 41), 50, 60]
+K = absorb._CLAMP
+RATE = (3 - 2 * math.sqrt(2)) ** 2  # Theorem 4's multiplier at 1/sqrt(2)
 EXTENDED = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-18,
     reason="the 80-bit reference needs an extended-precision np.longdouble",
@@ -93,7 +98,8 @@ def exact_theorem4(max_n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 40, 59, 79])
 def test_start_entry_is_the_exact_recurrence(n):
     # boundary adjacent on the left, coin R: X_left's R-R entry is p_n
-    # exactly; measured at most 1.3e-14 off over n = 1..79
+    # exactly; measured at most 3.4e-16 off over n = 1..79 (n >= K reads
+    # p_K, 1.3e-14 off unclamped)
     exact = exact_theorem4(n)[n]
     assert abs(absorption_matrices(1, n)[0][2, 2] - float(exact)) < 5e-14
 
@@ -202,7 +208,7 @@ def test_agrees_with_dense_oracle(m, n):
     assert np.max(np.abs(oracle[1] - J @ oracle_left_mirrored @ J)) < 1e-13
 
 
-@pytest.mark.parametrize("width", [2, 3, 7, 15, 40])
+@pytest.mark.parametrize("width", [2, 3, 7, 15, 16, 28, 29, 40, 300])
 def test_profile_is_every_start_site(width):
     x_left, x_right, trapped = absorption_profile(width)
     assert x_left.shape == x_right.shape == trapped.shape == (width - 1, 3, 3)
@@ -214,7 +220,7 @@ def test_profile_is_every_start_site(width):
             assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("width", [2, 3, 7, 40])
+@pytest.mark.parametrize("width", [2, 3, 7, 40, 300])
 def test_cache_is_one_read_only_array(width):
     blocks = absorb._strip_blocks(width)
     assert isinstance(blocks, np.ndarray)
@@ -264,8 +270,9 @@ def test_longdouble_reference_is_exact(width):
 @EXTENDED
 @pytest.mark.parametrize("width", REFERENCE_WIDTHS)
 def test_agrees_with_longdouble_reference(width):
-    # every start site; measured at most 2.7e-15 (width 60), with one BLAS
-    # thread or two
+    # every start site, clamped above width K + 1; measured at most 7.6e-16
+    # (the solve of width 20), with one BLAS thread or two (2.7e-15 at width
+    # 60 unclamped)
     blocks = absorb._strip_blocks(width)
     assert np.max(np.abs(blocks - longdouble_strip_blocks(width))) < 2e-14
 
@@ -298,3 +305,96 @@ def test_strip_solve_needs_no_factorization(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     x_left, x_right, trapped = absorption_profile(25)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
+
+
+def test_clamp_depth_follows_from_the_rate():
+    # the clamp's truncation error at K is about 0.36 * RATE^(K - 1) (pinned
+    # in the 80-bit reference below); K is the least K that puts it below 1e-20
+    assert 0.36 * RATE ** (K - 1) < 1e-20 <= 0.36 * RATE ** (K - 2)
+
+
+def clamped(m, n, k=K):
+    return min(m, k), min(n, k)
+
+
+@EXTENDED
+@pytest.mark.parametrize("width", range(2, 61))
+def test_clamp_agrees_with_longdouble_reference(width):
+    # every geometry of the width, read at its clamped geometry; measured at
+    # most 7.6e-16 (width 20 and up: the solve of width 20 itself)
+    ref = longdouble_strip_blocks(width)
+    for m in range(1, width):
+        for x, y in zip(absorption_matrices(m, width - m), ref[:, m - 1]):
+            assert np.max(np.abs(x - y)) < 1e-15
+
+
+@EXTENDED
+@pytest.mark.parametrize("k", [6, 8])
+def test_clamp_error_is_geometric_in_the_depth(k):
+    # in the 80-bit reference alone: clamping at depth k moves the blocks
+    # by 0.3546 * RATE^(k - 1) at k = 6 and 0.3537 * RATE^(k - 1) at k = 8,
+    # the largest change over every geometry of widths 2-40
+    worst = max(
+        float(np.max(np.abs(
+            longdouble_strip_blocks(w)[:, m - 1]
+            - longdouble_strip_blocks(sum(clamped(m, w - m, k)))[:, min(m, k) - 1]
+        )))
+        for w in range(2, 41)
+        for m in range(1, w)
+    )
+    assert 0.3 * RATE ** (k - 1) < worst < 0.36 * RATE ** (k - 1)
+
+
+@EXTENDED
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_blocks_forget_the_wall_at_the_theorem4_rate(m):
+    # the step d_N = X(m, N + 1) - X(m, N) of all three blocks, Frobenius
+    # norm: d_(N+1) / d_N within 2% of RATE for N = 3..9 (measured 0.65% off
+    # at N = 3, 0.08% at N = 4, below 0.01% from N = 6)
+    def block(n):
+        return longdouble_strip_blocks(m + n)[:, m - 1]
+
+    steps = [float(np.sqrt(np.sum((block(n + 1) - block(n)) ** 2))) for n in range(3, 11)]
+    for n, (a, b) in enumerate(zip(steps, steps[1:]), start=3):
+        assert b / a == pytest.approx(RATE, rel=0.02), n
+
+
+@pytest.mark.parametrize("width", range(61, 201))
+def test_clamp_agrees_with_the_unclamped_solve(width):
+    # the left edge layer against a direct solve of the whole width (the
+    # right one is its mirror); measured at most 9.1e-15 (width 200), the
+    # direct solve's own drift, which grows with the width
+    direct = absorb._solve_strip(width)
+    for m in range(1, K + 1):
+        for x, y in zip(absorption_matrices(m, width - m), direct[:, m - 1]):
+            assert np.max(np.abs(x - y)) < 2e-14
+
+
+def test_no_strip_wider_than_2k_is_solved(monkeypatch):
+    solved = []
+    solve = absorb._solve_strip
+
+    def spy(width):
+        solved.append(width)
+        return solve(width)
+
+    absorb._strip_blocks.cache_clear()
+    monkeypatch.setattr(absorb, "_solve_strip", spy)
+    x_left, x_right, trapped = absorption_matrices(60, 120)
+    assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
+    profile = absorption_profile(300)
+    assert [b.shape for b in profile] == [(299, 3, 3)] * 3
+    answer = prob_two_boundary(AbsorptionQuery((0.6, 0.8j, 0), left=20, right=40))
+    assert abs(answer.total + answer.trapped - 1) < 1e-12
+    assert solved and max(solved) <= 2 * K
+    # the profile's K edge widths K + 1..2K, each solved once
+    assert sorted(solved) == list(range(K + 1, 2 * K + 1))
+
+
+def test_cache_holds_at_most_2k_minus_1_widths():
+    for width in (*range(2, 81), 150, 300):
+        absorption_profile(width)
+        for m in (1, K - 1, K, K + 1, width // 2):
+            if m < width:
+                absorption_matrices(m, width - m)
+    assert absorb._strip_cache.cache_info().currsize <= 2 * K - 1
