@@ -66,7 +66,6 @@ from .walk import (
     BoundarySpec,
     CoinSpinor,
     WindowWalk,
-    evolve,
     grover_coin,
     run_walk,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "absorption_profile",
     "delta",
     "delta_on_circle",
-    "evolve",
     "grover_coin",
     "integrate_periodic",
     "l_closed",

@@ -19,16 +19,18 @@ Gram terms with the blocks' entries, in plain floats: the entries of its
 start site, converted to float rows once, the first time it is asked.
 :func:`absorption_matrices` returns the three start-site blocks of one
 geometry and :func:`absorption_profile` those of every start site of one
-strip; each answers every spinor.
+strip; each answers every spinor.  All three routes read the cache
+through one lookup, ``_site_rows``.
 
 The blocks have a boundary layer: moving a wall one site farther from the
 start changes them (3 - 2 sqrt 2)^2 = 0.0294 times as much as the move
 before, the multiplier of the paper's Theorem 4 map p -> (2 + 3p)/(3 + 4p)
-at its fixed point 1/sqrt 2.  So every route reads geometry (M, N) at
+at its fixed point 1/sqrt 2.  So that lookup reads geometry (M, N) at
 (min(M, K), min(N, K)) with K = :data:`_CLAMP` = 14, where the error of
 that truncation is below 1e-20, far below the solve's own rounding, and no
 strip wider than 2K is ever solved: the cache holds at most 2K - 1 widths,
-and a wider profile is assembled from at most K of them.
+and a wider profile reads at most K of them, broadcasting the block of
+(K, K) over the sites beyond K from both walls.
 
 Circle quadrature: the total absorption probability is also the sum of
 squared first-hit amplitudes, i.e. the Hadamard square of a generating
@@ -255,30 +257,18 @@ def _adaptive_split(f, spec: QuadratureSpec) -> tuple[float, float]:
     return value, abserr
 
 
-def _components(spinor):
-    """The spinor's components as a tuple, taken once.
-
-    A one-shot iterable is consumed here, so the validator and the route
-    read the same components; an object that cannot be iterated is passed
-    on as it is, for :func:`validate_input` to refuse by its type.
-    """
-    try:
-        return tuple(spinor)
-    except TypeError:
-        return spinor
-
-
 @dataclass(frozen=True, init=False)
 class AbsorptionQuery:
     """Initial spinor plus at least one absorbing boundary.
 
-    The spinor is stored as the tuple of its validated components, so a
-    one-shot iterable answers like its tuple and a query built from a
-    numpy array hashes.  ``__init__`` is written out: the generated one of a
-    frozen dataclass sets each field through its own ``object.__setattr__``
-    call and then calls ``__post_init__``, while this one runs the boundary
-    check and the :func:`validate_input` call and then fills the instance's
-    ``__dict__`` in one call.  Fields, defaults, signature, ``==``, ``hash``
+    The spinor is stored as the tuple of components that
+    :func:`validate_input` returns, so a one-shot iterable is read once and
+    answers like its tuple, and a query built from a numpy array hashes.
+    ``__init__`` is written out: the generated one of a frozen dataclass
+    sets each field through its own ``object.__setattr__`` call and then
+    calls ``__post_init__``, while this one runs the boundary check and the
+    :func:`validate_input` call and then fills the instance's ``__dict__``
+    in one call.  Fields, defaults, signature, ``==``, ``hash``
     and ``repr`` are the dataclass's, and :func:`dataclasses.replace` calls
     this ``__init__``, so it validates again.  A NamedTuple would build as
     fast, but it is a tuple: it equals a bare tuple of its values, and
@@ -297,8 +287,7 @@ class AbsorptionQuery:
     ) -> None:
         if left is None and right is None:
             raise ValueError("at least one boundary is required")
-        spinor = _components(spinor)
-        validate_input(spinor, left=left, right=right)
+        spinor = validate_input(spinor, left=left, right=right)
         self.__dict__.update(spinor=spinor, left=left, right=right)
 
     @property
@@ -382,15 +371,8 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
     ``QuadratureSpec("adaptive-split", ...)`` for scipy's adaptive
     quadrature as a cross-check.
     """
-    value, _ = _one_boundary_value(m, spinor, spec)
-    return value
-
-
-def _one_boundary_value(m, spinor, spec=None) -> tuple[float, float]:
-    spinor = _components(spinor)
-    validate_input(spinor, m=m)
-    spec = spec or _ONE_BOUNDARY_SPEC
-    return integrate_periodic(_one_boundary_integrand(m, spinor), spec)
+    spinor = validate_input(spinor, m=m)
+    return integrate_periodic(_one_boundary_integrand(m, spinor), spec or _ONE_BOUNDARY_SPEC)[0]
 
 
 def _two_boundary_integrand(m: int, n: int, spinor):
@@ -561,42 +543,32 @@ def _strip_cache(width: int) -> tuple[np.ndarray, list]:
 
     Only widths 2..2K are asked (:data:`_CLAMP`), so the cache is unbounded
     and holds at most 2K - 1 entries.  A slot starts as ``None``;
-    :func:`prob_two_boundary` fills it with the site's three blocks as
-    nested float lists the first time it asks that site, so each (width,
+    :func:`_site_rows` fills it with the site's three blocks as nested
+    float lists the first time any route asks that site, so each (width,
     site) is converted from the array once, and the rows share the blocks'
-    cache entry: they are dropped with it by ``cache_clear``.
+    cache entry: ``_strip_cache.cache_clear`` drops both.
     """
     return _solve_strip(width), [None] * (width - 1)
 
 
-def _strip_blocks(width: int) -> np.ndarray:
-    """The ``(3, W - 1, 3, 3)`` blocks of every start site, each at its clamped geometry.
+def _site_rows(m: int, n: int) -> list:
+    """The three start-site blocks of geometry (m, n) as nested float lists.
 
-    Site s is geometry (s + 1, W - 1 - s), read at (min(s + 1, K),
-    min(W - 1 - s, K)) from the cached solve of that width.  Up to width
-    K + 1 no distance is clamped and this is the cached array itself;
-    above, a fresh read-only array is assembled from at most K cached
-    widths: one copied block per site within K of a wall, and the block of
-    (K, K) broadcast over the sites with both walls beyond K.  X_right
-    stays X_left's site-and-coin mirror to the bit, since each cached
-    width's is.
+    The one reader of the strip cache, and the one place the clamp is
+    applied: (m, n) is read at (min(m, K), min(n, K)), K = :data:`_CLAMP`,
+    with conditional expressions (two ``min()`` calls cost more on a
+    cached query).  The rows are converted from the cached array the first
+    time the clamped (width, site) is asked and kept in its slot; they are
+    the array's entries, so ``np.array(rows)`` gives its blocks to the bit.
+    ``m`` and ``n`` must be validated boundary distances.
     """
-    if width <= _CLAMP + 1:
-        return _strip_cache(width)[0]
-    sites = width - 1
-    out = np.empty((3, sites, 3, 3))
-    inner = range(_CLAMP, sites - _CLAMP)  # both walls beyond K
-    if inner:
-        out[:, inner.start : inner.stop] = _strip_cache(2 * _CLAMP)[0][:, _CLAMP - 1, None]
-    for s in (*range(_CLAMP), *range(max(_CLAMP, sites - _CLAMP), sites)):
-        m, n = min(s + 1, _CLAMP), min(sites - s, _CLAMP)
-        out[:, s] = _strip_cache(m + n)[0][:, m - 1]
-    out.flags.writeable = False
-    return out
-
-
-# the blocks and their rows are one cache entry, so clearing either clears both
-_strip_blocks.cache_clear = _strip_cache.cache_clear
+    m = m if m < _CLAMP else _CLAMP
+    n = n if n < _CLAMP else _CLAMP
+    blocks, rows = _strip_cache(int(m + n))
+    row = rows[m - 1]
+    if row is None:
+        row = rows[m - 1] = blocks[:, m - 1].tolist()
+    return row
 
 
 def _strip_forms(blocks, spinor) -> list[float]:
@@ -648,7 +620,8 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     half-size doubling) is done once per width and cached as one read-only
     array that every (m, n) with the same sum reads; see
     :func:`absorption_profile`.
-    The returned arrays are fresh copies the caller may modify.
+    The returned arrays are built anew from the site's cached float rows,
+    to the bit of the cached blocks; the caller may modify them.
 
     The blocks are read at the clamped geometry (min(m, K), min(n, K)),
     K = :data:`_CLAMP` = 14, so no strip wider than 28 is solved.  That is
@@ -663,8 +636,7 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     construction), so one call answers every spinor of the geometry.
     """
     validate_input(left=m, right=n)
-    m, n = min(m, _CLAMP), min(n, _CLAMP)
-    return tuple(b.copy() for b in _strip_cache(int(m + n))[0][:, m - 1])
+    return tuple(np.array(_site_rows(m, n)))
 
 
 def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -675,17 +647,29 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the :func:`absorption_matrices` blocks of boundaries at -(s + 1) and
     +(width - 1 - s), so psi^H X_left[s] psi is the paper's two-boundary
     left absorption probability for that geometry, and the three blocks
-    of every entry sum to the identity.  The arrays are fresh copies.
+    of every entry sum to the identity.  The arrays are fresh (three views
+    of one new array) and share no memory with the cache.
 
     Each entry is read at its clamped geometry, as in
     :func:`absorption_matrices`, to the bit: up to width 15 that is one
     solve of the strip, and a wider profile is assembled in O(width) from
-    at most K = 14 cached solves of widths up to 28, with the block of
-    (14, 14) on every site more than 14 sites from both walls.  The clamp's
-    truncation error is below 1e-20.
+    at most K = 14 cached solves of widths up to 28.  Only the at most 2K
+    sites within K of a wall are read one by one; the block of (14, 14) is
+    broadcast over every site farther than that from both walls.  X_right
+    stays X_left's site-and-coin mirror to the bit, since each cached
+    width's is.  The clamp's truncation error is below 1e-20.
     """
     validate_steps(width, 2, "width")
-    return tuple(b.copy() for b in _strip_blocks(int(width)))
+    width = int(width)
+    out = np.empty((3, width - 1, 3, 3))
+    sites = range(width - 1)
+    head, rest = sites[:_CLAMP], sites[_CLAMP:]
+    inner, tail = rest[:-_CLAMP], rest[-_CLAMP:]
+    if inner:  # both walls beyond K
+        out[:, inner.start:inner.stop] = np.array(_site_rows(_CLAMP, _CLAMP))[:, None]
+    near = [*head, *tail]
+    out[:, near] = np.array([_site_rows(s + 1, width - 1 - s) for s in near]).swapaxes(0, 1)
+    return tuple(out)
 
 
 def prob_two_boundary(
@@ -717,18 +701,8 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        # the query is validated: read its clamped geometry's start-site
-        # blocks as the float rows kept in the width's cache entry, converted
-        # from the read-only array the first time this width and site are
-        # asked (conditional expressions: two min() calls cost more)
-        m, n = query.left, query.right
-        m = m if m < _CLAMP else _CLAMP
-        n = n if n < _CLAMP else _CLAMP
-        blocks, rows = _strip_cache(int(m + n))
-        row = rows[m - 1]
-        if row is None:
-            row = rows[m - 1] = blocks[:, m - 1].tolist()
-        p_left, p_right, trapped = _strip_forms(row, query.spinor)
+        # the query is validated: read its clamped geometry's cached rows
+        p_left, p_right, trapped = _strip_forms(_site_rows(query.left, query.right), query.spinor)
         total = p_left + p_right
         return AbsorptionAnswer(
             p_left=p_left,
@@ -772,7 +746,10 @@ def absorption_answer(
     m, spinor = (
         (query.left, query.spinor) if left else (query.right, query.reversed_spinor)
     )
-    value, err = _one_boundary_value(m, spinor, spec)
+    # the query's spinor and boundary are validated: integrate straight away
+    value, err = integrate_periodic(
+        _one_boundary_integrand(m, spinor), spec or _ONE_BOUNDARY_SPEC
+    )
     return AbsorptionAnswer(
         p_left=value if left else None,
         p_right=None if left else value,
@@ -820,10 +797,8 @@ class Table1Row:
     precision_ok: bool
 
 
-def table1(
-    max_n: int = 6, spec: QuadratureSpec | None = None, left: int = 2
-) -> list[Table1Row]:
-    """Left/right/total absorption for right boundaries 1..max_n, coin R.
+def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row]:
+    """Left/right/total absorption for right boundaries 1..max_n, left at 2, coin R.
 
     The deficit column is scaled by 1e12 and reported with its log2, per
     the reference table's convention.  The deficit step s(n) - s(n+1) is
@@ -831,7 +806,7 @@ def table1(
     strip route answers and each deficit is the directly computed trapped
     mass, which loses less to cancellation than the difference of the
     totals.  With a :class:`QuadratureSpec` the circle quadrature answers
-    and each deficit is 1 - total; at the default ``left = 2`` every total
+    and each deficit is 1 - total; with the left boundary at 2 every total
     lies in [0.5, 1], where 1 - total is exact, so the step is the
     difference of the totals to the bit.
 
@@ -843,7 +818,7 @@ def table1(
     """
     validate_steps(max_n, 2, "max_n")
     queries = [
-        AbsorptionQuery(spinor=(0, 0, 1), left=left, right=n)
+        AbsorptionQuery(spinor=(0, 0, 1), left=2, right=n)
         for n in range(1, max_n + 1)
     ]
     answers = [prob_two_boundary(q, spec) for q in queries]

@@ -32,38 +32,36 @@ from .absorb import (
     theorem4_sequence,
 )
 from .localize import oscillation_trace
-from .walk import BoundarySpec, CoinSpinor, WindowWalk, evolve, validate_input, validate_steps
+from .walk import BoundarySpec, CoinSpinor, WindowWalk, validate_input, validate_steps
 
 __all__ = ["main"]
 
 
-def _format_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return f"{float(x):.12g}"
+def _cell(x):
+    """One table cell: ``None``, an ``int``, or any other number as 12-digit text.
 
-
-def _json_cell(x):
+    The CSV writer prints ``None`` as an empty field and the text as it
+    is; JSON keeps ``None`` and the ``int`` and reads the text back as a
+    float.  ``bool`` counts as a float.
+    """
     if x is None:
         return None
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
-    return float(f"{float(x):.12g}")
+    return f"{float(x):.12g}"
 
 
 def _render(columns, rows, fmt: str) -> str:
+    cells = [[_cell(x) for x in row] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(x) for x in row])
+        writer.writerows(cells)
         return buf.getvalue()
     payload = {
         "columns": list(columns),
-        "rows": [[_json_cell(x) for x in row] for row in rows],
+        "rows": [[float(c) if isinstance(c, str) else c for c in row] for row in cells],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -248,16 +246,16 @@ def _cmd_simulate(args) -> tuple[tuple, list, int]:
     if bounds.any:
         if args.snapshots is not None:
             raise ValueError("--snapshots applies to boundary-free runs only")
+        engine = WindowWalk(init, bounds, args.steps)
         rows = [(0, 0.0, 0.0, 1.0)]
         cum_l = cum_r = 0.0
-        for engine in evolve(init, bounds, args.steps):
-            if not engine.t:
-                continue
+        for t in range(1, args.steps + 1):
+            engine.advance(1)
             if bounds.left is not None:
                 cum_l += abs(engine.hit_left[-1]) ** 2
             if bounds.right is not None:
                 cum_r += abs(engine.hit_right[-1]) ** 2
-            rows.append((engine.t, cum_l, cum_r, engine.norm2()))
+            rows.append((t, cum_l, cum_r, engine.norm2()))
         return ("t", "cum_left", "cum_right", "residual_norm"), rows, 0
     if args.snapshots is None:
         times = [args.steps]

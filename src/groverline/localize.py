@@ -6,9 +6,9 @@ time-averaged profile has twin peaks at the start's two neighbors with
 geometric tails, and a single absorbing boundary can leave a large
 never-absorbed remainder parked next to it.  These helpers read them off
 the walk engine, :class:`~groverline.walk.WindowWalk`: a trace of every
-step through :func:`~groverline.walk.evolve`, anything else by advancing
-the engine straight to the times it reads.  The infinite-time profile,
-the start state's flat-band projection, is in closed form.
+step by ``advance(1)`` in its own loop, anything else by advancing the
+engine straight to the times it reads.  The infinite-time profile, the
+start state's flat-band projection, is in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import BoundarySpec, CoinSpinor, WindowWalk, evolve, validate_steps
+from .walk import BoundarySpec, CoinSpinor, WindowWalk, validate_steps
 
 __all__ = [
     "OscillationTrace",
@@ -52,12 +52,12 @@ def oscillation_trace(
     """
     validate_steps(steps, 1)
     init = init or CoinSpinor(0, 0, 1)
-    walk = evolve(init, BoundarySpec(), steps)
-    engine = next(walk)
+    engine = WindowWalk(init, BoundarySpec(), steps)
     i = engine.index(-1)
     amps = np.empty((steps, 3, 2), dtype=complex)
-    for w in walk:
-        amps[w.t - 1] = w.amps[:, i:i + 2]
+    for t in range(steps):
+        engine.advance(1)
+        amps[t] = engine.amps[:, i:i + 2]
     probs = np.sum(np.abs(amps) ** 2, axis=1)
     return OscillationTrace(
         steps=np.arange(1, steps + 1),

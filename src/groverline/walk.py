@@ -12,15 +12,14 @@ The production engine is the dense :class:`WindowWalk`: it multiplies
 only the light cone of the start, padded by a fixed block of zero columns,
 with the coin and the shift fused into one matrix product per step, and
 is fast enough for thousands of steps.  Its one stepping loop is
-:meth:`WindowWalk.advance`, which runs any number of steps;
-:meth:`WindowWalk.step` is one of them.  Every simulator entry point goes
-through it: :func:`run_walk`, ``residual_near_origin`` and the
-``simulate`` command's snapshots jump straight to the times they read,
-and observers of every step (the ``simulate`` rows with boundaries, the
-localization traces) use the generator :func:`evolve`, which steps it one
-step at a time.  The engine validates the start spinor and the step count.
-:func:`run_walk` returns an :class:`AbsorptionReport` of the per-step hit
-amplitudes and masses and the residual norm.
+:meth:`WindowWalk.advance`, which runs any number of steps, and every
+simulator entry point goes through it: :func:`run_walk`,
+``residual_near_origin`` and the ``simulate`` command's snapshots jump
+straight to the times they read, and observers of every step (the
+``simulate`` rows with boundaries, the localization trace) call
+``advance(1)`` in their own loop.  The engine validates the start spinor
+and the step count.  :func:`run_walk` returns an :class:`AbsorptionReport`
+of the per-step hit amplitudes and masses and the residual norm.
 
 The module holds only that engine and what drives it.  The sparse,
 value-semantic walk the tests check the engine against shares no code
@@ -32,7 +31,6 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +39,6 @@ __all__ = [
     "BoundarySpec",
     "AbsorptionReport",
     "WindowWalk",
-    "evolve",
     "grover_coin",
     "validate_input",
     "validate_steps",
@@ -82,7 +79,7 @@ def grover_coin() -> np.ndarray:
 _NO_SPINOR = object()
 
 
-def validate_input(spinor=_NO_SPINOR, **boundaries) -> None:
+def validate_input(spinor=_NO_SPINOR, **boundaries) -> tuple | None:
     """Reject a spinor or boundary distance that no route can start from.
 
     The one check behind every entry point that takes these inputs.
@@ -92,6 +89,10 @@ def validate_input(spinor=_NO_SPINOR, **boundaries) -> None:
     Each keyword names a boundary distance (``None`` means no boundary on
     that side), which must be an integer >= 1; ``bool`` does not count as
     an integer here.  Raises :class:`ValueError` on the first violation.
+
+    Returns the tuple of the components it checked, taken from ``spinor``
+    once, so a one-shot iterable is consumed here and the caller computes
+    with exactly what passed; ``None`` when no spinor is passed.
 
     Exact built-in types (``int`` boundaries, ``complex``, ``float`` and
     ``int`` components) pass before the slower abstract-base-class checks,
@@ -105,7 +106,7 @@ def validate_input(spinor=_NO_SPINOR, **boundaries) -> None:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
             raise ValueError(f"{name} boundary must be an integer >= 1, got {v!r}")
     if spinor is _NO_SPINOR:
-        return
+        return None
     # messages name a component's index and type, never its value: the repr
     # of an integer beyond 4300 digits raises a ValueError of its own
     try:
@@ -131,6 +132,7 @@ def validate_input(spinor=_NO_SPINOR, **boundaries) -> None:
         raise ValueError(
             f"spinor must have unit norm within {INIT_NORM_TOL}, got squared norm {n2!r}"
         )
+    return comps
 
 
 def validate_steps(steps, minimum: int = 0, name: str = "steps") -> None:
@@ -191,7 +193,7 @@ class WindowWalk:
     advancing further raises.
 
     :meth:`advance` is the one stepping loop: it runs n steps with its
-    per-step state in locals, and :meth:`step` is ``advance(1)``.  A
+    per-step state in locals, and the only way to step the engine.  A
     bounded side's boundary site is a *sink column*: the product writes
     into it but never multiplies it, so mass that lands there goes no
     further.  Only the L component can land on the left boundary (from
@@ -348,10 +350,6 @@ class WindowWalk:
         if record_right is not None:
             amps[2, -1] = 0j
 
-    def step(self) -> None:
-        """Advance one step: ``advance(1)``."""
-        self.advance(1)
-
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
@@ -364,29 +362,6 @@ class WindowWalk:
         i0 = max(0, self.index(-radius))
         i1 = min(self.width, self.index(radius) + 1)
         return float(np.sum(np.abs(self.amps[:, i0:i1]) ** 2))
-
-
-def evolve(init: CoinSpinor, bounds: BoundarySpec, steps: int) -> Iterator[WindowWalk]:
-    """Step one walk from spinor ``init`` at 0; yield its engine at t = 0..steps.
-
-    For observers of every step: it calls :meth:`WindowWalk.step` (that
-    is, ``advance(1)``) between yields.  A caller that reads only some
-    times calls :meth:`WindowWalk.advance` up to each of them instead.
-    The same engine object is yielded each time, advanced in place, so
-    read what is needed before asking for the next step.  The engine is
-    built, and its inputs validated (spinor finite and normalized within
-    ``INIT_NORM_TOL``, ``steps`` an integer >= 0), when ``evolve`` is
-    called, not on the first ``next``.
-    """
-    return _stepped(WindowWalk(init, bounds, steps))
-
-
-def _stepped(engine: WindowWalk) -> Iterator[WindowWalk]:
-    yield engine
-    advance = engine.advance
-    for _ in range(engine.steps):
-        advance(1)
-        yield engine
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def _longdouble_kernel_and_rest(width: int):
 def longdouble_strip_blocks(width: int) -> np.ndarray:
     """80-bit ``(X_left, X_right, P_trapped)`` start-site blocks of every start site.
 
-    The same ``(3, W - 1, 3, 3)`` layout as ``absorb._strip_blocks``, in
+    The same ``(3, W - 1, 3, 3)`` layout as the blocks ``absorb._strip_cache`` keeps, in
     ``np.longdouble``, with no LAPACK call anywhere: the flat band is the
     closed form, its complement comes from Gram-Schmidt
     (:func:`_longdouble_kernel_and_rest`), and both Stein equations are

@@ -355,9 +355,10 @@ class TestTwoBoundary:
         "m,n", [(m, w - m) for w in range(2, 31) for m in range(1, w)] + [(20, 40)]
     )
     def test_exact_answer_is_the_forms_of_the_matrices(self, m, n):
-        # every start site of widths 2-30, from a cold solve, so the first
-        # query converts the site's rows and the later ones read them
-        absorb._strip_blocks.cache_clear()
+        # every start site of widths 2-30, from a cold solve: the matrices
+        # are built from the site's rows, converted once, and the queries
+        # read the same rows
+        absorb._strip_cache.cache_clear()
         blocks = absorption_matrices(m, n)
         # the float basis spinors and an all-int one: a basis spinor e_k
         # reads the diagonal entry of each block exactly
@@ -378,7 +379,7 @@ class TestTwoBoundary:
 
     def test_rows_are_converted_once_and_cleared_with_the_blocks(self):
         spinors = [(0.6, 0.8j, 0), (0.48, -0.6, 0.64j)]
-        absorb._strip_blocks.cache_clear()
+        absorb._strip_cache.cache_clear()
         first = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
         blocks, rows = absorb._strip_cache(7)
         # only the asked site is converted, to the array's entries as floats
@@ -394,9 +395,9 @@ class TestTwoBoundary:
         assert absorb._strip_cache.cache_info().misses == 1
         assert absorb._strip_cache(7)[1][2] is row
         assert [r is not None for r in absorb._strip_cache(7)[1]] == [True, False, True] + [False] * 3
-        # clearing the blocks drops the rows: the next query solves and
-        # converts anew, to the same bits
-        absorb._strip_blocks.cache_clear()
+        # clearing the cache drops the blocks and the rows: the next query
+        # solves and converts anew, to the same bits
+        absorb._strip_cache.cache_clear()
         assert absorb._strip_cache.cache_info().currsize == 0
         again = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
         assert _bits(*dataclasses.astuple(again)) == _bits(*dataclasses.astuple(first))
@@ -410,7 +411,7 @@ class TestTwoBoundary:
         # (3, 40) is (3, 14); no width above 2K enters the cache
         k = absorb._CLAMP
         spinor = (0.48, -0.6, 0.64j)
-        absorb._strip_blocks.cache_clear()
+        absorb._strip_cache.cache_clear()
         want = prob_two_boundary(AbsorptionQuery(spinor, left=k, right=k))
         row = absorb._strip_cache(2 * k)[1][k - 1]
         for m, n in ((20, 40), (k, 40), (20, k), (np.int64(100), np.int64(100))):
@@ -534,6 +535,19 @@ class TestInputValidation:
         validate_input(left=1, right=2)
         assert BoundarySpec(left=1, right=2).right == 2
         assert absorption_matrices(1, 2)[0].shape == (3, 3)
+
+    def test_validator_returns_the_components_it_checked(self):
+        # callers compute with the tuple the check passed: a tuple comes back
+        # as itself, any other sequence or a one-shot iterator as the tuple
+        # of its components, and a boundary-only call returns None
+        psi = (0.48, -0.6, 0.64j)
+        assert validate_input(psi, left=1) is psi
+        assert validate_input(iter(psi)) == psi
+        got = validate_input(np.array([0.6, 0.0, 0.8]), m=2)
+        assert type(got) is tuple and got == (0.6, 0.0, 0.8)
+        assert {type(c) for c in got} == {np.float64}
+        assert validate_input(left=1, right=2) is None
+        assert validate_input() is None
 
     def test_message_names_the_component_not_its_value(self):
         # formatting an integer of more than 4300 digits raises Python's own

@@ -86,7 +86,7 @@ PUBLIC = {
     "BranchPointError", "CoinSpinor", "OscillationTrace", "PoleError",
     "QuadratureSpec", "Table1Row", "ToleranceError", "TruncatedSeries",
     "WindowWalk", "absorption_answer", "absorption_matrices", "absorption_profile",
-    "delta", "delta_on_circle", "evolve", "grover_coin", "integrate_periodic",
+    "delta", "delta_on_circle", "grover_coin", "integrate_periodic",
     "l_closed", "one_boundary_series", "oscillation_trace", "prob_one_boundary",
     "prob_two_boundary", "r_closed", "residual_near_origin", "run_walk", "s_closed",
     "stationary_profile", "table1", "theorem4_sequence", "two_boundary_series",
@@ -94,7 +94,8 @@ PUBLIC = {
 }
 
 #: names the package no longer holds: test oracles now under tests/, code
-#: nothing but its own tests called, and a second path to a CLI check
+#: nothing but its own tests called, a second path to a CLI check, and
+#: wrappers around the one stepping loop, the validator and the strip lookup
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
@@ -103,6 +104,7 @@ GONE = (
     "prob_one_boundary_right", "_trapezoid_doubling", "_gauss_split",
     "theorem4_crosscheck", "_TWO_BOUNDARY_SPEC", "decay_slope", "tail_decay_fit",
     "partial_absorption", "spinor_mass_history", "_stein_doubling",
+    "evolve", "_stepped", "_components", "_one_boundary_value", "_strip_blocks",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
@@ -113,7 +115,7 @@ GONE_SERIES_METHODS = (
 def test_public_surface_is_pinned():
     import groverline
 
-    assert len(groverline.__all__) == len(PUBLIC) == 35
+    assert len(groverline.__all__) == len(PUBLIC) == 34
     assert set(groverline.__all__) == PUBLIC
     for name in groverline.__all__:
         assert getattr(groverline, name) is not None, name
@@ -133,6 +135,9 @@ def test_moved_and_deleted_names_are_gone():
     assert not hasattr(walk.CoinSpinor, "is_normalized")
     assert not hasattr(walk.CoinSpinor, "from_array")
     assert not hasattr(walk.WindowWalk, "position_probability")
+    # advance is the one way to step the engine
+    assert not hasattr(walk.WindowWalk, "step")
+    assert "left" not in inspect.signature(absorb.table1).parameters
     assert "trace" not in inspect.signature(genfun.delta).parameters
 
 

@@ -11,7 +11,7 @@ from groverline.localize import (
     stationary_profile,
     two_peak_profile,
 )
-from groverline.walk import BoundarySpec, CoinSpinor, evolve
+from groverline.walk import BoundarySpec, CoinSpinor, WindowWalk
 
 from test_series import BAD_COUNTS
 from walk_oracle import WalkState, apply_evolution, position_distribution, position_probability
@@ -104,10 +104,12 @@ class TestOscillationTrace:
     @pytest.mark.parametrize("init", [CoinSpinor(0, 0, 1), CoinSpinor(0.48, 0.6, 0.64j)])
     def test_bit_identical_to_position_probability(self, init):
         trace = oscillation_trace(40, init=init)
-        want = np.array([
-            (position_probability(w, -1), position_probability(w, 0))
-            for w in evolve(init, BoundarySpec(), 40) if w.t
-        ])
+        engine = WindowWalk(init, BoundarySpec(), 40)
+        want = []
+        for _ in range(40):
+            engine.advance(1)
+            want.append((position_probability(engine, -1), position_probability(engine, 0)))
+        want = np.array(want)
         assert np.array_equal(trace.steps, np.arange(1, 41))
         assert np.array_equal(trace.p_minus1, want[:, 0])
         assert np.array_equal(trace.p_zero, want[:, 1])

@@ -222,34 +222,44 @@ def test_profile_is_every_start_site(width):
 
 @pytest.mark.parametrize("width", [2, 3, 7, 40, 300])
 def test_cache_is_one_read_only_array(width):
-    blocks = absorb._strip_blocks(width)
-    assert isinstance(blocks, np.ndarray)
-    assert blocks.shape == (3, width - 1, 3, 3)
-    assert not blocks.flags.writeable
-    assert np.array_equal(blocks, blocks.transpose(0, 1, 3, 2))
+    profile = np.stack(absorption_profile(width))
+    assert profile.shape == (3, width - 1, 3, 3)
+    assert np.array_equal(profile, profile.transpose(0, 1, 3, 2))
     # X_right is X_left's site-and-coin mirror, to the bit
+    assert np.array_equal(profile[1], profile[0][::-1, ::-1, ::-1])
+    # the widest strip the profile reads (2K for any wider profile) is one
+    # read-only cached array with one row slot per start site; up to
+    # width K + 1 no distance is clamped and the profile is that array
+    widest = min(width, 2 * K)
+    blocks, rows = absorb._strip_cache(widest)
+    assert isinstance(blocks, np.ndarray)
+    assert blocks.shape == (3, widest - 1, 3, 3)
+    assert not blocks.flags.writeable
+    assert len(rows) == widest - 1
     assert np.array_equal(blocks[1], blocks[0][::-1, ::-1, ::-1])
+    if width <= K + 1:
+        assert np.array_equal(profile, blocks)
 
 
 def test_returned_blocks_do_not_alias_the_cache():
     spinor = random_spinors(11, 1)[0]
     queries = [AbsorptionQuery(spinor, left=m, right=7 - m) for m in range(1, 7)]
     before = [prob_two_boundary(q) for q in queries]
-    cached = absorb._strip_blocks(7).copy()
+    cached = absorb._strip_cache(7)[0].copy()
     returned = absorption_matrices(3, 4) + absorption_profile(7)
     assert [b.shape for b in returned] == [(3, 3)] * 3 + [(6, 3, 3)] * 3
     for block in returned:
         assert block.flags.writeable
         block[...] = 7.0
     assert [prob_two_boundary(q) for q in queries] == before
-    assert np.array_equal(absorb._strip_blocks(7), cached)
+    assert np.array_equal(absorb._strip_cache(7)[0], cached)
     assert all(np.array_equal(b, c) for b, c in zip(absorption_profile(7), cached))
 
 
 def test_cold_solve_reproduces_cached_answer():
     geometries = [(1, 1), (2, 5), (6, 3), (20, 40)]
     cached = [absorption_matrices(m, n) for m, n in geometries]
-    absorb._strip_blocks.cache_clear()
+    absorb._strip_cache.cache_clear()
     for (m, n), before in zip(geometries, cached):
         after = absorption_matrices(m, n)
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
@@ -273,7 +283,7 @@ def test_agrees_with_longdouble_reference(width):
     # every start site, clamped above width K + 1; measured at most 7.6e-16
     # (the solve of width 20), with one BLAS thread or two (2.7e-15 at width
     # 60 unclamped)
-    blocks = absorb._strip_blocks(width)
+    blocks = np.stack(absorption_profile(width))
     assert np.max(np.abs(blocks - longdouble_strip_blocks(width))) < 2e-14
 
 
@@ -288,7 +298,7 @@ def test_strip_solve_needs_no_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("the strip solve called an SVD")
 
-    absorb._strip_blocks.cache_clear()
+    absorb._strip_cache.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     x_left, x_right, trapped = absorption_profile(25)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
@@ -300,7 +310,7 @@ def test_strip_solve_needs_no_factorization(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the strip solve called a matrix factorization")
 
-    absorb._strip_blocks.cache_clear()
+    absorb._strip_cache.cache_clear()
     for name in ("qr", "svd", "eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     x_left, x_right, trapped = absorption_profile(25)
@@ -378,7 +388,7 @@ def test_no_strip_wider_than_2k_is_solved(monkeypatch):
         solved.append(width)
         return solve(width)
 
-    absorb._strip_blocks.cache_clear()
+    absorb._strip_cache.cache_clear()
     monkeypatch.setattr(absorb, "_solve_strip", spy)
     x_left, x_right, trapped = absorption_matrices(60, 120)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12

@@ -7,7 +7,6 @@ from groverline.walk import (
     BoundarySpec,
     CoinSpinor,
     WindowWalk,
-    evolve,
     grover_coin,
     run_walk,
 )
@@ -139,7 +138,7 @@ class TestRunWalk:
         engine = WindowWalk(init, BoundarySpec(left=2), 200)
         absorbed = 0.0
         for _ in range(200):
-            engine.step()
+            engine.advance(1)
             absorbed = sum(abs(a) ** 2 for a in engine.hit_left)
             assert engine.norm2() + absorbed == pytest.approx(1.0, abs=1e-10)
 
@@ -217,7 +216,7 @@ class TestInvariants:
     def test_free_norm_conservation_long(self):
         engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(), 500)
         for _ in range(500):
-            engine.step()
+            engine.advance(1)
         assert engine.norm2() == pytest.approx(1.0, abs=1e-10)
 
     def test_mirror_symmetry_with_boundaries(self):
@@ -232,8 +231,8 @@ class TestInvariants:
             fwd = WindowWalk(CoinSpinor(a, b, g), BoundarySpec(left=m, right=n), 25)
             rev = WindowWalk(CoinSpinor(g, b, a), BoundarySpec(left=n, right=m), 25)
             for _ in range(25):
-                fwd.step()
-                rev.step()
+                fwd.advance(1)
+                rev.advance(1)
                 assert abs(fwd.hit_left[-1]) ** 2 == pytest.approx(
                     abs(rev.hit_right[-1]) ** 2, abs=1e-12
                 )
@@ -250,7 +249,7 @@ class TestInvariants:
         engine = WindowWalk(init, BoundarySpec(), 6)
         state = WalkState.initial(init)
         for _ in range(6):
-            engine.step()
+            engine.advance(1)
             state = apply_evolution(state)
         for pos, spin in state.amplitudes.items():
             assert position_probability(engine, pos) == pytest.approx(
@@ -260,7 +259,7 @@ class TestInvariants:
     def test_mass_within(self):
         engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(), 10)
         for _ in range(10):
-            engine.step()
+            engine.advance(1)
         total = engine.mass_within(10)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert engine.mass_within(1) < total
@@ -279,9 +278,9 @@ class TestEngineGuards:
         # push mass off the window
         engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(), 3)
         for _ in range(3):
-            engine.step()
+            engine.advance(1)
         with pytest.raises(RuntimeError):
-            engine.step()
+            engine.advance(1)
         assert engine.t == 3
         assert engine.norm2() == pytest.approx(1.0, abs=1e-15)
 
@@ -320,15 +319,24 @@ class TestEngineGuards:
         assert type(engine.t) is int and engine.t == 3 and len(engine.hit_left) == 3
 
     def test_evolve_yields_every_time_once(self):
-        seen = [(w.t, w.norm2()) for w in evolve(CoinSpinor(0, 1, 0), BoundarySpec(left=2), 4)]
+        # observers of every step call advance(1) in their own loop: each
+        # call moves the engine one time on, and the last one reaches steps
+        engine = WindowWalk(CoinSpinor(0, 1, 0), BoundarySpec(left=2), 4)
+        seen = [(engine.t, engine.norm2())]
+        for _ in range(4):
+            engine.advance(1)
+            seen.append((engine.t, engine.norm2()))
         assert [t for t, _ in seen] == [0, 1, 2, 3, 4]
         assert seen[0][1] == 1.0
+        assert len(engine.hit_left) == 4 and engine.hit_right == []
+        with pytest.raises(RuntimeError):
+            engine.advance(1)
 
     def test_cone_grows_with_time_and_clips_at_boundaries(self):
         engine = WindowWalk(CoinSpinor(0, 0, 1), BoundarySpec(left=2), 5)
         assert engine.cone() == slice(engine.index(0), engine.index(0) + 1)
         for _ in range(3):
-            engine.step()
+            engine.advance(1)
         assert engine.cone() == slice(0, engine.index(3) + 1)
 
 
@@ -344,11 +352,6 @@ class TestStepsValidation:
     def test_window_walk(self, steps):
         with pytest.raises(ValueError, match="steps"):
             WindowWalk(R_START, LEFT_1, steps)
-
-    @pytest.mark.parametrize("steps", BAD_STEPS)
-    def test_evolve_rejects_on_call(self, steps):
-        with pytest.raises(ValueError, match="steps"):
-            evolve(R_START, LEFT_1, steps)
 
     @pytest.mark.parametrize("steps", BAD_STEPS)
     def test_run_walk(self, steps):

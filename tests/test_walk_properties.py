@@ -75,7 +75,7 @@ def test_kernel_matches_sparse_oracle(raw, left, right, n_steps):
     engine = WindowWalk(init, bounds, n_steps)
     state = WalkState.initial(init)
     for _ in range(n_steps):
-        engine.step()
+        engine.advance(1)
         state = apply_evolution(state)
         if left is not None:
             _, hit, state = project_is_at(state, -left)
@@ -95,12 +95,12 @@ def assert_bit_identical_run(init: CoinSpinor, bounds: BoundarySpec, n_steps: in
     engine = WindowWalk(init, bounds, n_steps)
     amps = engine.amps.copy()
     for _ in range(n_steps):
-        engine.step()
+        engine.advance(1)
         amps, hits = reference_step(amps, bounds)
         assert np.array_equal(engine.amps, amps)
         assert hits == engine.hit_left[-1:] + engine.hit_right[-1:]
     with pytest.raises(RuntimeError):
-        engine.step()
+        engine.advance(1)
     assert engine.t == n_steps
 
 
@@ -169,7 +169,7 @@ def test_one_column_first_step_bit_identical():
     bounds = BoundarySpec()
     engine = WindowWalk(CoinSpinor(0.48, 0.6, 0.64j), bounds, 1)
     want, _ = reference_step(engine.amps.copy(), bounds)
-    engine.step()
+    engine.advance(1)
     assert np.array_equal(engine.amps, want)
 
 
