@@ -37,9 +37,14 @@ squared first-hit amplitudes, i.e. the Hadamard square of a generating
 function evaluated at 1, which turns into the circle average
 (1/2pi) int |f(e^{i theta})|^2.  It is the production route for one
 boundary and the cross-check route for two (pass a
-:class:`QuadratureSpec`).  One refinement loop, :func:`integrate_periodic`,
-doubles the node count until two levels agree; the two integrand families
-differ only in its level sequence:
+:class:`QuadratureSpec`).  One function, ``_circle_answer``, answers every
+such query: it integrates the left side, and the right side as the left
+side of the mirrored walk.  The walk is symmetric under swapping L and R
+together with the sites, so the right probability of boundaries at -M and
++N and spinor (alpha, beta, gamma) is the left probability of boundaries
+at -N and +M and spinor (gamma, beta, alpha).  One refinement loop,
+:func:`integrate_periodic`, doubles the node count until two levels agree;
+the two integrand families differ only in its level sequence:
 
 * two-boundary integrands are rational with every pole strictly outside
   the closed disk, so the periodic midpoint trapezoid rule on 64 * 2^k
@@ -56,7 +61,11 @@ differ only in its level sequence:
   spectrally (``"gauss-split"``, the default).  scipy's adaptive
   quadrature split at the same angles (``"adaptive-split"``) stays
   outside that loop as an explicit cross-check route; only it loads
-  ``scipy.integrate``, on first use.
+  ``scipy.integrate``, on first use.  The factor |l|^(2(m-1)) of a
+  boundary m sites away narrows the corners to a width of about 1/m^2,
+  and past a reach each rule misses them while its error estimate stays
+  small, so ``"gauss-split"`` is refused for m > 1024 and
+  ``"adaptive-split"`` for m >= 60 (:data:`_ONE_BOUNDARY_REACH`).
 
 The scalar recurrence for the adjacent-left-boundary probabilities p_n
 and the localization-deficit table build on the same machinery.
@@ -290,11 +299,6 @@ class AbsorptionQuery:
         spinor = validate_input(spinor, left=left, right=right)
         self.__dict__.update(spinor=spinor, left=left, right=right)
 
-    @property
-    def reversed_spinor(self) -> tuple[complex, complex, complex]:
-        a, b, g = self.spinor
-        return (g, b, a)
-
 
 @dataclass(frozen=True, init=False)
 class AbsorptionAnswer:
@@ -369,10 +373,10 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
     projections.  With ``spec=None`` the corner-mapped Gauss-Legendre
     rule (``"gauss-split"``, abs_tol 1e-10) integrates; pass
     ``QuadratureSpec("adaptive-split", ...)`` for scipy's adaptive
-    quadrature as a cross-check.
+    quadrature as a cross-check.  Raises ``ValueError`` when m is past the
+    rule's reach (:data:`_ONE_BOUNDARY_REACH`).
     """
-    spinor = validate_input(spinor, m=m)
-    return integrate_periodic(_one_boundary_integrand(m, spinor), spec or _ONE_BOUNDARY_SPEC)[0]
+    return _circle_answer(m, None, validate_input(spinor, m=m), spec).p_left
 
 
 def _two_boundary_integrand(m: int, n: int, spinor):
@@ -389,6 +393,51 @@ def _two_boundary_integrand(m: int, n: int, spinor):
         return np.abs(amp) ** 2
 
     return f
+
+
+#: The largest boundary distance m at which each corner rule integrates one
+#: boundary.  Past it the |l|^(2(m-1)) corners are too narrow for the rule,
+#: and its answer is wrong by far more than its error estimate.  Against a
+#: 30-digit reference (tests/test_one_boundary_reach.py), gauss-split is
+#: within 1.1e-13 up to m = 1100 and 1.8e-8 off at m = 1250, adaptive-split
+#: within 1.1e-12 up to m = 59 and 7.8e-6 off at m = 60; gauss-split's reach
+#: is its finest order per piece.
+_ONE_BOUNDARY_REACH = {"gauss-split": _GAUSS_SPLIT_ORDERS[-1], "adaptive-split": 59}
+
+
+def _circle_answer(m, n, spinor, spec: QuadratureSpec | None) -> AbsorptionAnswer:
+    """Circle-quadrature answer for boundaries at -m and +n (``None``: open side).
+
+    The one quadrature route of both one- and two-boundary queries.  A side
+    whose far side is open integrates :func:`_one_boundary_integrand` under
+    ``spec``, or :data:`_ONE_BOUNDARY_SPEC` without one, and is refused
+    with ``ValueError`` past that rule's reach before anything is
+    integrated; a side with both walls integrates
+    :func:`_two_boundary_integrand` under ``spec``.  The left side is
+    integrated first and the right side is the mirrored left computation,
+    (n, m, (gamma, beta, alpha)).  The total sums the sides, the deficit is
+    1 - total and the error estimate sums the sides' estimates.  ``m``,
+    ``n`` and ``spinor`` must be validated.
+    """
+    values, errors = [None, None], []
+    for side, (near, far, psi) in enumerate(((m, n, spinor), (n, m, spinor[::-1]))):
+        if near is None:
+            continue
+        if far is None:
+            rule = spec or _ONE_BOUNDARY_SPEC
+            reach = _ONE_BOUNDARY_REACH.get(rule.method, math.inf)
+            if near > reach:
+                raise ValueError(
+                    f"{rule.method} is accurate for one boundary up to m = {reach}, got m = {near}"
+                )
+            f = _one_boundary_integrand(near, psi)
+        else:
+            rule, f = spec, _two_boundary_integrand(near, far, psi)
+        values[side], err = integrate_periodic(f, rule)
+        errors.append(err)
+    total = sum(value for value in values if value is not None)
+    p_left, p_right = values
+    return AbsorptionAnswer(p_left, p_right, total, 1.0 - total, sum(errors))
 
 
 #: K, the depth of the strips' boundary layer: a wall more than K sites from
@@ -690,9 +739,9 @@ def prob_two_boundary(
     With a :class:`QuadratureSpec` the circle quadrature answers instead,
     as an independent cross-check: the left probability integrates
     |alpha l_N + beta s_N + gamma r_N|^2 times the product of |l_(N+k)|^2
-    for the extra M-1 leftward legs, the right probability reuses the same
-    code through the mirror swap (M, N, spinor) -> (N, M, reversed spinor),
-    and ``error_estimate`` sums the two quadrature estimates.
+    for the extra M-1 leftward legs, the right probability is the left one
+    of the mirrored walk (boundaries at -N and +M, spinor (gamma, beta,
+    alpha)), and ``error_estimate`` sums the two quadrature estimates.
 
     Either way the deficit is the localized mass that neither boundary
     ever absorbs: ``trapped`` on the exact route, 1 - total on the
@@ -712,21 +761,7 @@ def prob_two_boundary(
             error_estimate=abs(total + trapped - 1.0),
             trapped=trapped,
         )
-    m, n = query.left, query.right
-    p_left, err_left = integrate_periodic(
-        _two_boundary_integrand(m, n, query.spinor), spec
-    )
-    p_right, err_right = integrate_periodic(
-        _two_boundary_integrand(n, m, query.reversed_spinor), spec
-    )
-    total = p_left + p_right
-    return AbsorptionAnswer(
-        p_left=p_left,
-        p_right=p_right,
-        total=total,
-        deficit=1.0 - total,
-        error_estimate=err_left + err_right,
-    )
+    return _circle_answer(query.left, query.right, query.spinor, spec)
 
 
 def absorption_answer(
@@ -736,27 +771,15 @@ def absorption_answer(
 
     Two boundaries go to :func:`prob_two_boundary` (the exact strip route
     unless ``spec`` is given), one boundary to the circle quadrature
-    (``"gauss-split"`` unless ``spec`` is given).  The walk mirrors
-    exactly under swapping L and R, so a right boundary is the left
-    computation with the spinor reversed.
+    (``"gauss-split"`` unless ``spec`` is given), which answers a right
+    boundary N sites away as the left boundary of the mirrored walk: N
+    sites to the left, spinor (gamma, beta, alpha).  Past the one-boundary
+    rule's reach it raises ``ValueError``, as :func:`prob_one_boundary`.
     """
     if query.left is not None and query.right is not None:
         return prob_two_boundary(query, spec)
-    left = query.left is not None
-    m, spinor = (
-        (query.left, query.spinor) if left else (query.right, query.reversed_spinor)
-    )
-    # the query's spinor and boundary are validated: integrate straight away
-    value, err = integrate_periodic(
-        _one_boundary_integrand(m, spinor), spec or _ONE_BOUNDARY_SPEC
-    )
-    return AbsorptionAnswer(
-        p_left=value if left else None,
-        p_right=None if left else value,
-        total=value,
-        deficit=1.0 - value,
-        error_estimate=err,
-    )
+    # the query's spinor and boundary are validated
+    return _circle_answer(query.left, query.right, query.spinor, spec)
 
 
 def theorem4_sequence(max_n: int) -> np.ndarray:
@@ -817,30 +840,21 @@ def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row
     only rounding noise.
     """
     validate_steps(max_n, 2, "max_n")
-    queries = [
-        AbsorptionQuery(spinor=(0, 0, 1), left=2, right=n)
+    answers = [
+        prob_two_boundary(AbsorptionQuery(spinor=(0, 0, 1), left=2, right=n), spec)
         for n in range(1, max_n + 1)
     ]
-    answers = [prob_two_boundary(q, spec) for q in queries]
-    steps = [b.deficit - a.deficit for a, b in zip(answers, answers[1:])]
-    rows = []
-    for i, ans in enumerate(answers):
-        if i < len(steps):
-            scaled = steps[i] * 1e12
-            log2s = float(np.log2(scaled)) if scaled > 0 else None
-        else:
-            scaled = None
-            log2s = None
-        rows.append(
-            Table1Row(
-                n=i + 1,
-                left=ans.p_left,
-                right=ans.p_right,
-                total=ans.total,
-                deficit_scaled=scaled,
-                log2_deficit=log2s,
-                error_estimate=ans.error_estimate,
-                precision_ok=ans.error_estimate <= 1e-12,
-            )
+    scaled = [(b.deficit - a.deficit) * 1e12 for a, b in zip(answers, answers[1:])]
+    return [
+        Table1Row(
+            n=n,
+            left=ans.p_left,
+            right=ans.p_right,
+            total=ans.total,
+            deficit_scaled=step,
+            log2_deficit=float(np.log2(step)) if step is not None and step > 0 else None,
+            error_estimate=ans.error_estimate,
+            precision_ok=ans.error_estimate <= 1e-12,
         )
-    return rows
+        for n, (ans, step) in enumerate(zip(answers, [*scaled, None]), 1)
+    ]

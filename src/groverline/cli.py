@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -301,24 +302,10 @@ def _cmd_absorb(args) -> tuple[tuple, list, int]:
 
 
 def _cmd_table1(args) -> tuple[tuple, list, int]:
-    spec = QuadratureSpec(method="trapezoid", abs_tol=args.tol)
-    rows_out = []
-    status = 0
-    for row in table1(max_n=args.max_n, spec=spec):
-        rows_out.append(
-            (
-                row.n,
-                row.left,
-                row.right,
-                row.total,
-                row.deficit_scaled,
-                row.log2_deficit,
-                row.error_estimate,
-                0 if row.precision_ok else 1,
-            )
-        )
-        if not row.precision_ok:
-            status = 3
+    rows = table1(max_n=args.max_n, spec=QuadratureSpec(method="trapezoid", abs_tol=args.tol))
+    # every Table1Row field but precision_ok, which becomes the warning flag
+    rows_out = [(*dataclasses.astuple(row)[:-1], 0 if row.precision_ok else 1) for row in rows]
+    status = 3 if any(not row.precision_ok for row in rows) else 0
     columns = (
         "n",
         "p_left",
@@ -355,10 +342,9 @@ def _cmd_localize(args) -> tuple[tuple, list, int]:
 
 def _cmd_moving_boundary(args) -> tuple[tuple, list, int]:
     spec = _spec_for(args, method="adaptive-split", default_tol=1e-10)
-    rows = []
-    for m in range(1, args.max_m + 1):
-        rows.append((m, prob_one_boundary(m, args.spinor, spec)))
-    return ("m", "p_left"), rows, 0
+    # farthest first: a distance past the rule's reach fails before any integral
+    rows = [(m, prob_one_boundary(m, args.spinor, spec)) for m in range(args.max_m, 0, -1)]
+    return ("m", "p_left"), rows[::-1], 0
 
 
 def main(argv=None) -> int:

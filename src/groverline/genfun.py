@@ -149,27 +149,24 @@ def delta(z):
     return _maybe_scalar(out.reshape(np.shape(z_arr)), scalar)
 
 
-def _delta_or(dl, z):
-    return delta(z) if dl is None else dl
-
-
-def _closed_eval(z, dl, numerator, z_factor, limit):
-    """Evaluate numerator(z, delta)/z_factor(z), filling z = 0 with ``limit``.
+def _closed_eval(z, dl, numerator, k):
+    """Evaluate numerator(z, delta) / (k z), filling z = 0 with 0.
 
     A non-finite z raises ``ValueError`` before any arithmetic, even when
     ``dl`` is given.
 
-    z = 0 is a removable singularity of all four closed forms; the filled
-    value is the series constant term.
+    z = 0 is a removable singularity of the three closed forms; the filled
+    value is their series constant term, 0, since a first hit takes at
+    least one step.
     """
     z_arr, scalar = _as_complex_array(z)
     flat = np.atleast_1d(z_arr)
     small = np.abs(flat) < 1e-15
     safe = np.where(small, 1.0, flat)
-    d = np.atleast_1d(np.asarray(_delta_or(dl, z_arr), dtype=complex))
+    d = np.atleast_1d(np.asarray(delta(z_arr) if dl is None else dl, dtype=complex))
     d = np.broadcast_to(d, flat.shape)
-    out = numerator(safe, d) / z_factor(safe)
-    out = np.where(small, limit, out)
+    out = numerator(safe, d) / (k * safe)
+    out = np.where(small, 0.0, out)
     return _maybe_scalar(out.reshape(np.shape(z_arr)), scalar)
 
 
@@ -178,8 +175,7 @@ def l_closed(z, dl=None):
     return _closed_eval(
         z, dl,
         lambda w, d: -3 - 4 * w - 3 * w * w + (1 + w) * d,
-        lambda w: 2 * w,
-        0.0,
+        2,
     )
 
 
@@ -188,8 +184,7 @@ def s_closed(z, dl=None):
     return _closed_eval(
         z, dl,
         lambda w, d: -3 - w + d,
-        lambda w: 2 * w,
-        0.0,
+        2,
     )
 
 
@@ -206,8 +201,7 @@ def r_closed(z, dl=None):
     return _closed_eval(
         z, dl,
         lambda w, d: 3 - 2 * w + 3 * w * w + (w - 1) * d,
-        lambda w: 4 * w,
-        0.0,
+        4,
     )
 
 

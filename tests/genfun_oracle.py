@@ -30,9 +30,9 @@ from groverline.genfun import (
     PoleError,
     _as_complex_array,
     _check_branch_distance,
-    _closed_eval,
     _maybe_scalar,
     lsr_from_previous,
+    r_closed,
     r_iterates,
 )
 
@@ -106,15 +106,12 @@ class BranchTrace:
 def r_closed_uncorrected(z, dl=None):
     """The +2z sign variant of ``genfun.r_closed``; wrong, kept for regression.
 
-    Its z = 0 limit is 1, not 0, which is exactly the defect the
-    regression test pins down.
+    Its numerator 3 + 2z + 3z^2 + (z - 1) Delta exceeds the printed -2z one
+    by 4z, and the denominator is 4z, so it is ``r_closed`` + 1: its z = 0
+    limit is 1, not 0, which is exactly the defect the regression test
+    pins down.
     """
-    return _closed_eval(
-        z, dl,
-        lambda w, d: 3 + 2 * w + 3 * w * w + (w - 1) * d,
-        lambda w: 4 * w,
-        1.0,
-    )
+    return r_closed(z, dl) + 1
 
 
 def two_boundary_eval(n: int, z):

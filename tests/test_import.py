@@ -135,6 +135,8 @@ def test_moved_and_deleted_names_are_gone():
     assert not hasattr(walk.CoinSpinor, "is_normalized")
     assert not hasattr(walk.CoinSpinor, "from_array")
     assert not hasattr(walk.WindowWalk, "position_probability")
+    # the circle quadrature mirrors the right side itself
+    assert not hasattr(absorb.AbsorptionQuery, "reversed_spinor")
     # advance is the one way to step the engine
     assert not hasattr(walk.WindowWalk, "step")
     assert "left" not in inspect.signature(absorb.table1).parameters
