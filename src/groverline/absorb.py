@@ -373,8 +373,9 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
     projections.  With ``spec=None`` the corner-mapped Gauss-Legendre
     rule (``"gauss-split"``, abs_tol 1e-10) integrates; pass
     ``QuadratureSpec("adaptive-split", ...)`` for scipy's adaptive
-    quadrature as a cross-check.  Raises ``ValueError`` when m is past the
-    rule's reach (:data:`_ONE_BOUNDARY_REACH`).
+    quadrature as a cross-check.  Past a rule's reach, m > 1024 for
+    ``"gauss-split"`` and m >= 60 for ``"adaptive-split"``, it raises
+    ``ValueError`` instead of answering (:data:`_ONE_BOUNDARY_REACH`).
     """
     return _circle_answer(m, None, validate_input(spinor, m=m), spec).p_left
 
