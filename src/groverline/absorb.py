@@ -397,13 +397,19 @@ def _two_boundary_integrand(m: int, n: int, spinor):
 
 
 #: The largest boundary distance m at which each corner rule integrates one
-#: boundary.  Past it the |l|^(2(m-1)) corners are too narrow for the rule,
-#: and its answer is wrong by far more than its error estimate.  Against a
-#: 30-digit reference (tests/test_one_boundary_reach.py), gauss-split is
-#: within 1.1e-13 up to m = 1100 and 1.8e-8 off at m = 1250, adaptive-split
-#: within 1.1e-12 up to m = 59 and 7.8e-6 off at m = 60; gauss-split's reach
-#: is its finest order per piece.
-_ONE_BOUNDARY_REACH = {"gauss-split": _GAUSS_SPLIT_ORDERS[-1], "adaptive-split": 59}
+#: boundary.  Past it the |l|^(2(m-1)) corner peaks, of width about 1/m^2,
+#: fall between the coarse levels' nodes, which agree to within abs_tol on
+#: a value that misses them: the answer is wrong by far more than its error
+#: estimate.  Against a 30-digit reference (tests/test_one_boundary_reach.py)
+#: at abs_tol 1e-10, gauss-split is within 1.1e-13 up to m = 1100 and 1.8e-8
+#: off at m = 1250 (orders 16 and 32 agree there), adaptive-split within
+#: 1.1e-12 up to m = 59 and 7.8e-6 off at m = 60.  Gauss-split's onset does
+#: not move with max_points: with finest order 256 it still answers m = 700
+#: and fails m = 1024 by its own check.  A tighter abs_tol was measured to
+#: answer or raise ToleranceError inside the reach; a looser one stops
+#: sooner and is not covered (at abs_tol 1e-8 gauss-split is 5e-8 off at
+#: m = 1024 and adaptive-split 1.4e-5 off at m = 45).
+_ONE_BOUNDARY_REACH = {"gauss-split": 1024, "adaptive-split": 59}
 
 
 def _circle_answer(m, n, spinor, spec: QuadratureSpec | None) -> AbsorptionAnswer:

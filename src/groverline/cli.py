@@ -342,9 +342,8 @@ def _cmd_localize(args) -> tuple[tuple, list, int]:
 
 def _cmd_moving_boundary(args) -> tuple[tuple, list, int]:
     spec = _spec_for(args, method="adaptive-split", default_tol=1e-10)
-    # farthest first: a distance past the rule's reach fails before any integral
-    rows = [(m, prob_one_boundary(m, args.spinor, spec)) for m in range(args.max_m, 0, -1)]
-    return ("m", "p_left"), rows[::-1], 0
+    rows = [(m, prob_one_boundary(m, args.spinor, spec)) for m in range(1, args.max_m + 1)]
+    return ("m", "p_left"), rows, 0
 
 
 def main(argv=None) -> int:

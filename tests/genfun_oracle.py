@@ -31,8 +31,8 @@ from groverline.genfun import (
     _as_complex_array,
     _check_branch_distance,
     _maybe_scalar,
+    delta,
     lsr_from_previous,
-    r_closed,
     r_iterates,
 )
 
@@ -104,14 +104,23 @@ class BranchTrace:
 
 
 def r_closed_uncorrected(z, dl=None):
-    """The +2z sign variant of ``genfun.r_closed``; wrong, kept for regression.
+    """The printed +2z sign of ``genfun.r_closed``; wrong, kept for regression.
 
-    Its numerator 3 + 2z + 3z^2 + (z - 1) Delta exceeds the printed -2z one
-    by 4z, and the denominator is 4z, so it is ``r_closed`` + 1: its z = 0
-    limit is 1, not 0, which is exactly the defect the regression test
-    pins down.
+    (3 + 2z + 3z^2 + (z - 1) Delta) / (4z), with z = 0 filled by its limit
+    1, not the 0 of a first-hit function: exactly the defect the regression
+    test pins down.  The numerator exceeds the corrected -2z one by 4z over
+    the denominator 4z, so this is ``r_closed`` + 1, but it is written out
+    on its own so the printed form is evaluated as printed.
     """
-    return r_closed(z, dl) + 1
+    z_arr, scalar = _as_complex_array(z)
+    flat = np.atleast_1d(z_arr)
+    small = np.abs(flat) < 1e-15
+    w = np.where(small, 1.0, flat)
+    d = np.atleast_1d(np.asarray(delta(z_arr) if dl is None else dl, dtype=complex))
+    d = np.broadcast_to(d, flat.shape)
+    out = (3 + 2 * w + 3 * w * w + (w - 1) * d) / (4 * w)
+    out = np.where(small, 1.0, out)
+    return _maybe_scalar(out.reshape(np.shape(z_arr)), scalar)
 
 
 def two_boundary_eval(n: int, z):

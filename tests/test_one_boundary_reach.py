@@ -24,8 +24,6 @@ from groverline import AbsorptionQuery, QuadratureSpec, absorption_answer, prob_
 import groverline.absorb as absorb
 from groverline.cli import main
 
-mpmath = pytest.importorskip("mpmath")
-
 DPS = 30
 SPINORS = {"L": (1, 0, 0), "S": (0, 1, 0), "R": (0, 0, 1), "mixed": (0.48, -0.6, 0.64j)}
 ADAPTIVE = QuadratureSpec("adaptive-split", 1e-10)
@@ -34,6 +32,7 @@ ADAPTIVE = QuadratureSpec("adaptive-split", 1e-10)
 @functools.lru_cache(maxsize=None)
 def reference(m, coin):
     """The circle mean at ``DPS`` digits, split at the branch corners."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(DPS):
         a, b, g = (mpmath.mpc(complex(c)) for c in SPINORS[coin])
         corner = mpmath.acos(mpmath.mpf(-1) / 3)
@@ -66,6 +65,22 @@ def reference(m, coin):
 def test_gauss_split_within_its_reach(m, coin):
     # measured: at most 9.5e-14 off
     assert abs(prob_one_boundary(m, SPINORS[coin]) - reference(m, coin)) <= 1e-12
+
+
+@pytest.mark.parametrize("coin", ("L", "R"))
+def test_gauss_split_reach_does_not_shrink_with_max_points(coin):
+    # Past the reach the two coarsest levels (orders 16 and 32) agree to
+    # within abs_tol on a value that misses the corner peaks, so a smaller
+    # max_points keeps the same onset.  With the finest order 256 (1024
+    # points) m = 700 is still answered to 7.9e-14 and m = 1024 cannot
+    # converge, while m = 1025 is refused as at the default max_points.
+    spec = QuadratureSpec("gauss-split", 1e-10, 1024)
+    psi = SPINORS[coin]
+    assert abs(prob_one_boundary(700, psi, spec) - reference(700, coin)) <= 1e-12
+    with pytest.raises(absorb.ToleranceError):
+        prob_one_boundary(1024, psi, spec)
+    with pytest.raises(ValueError, match="up to m = 1024, got m = 1025"):
+        prob_one_boundary(1025, psi, spec)
 
 
 @pytest.mark.parametrize("coin", SPINORS)
@@ -107,7 +122,10 @@ def test_trapezoid_has_no_one_boundary_reach():
 @pytest.mark.parametrize(
     "argv", [["absorb", "--left", "60"], ["moving-boundary", "--max-m", "60"]]
 )
-def test_cli_exits_2_past_the_reach(capsys, argv):
+def test_cli_exits_2_past_the_reach(monkeypatch, capsys, argv):
+    # moving-boundary asks m = 1..59 before the refused 60; stub their
+    # integrals, which take about 20 s and are not under test here
+    monkeypatch.setattr(absorb, "integrate_periodic", lambda f, spec: (0.0, 0.0))
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
