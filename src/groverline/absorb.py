@@ -140,7 +140,12 @@ class QuadratureSpec:
     sequence (:func:`integrate_periodic`).  ``abs_tol`` (a finite real
     > 0; a bool is refused) applies to the circle mean, not the raw
     integral; ``max_points`` (an integer >= 16) caps the evaluations of
-    one refinement level.
+    one refinement level.  Both refinement rules start at 64 points and
+    need a second level, of 128, before they can return, so with
+    ``max_points`` below 128 they never answer: they raise
+    :class:`ToleranceError` with a ``nan`` error (``"adaptive-split"``
+    only reads ``max_points // 1024`` as its subinterval limit, at least
+    50, and answers at any accepted value).
     """
 
     method: str = "trapezoid"

@@ -9,9 +9,10 @@ absorbed masses are directly the squared first-hit amplitudes that the
 analytic modules reproduce.
 
 The production engine is the dense :class:`WindowWalk`: it multiplies
-only the light cone of the start, padded by a fixed block of zero columns,
-with the coin and the shift fused into one matrix product per step, and
-is fast enough for thousands of steps.  Its one stepping loop is
+only the live columns of the light cone, those holding a component at or
+above a floor whose square is exactly 0.0, padded by a fixed block of zero
+columns, with the coin and the shift fused into one matrix product per
+step, and is fast enough for thousands of steps.  Its one stepping loop is
 :meth:`WindowWalk.advance`, which runs any number of steps, and every
 simulator entry point goes through it: :func:`run_walk`,
 ``residual_near_origin`` and the ``simulate`` command's snapshots jump
@@ -48,9 +49,13 @@ __all__ = [
 #: normalization slack accepted for initial spinors; anything worse is rejected
 INIT_NORM_TOL = 1e-9
 
-#: columns of zeros multiplied on each side of the light cone, so that one
+#: columns of zeros multiplied on each side of the live columns, so that one
 #: set of the kernel's views serves this many steps
 _BLOCK = 32
+
+#: the flush floor before scaling by the start spinor's smallest nonzero float
+#: component: a float below it squares to exactly 0.0 (see ``WindowWalk``)
+_FLOOR = 2.0 ** -600
 
 #: component types accepted as numbers by identity, before any ABC check
 _BUILTIN_NUMBERS = (complex, float, int)
@@ -215,25 +220,63 @@ class WindowWalk:
     first step: the views built at t = 0 serve that step alone, and their
     rebuild at t = 1 clears it.
 
-    The kernel keeps two (3, W + 2) complex buffers, the window plus one
-    guard column on each side, and alternates between them, so a step
-    allocates no amplitude buffer.  Each buffer has a fixed "shifted" view
-    whose row stride is one column longer than the buffer's: writing
-    column j of it lands the L row one column left of j, the S row at j
-    and the R row one column right.  So one
+    The kernel keeps two (3, W + 2) complex buffers in one array, the
+    window plus one guard column on each side, and alternates between
+    them, so a step allocates no amplitude buffer.  Each buffer has a
+    fixed "shifted" view whose row stride is one column longer than the
+    buffer's: writing column j of it lands the L row one column left of
+    j, the S row at j and the R row one column right.  So one
     ``np.matmul(coin, window[:, cols], out=shifted[:, cols])`` applies the
     coin and the shift together; the guard columns keep that view inside
     its buffer, and nothing reads them.
 
-    ``cols`` is the light cone |m| <= t padded by ``_BLOCK`` columns per
-    side and clipped to the window's interior (the window itself on a free
-    side).  Outside the cone every amplitude is zero, so the padding only
-    writes exact zeros, and the same (source, target) view pair serves
-    the next ``_BLOCK`` steps.  The pairs of both parities are rebuilt
-    only when the cone outgrows them, so a step makes no ``cone()`` call
-    and slices nothing; once the padded cone covers the whole interior (at
-    once on a strip narrower than the padding) they serve to the end of
-    the run.
+    ``cols`` is the span of *live* columns padded by ``_BLOCK`` columns
+    per side and clipped to the window's interior (the window itself on a
+    free side).  The live columns run from the first to the last column
+    holding a float component at or above the floor f = ``_FLOOR`` * c,
+    where ``_FLOOR`` = 2^-600 and c is the start spinor's smallest nonzero
+    float component.  Outside them every amplitude is zero, so the padding
+    only writes exact zeros, and the same (source, target) view pair
+    serves the next ``_BLOCK`` steps.  The pairs of both parities are
+    rebuilt every ``_BLOCK + 1`` steps, so a step scans and slices
+    nothing.  A rebuild scans the current buffer inward from the columns
+    the last product could write, a stretch of two blocks at each end, and
+    zeroes everything outside the new live span in both buffers, sink
+    elements included, so a wall the span has left records zero hits.
+    Between two walls, once the padded cone covers the whole interior (at
+    once on a strip narrower than the padding), the views serve to the end
+    of the run with no scan.  When f underflows to 0.0 (c at most
+    2^-475), nothing is flushed and ``cols`` is the padded light cone.
+
+    Why a floor.  The walk's front runs at about |m| = t/sqrt(3), and
+    ahead of it the amplitudes decay geometrically, down to 3^-t at the
+    cone's edge; on long open walks they reach the subnormal range, where
+    the product slows down.  On the half-line at t = 2999, 170 subnormal
+    floats among the 18,012 multiplied made one step's ``np.matmul`` take
+    14.0 us, against 8.5 us with them zeroed (one OpenBLAS thread, 2-vCPU
+    x86_64).  The floor does two jobs.  It is at most 2^-600, so a flushed
+    component squares to exactly 0.0 in float64 and carries no
+    representable probability.  And across the padding the edge decays by
+    only about 3^-33 before the next rebuild, so the product meets no
+    subnormal operand.
+
+    What the flush changes.  A step (the unitary coin and shift, then the
+    boundary projections, a contraction) is linear with norm at most 1,
+    so a change to the state at one rebuild changes every later amplitude
+    and hit amplitude by at most its norm, and the changes of several
+    rebuilds add up.  A rebuild flushes at most the window's 2T + 3
+    columns of six floats below 2^-600, and a run of T steps rebuilds at
+    most T/``_BLOCK`` + 1 times, so in exact arithmetic the walk differs
+    from the unflushed one by less than
+    (T/``_BLOCK`` + 1) * sqrt(6 (2T + 3)) * 2^-600: 4.3e-177 at T = 3000
+    and 2.6e-176 at T = 10^4.  In floating point a changed input can also
+    tip the rounding of an amplitude by a unit in its last place, and such
+    a unit spreads like any change.  ``tests/test_walk_flush.py`` holds
+    free, half-line and far-wall runs of up to 3000 steps to the bound
+    plus 16 units; there, and from eight random spinors at T = 3000, every
+    amplitude stayed within the bound plus 6 units, every hit amplitude
+    within the bound alone, and hit masses and :meth:`norm2` came out bit
+    for bit the same.
 
     The product runs on float views of the same memory (real and imaginary
     parts interleaved, so window column j is float columns 2j and 2j + 1)
@@ -243,9 +286,13 @@ class WindowWalk:
     amplitudes stay complex.  A product is at least two float columns
     wide, so numpy always sends it through gemm; a one-column product
     would go through gemv, whose rounding differs (a one-column complex
-    product would).  ``tests/test_walk_properties.py`` pins every step,
-    across several view rebuilds and in chunks of any length, bit for bit
-    to the plain full-window complex product.
+    product would).  So every step is bit-identical to the plain
+    full-window complex product until a rebuild first flushes a nonzero
+    component, and within the bound above after that.
+    ``tests/test_walk_properties.py`` pins the bit-identity on runs of up
+    to 3 * ``_BLOCK`` + 2 steps, across several view rebuilds, in chunks of
+    any length and from spinors with components down to 5e-324, where
+    nothing is flushed yet.
     """
 
     def __init__(self, init: CoinSpinor, bounds: BoundarySpec, steps: int):
@@ -256,8 +303,8 @@ class WindowWalk:
         self.lo = -bounds.left if bounds.left is not None else -(steps + 1)
         self.hi = bounds.right if bounds.right is not None else steps + 1
         self.width = width = self.hi - self.lo + 1
-        bufs = [np.zeros((3, width + 2), dtype=complex) for _ in range(2)]
-        self._windows = [b[:, 1:-1] for b in bufs]
+        bufs = np.zeros((2, 3, width + 2), dtype=complex)
+        self._windows = bufs[:, :, 1:-1]
         reals = [b.view(float) for b in bufs]
         self._sources = [r[:, 2:-2] for r in reals]
         self._targets = [
@@ -267,7 +314,10 @@ class WindowWalk:
             for r in reals
         ]
         self.amps = self._windows[0]
-        self.amps[:, self.index(0)] = init.as_array()
+        spinor = init.as_array()
+        self.amps[:, self.index(0)] = spinor
+        # zero when it underflows, and then nothing is flushed
+        self._floor = _FLOOR * min(abs(x) for x in spinor.view(float) if x)
         self.t = 0
         self.hit_left: list[complex] = []
         self.hit_right: list[complex] = []
@@ -279,6 +329,8 @@ class WindowWalk:
         )
         # per parity of t: (source, target, window after the step)
         self._views: list[tuple] = []
+        # the window columns the views multiply
+        self._span = (0, 0)
         # the last t the views serve; the first step builds them
         self._fresh_until = -1
 
@@ -290,10 +342,12 @@ class WindowWalk:
         return slice(max(0, self.index(-self.t)), min(self.width, self.index(self.t) + 1))
 
     def _refresh(self, t: int) -> None:
-        """Build both parities' views over the cone at ``t`` padded by ``_BLOCK`` columns.
+        """Build both parities' views over the live columns at ``t`` padded by ``_BLOCK``.
 
         The views built at t = 0 serve the first step only, so that the
-        call at t = 1 can clear buffer 0 before it is written.
+        call at t = 1 can clear buffer 0 before it is written.  Once the
+        padded cone covers the interior between two walls, the views serve
+        to the end, with no scan.
         """
         if t == 1:
             self._windows[0].fill(0)
@@ -302,18 +356,40 @@ class WindowWalk:
         last = self.width if self.bounds.right is None else self.width - 1
         start = max(first, self.index(-t) - _BLOCK)
         stop = min(last, self.index(t) + 1 + _BLOCK)
+        # a free side's window edge is no wall: the cone reaches it only in
+        # the last _BLOCK steps, which keep multiplying the live columns
+        walls = self.bounds.left is not None and self.bounds.right is not None
+        if not t:
+            self._fresh_until = 0
+        elif walls and start == first and stop == last:
+            self._fresh_until = self.steps - 1
+        else:
+            if self._floor:
+                start, stop = self._flush(t & 1, first, last)
+            self._fresh_until = min(t + _BLOCK, self.steps - 1)
+        self._span = (start, stop)
         floats = slice(2 * start, 2 * stop)
         self._views = [
             (self._sources[cur][:, floats], self._targets[1 - cur][:, floats],
              self._windows[1 - cur])
             for cur in (0, 1)
         ]
-        if not t:
-            self._fresh_until = 0
-        elif start == first and stop == last:
-            self._fresh_until = self.steps - 1
-        else:
-            self._fresh_until = min(t + _BLOCK, self.steps - 1)
+
+    def _flush(self, cur: int, first: int, last: int) -> tuple[int, int]:
+        """Zero both buffers outside the live columns of buffer ``cur``; return those padded.
+
+        The last product wrote its span and, through the shift, one column
+        on each side (a sink column among them), so nothing outside that
+        reach can be nonzero in either buffer, and only that reach is
+        scanned and zeroed.  The live columns come back padded by
+        ``_BLOCK`` and clipped to [``first``, ``last``).
+        """
+        start, stop = self._span
+        lo, hi = max(0, start - 1), min(self.width, stop + 1)
+        a, b = _live_span(self._sources[cur], max(first, lo), min(last, hi), self._floor)
+        self._windows[:, :, lo:a] = 0
+        self._windows[:, :, b:hi] = 0
+        return max(first, a - _BLOCK), min(last, b + _BLOCK)
 
     def advance(self, n: int) -> None:
         """Run ``n`` steps: coin and shift, then boundary measurements (left first).
@@ -362,6 +438,28 @@ class WindowWalk:
         i0 = max(0, self.index(-radius))
         i1 = min(self.width, self.index(radius) + 1)
         return float(np.sum(np.abs(self.amps[:, i0:i1]) ** 2))
+
+
+def _live_span(floats: np.ndarray, lo: int, hi: int, floor: float) -> tuple[int, int]:
+    """Columns [a, b) from the first to the last in [lo, hi) with a float component >= ``floor``.
+
+    ``floats`` holds column j's real and imaginary parts at 2j and 2j + 1.
+    One pass reads a stretch of ``2 * _BLOCK`` columns at each end of the
+    range, about a block more than a rebuild's padding, so it finds both
+    ends of the span unless one has moved inward by a block since the last
+    rebuild.  Then, or on a range no wider than the two stretches, it
+    reads the whole range.  ``(lo, lo)`` when no column is live.
+    """
+    n = 2 * _BLOCK
+    if hi - lo > 2 * n:
+        edges = np.concatenate((floats[:, 2 * lo:2 * (lo + n)], floats[:, 2 * (hi - n):2 * hi]), axis=1)
+        live = np.flatnonzero(np.abs(edges).max(axis=0) >= floor)
+        if live.size and live[0] < 2 * n <= live[-1]:
+            return lo + int(live[0]) // 2, hi - 2 * n + int(live[-1]) // 2 + 1
+    live = np.flatnonzero(np.abs(floats[:, 2 * lo:2 * hi]).max(axis=0) >= floor)
+    if not live.size:
+        return lo, lo
+    return lo + int(live[0]) // 2, lo + int(live[-1]) // 2 + 1
 
 
 @dataclass(frozen=True)

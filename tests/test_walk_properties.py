@@ -8,11 +8,15 @@
   for bit.
 
 Every run starts with the one-column first step, where the cone is a
-single complex column.  The kernel multiplies the cone padded by
-``_BLOCK`` columns per side and rebuilds its views when the cone outgrows
-them, so the longer runs below cross several rebuilds.  The same runs
+single complex column.  The kernel multiplies the live columns padded by
+``_BLOCK`` columns per side and rebuilds its views every ``_BLOCK + 1``
+steps, so the longer runs below cross several rebuilds.  The same runs
 are also advanced in chunks of random lengths, and must match the plain
-step bit for bit at the end of every chunk.
+step bit for bit at the end of every chunk.  Bit for bit holds until a
+rebuild first flushes a nonzero component below the floor, which none of
+these runs reach: the floor scales with the start spinor's smallest
+nonzero component, and the explicit tiny-component spinors below pin
+that.  ``tests/test_walk_flush.py`` covers the flush itself.
 """
 
 import itertools
@@ -25,12 +29,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groverline.walk import _BLOCK, BoundarySpec, CoinSpinor, WindowWalk, grover_coin  # noqa: E402
+from groverline.walk import _BLOCK, BoundarySpec, CoinSpinor, WindowWalk  # noqa: E402
 from walk_oracle import (  # noqa: E402
     WalkState,
     apply_evolution,
     position_probability,
     project_is_at,
+    reference_step,
     spinor_from_array,
 )
 
@@ -48,23 +53,6 @@ def normalized(raw) -> CoinSpinor:
     if norm < 1e-3:
         v, norm = np.array([0, 0, 1], dtype=complex), 1.0
     return spinor_from_array(v / norm)
-
-
-def reference_step(amps: np.ndarray, bounds: BoundarySpec) -> tuple[np.ndarray, list]:
-    """One full-window step: complex coin product, shift by copies, measurements."""
-    phi = grover_coin() @ amps
-    out = np.zeros_like(amps)
-    out[0, :-1] = phi[0, 1:]
-    out[1] = phi[1]
-    out[2, 1:] = phi[2, :-1]
-    hits = []
-    if bounds.left is not None:
-        hits.append(complex(out[0, 0]))
-        out[:, 0] = 0
-    if bounds.right is not None:
-        hits.append(complex(out[2, -1]))
-        out[:, -1] = 0
-    return out, hits
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,3 +168,21 @@ def test_one_column_first_step_bit_identical():
 @example(START, _BLOCK + 5, 2 * _BLOCK, 3 * _BLOCK + 2, [7])
 def test_chunked_advance_is_bit_identical_across_view_rebuilds(raw, left, right, n_steps, sizes):
     assert_chunks_bit_identical(normalized(raw), BoundarySpec(left=left, right=right), n_steps, sizes)
+
+
+# a component far below the others: 5e-324 and 1e-300j scale the floor to
+# 0.0, so nothing is flushed; 1e-140 scales it to a subnormal 2.2e-321, so
+# the flush stays armed but finds no column below it in these runs
+TINY = [
+    ((1.0, 0.0), (0.5, 0.0), (5e-324, 0.0)),
+    ((1.0, 0.0), (0.0, 1e-300), (0.0, 0.0)),
+    ((1.0, 0.0), (0.5, 0.0), (1e-140, 0.0)),
+]
+
+
+@pytest.mark.parametrize("raw", TINY)
+@pytest.mark.parametrize("left, right", [(None, None), (1, None), (None, 3), (_BLOCK + 5, 2 * _BLOCK)])
+def test_tiny_components_are_bit_identical(raw, left, right):
+    bounds = BoundarySpec(left=left, right=right)
+    assert_bit_identical_run(normalized(raw), bounds, 3 * _BLOCK + 2)
+    assert_chunks_bit_identical(normalized(raw), bounds, 3 * _BLOCK + 2, [_BLOCK - 1, 1, _BLOCK + 1])

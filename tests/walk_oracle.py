@@ -8,13 +8,18 @@ cone, no fused product, no float view), so the engine is checked against
 it rather than against itself.  :func:`spinor_from_array` and
 :func:`position_probability` are the two small readers the tests use on
 either side.
+
+:func:`reference_step` is the second reference: one step of the dense
+amplitude array by a plain full-window complex product and copies, the
+engine's arithmetic without its light cone, fused shift, float view or
+flush.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from groverline.walk import CoinSpinor, WindowWalk, grover_coin
+from groverline.walk import BoundarySpec, CoinSpinor, WindowWalk, grover_coin
 
 
 def spinor_from_array(v) -> CoinSpinor:
@@ -104,3 +109,20 @@ def project_is_at(state: WalkState, n: int) -> tuple[float, WalkState, WalkState
 def position_distribution(state: WalkState) -> dict[int, float]:
     """P(m) = |aL|^2 + |aS|^2 + |aR|^2 at each occupied position."""
     return {m: sp.norm2 for m, sp in state.amplitudes.items()}
+
+
+def reference_step(amps: np.ndarray, bounds: BoundarySpec) -> tuple[np.ndarray, list]:
+    """One full-window step: complex coin product, shift by copies, measurements."""
+    phi = grover_coin() @ amps
+    out = np.zeros_like(amps)
+    out[0, :-1] = phi[0, 1:]
+    out[1] = phi[1]
+    out[2, 1:] = phi[2, :-1]
+    hits = []
+    if bounds.left is not None:
+        hits.append(complex(out[0, 0]))
+        out[:, 0] = 0
+    if bounds.right is not None:
+        hits.append(complex(out[2, -1]))
+        out[:, -1] = 0
+    return out, hits
