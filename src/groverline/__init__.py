@@ -10,8 +10,8 @@ Four independent routes to the same physics cross-validate each other:
   including the square-root branch on the unit circle and the
   two-boundary widening iteration;
 * :mod:`groverline.absorb` turns them into absorption probabilities:
-  exactly on a finite strip, by one mirror-split Stein solve on the
-  strip's contraction (a doubling sum, numpy only), and by circle-averaging
+  exactly on a finite strip, from a committed table of the strip blocks'
+  exact rational entries, correctly rounded, and by circle-averaging
   quadrature for one boundary and as the two-boundary cross-check;
   :mod:`groverline.localize` extracts the trapped-mass observables from
   long simulator runs.
@@ -21,8 +21,9 @@ command and the benchmark run.  The independent forms the tests hold
 them against are test oracles under ``tests/``: ``walk_oracle.py`` (the
 sparse walk), ``series_oracle.py`` (the coefficient sweep),
 ``genfun_oracle.py`` (the tracked branch, the transfer-matrix forms and
-the identities) and ``strip_oracle.py`` (the dense two-solve strip
-construction).
+the identities), ``strip_oracle.py`` (the dense two-solve, 80-bit and
+float mirror-split strip solves) and ``exact_oracle.py`` (the exact
+rational strip blocks, which write and check the committed table).
 """
 
 from .absorb import (

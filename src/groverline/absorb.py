@@ -2,35 +2,39 @@
 
 Two boundaries (production route): between the boundaries one step of the
 walk is a real contraction on the interior amplitudes, so each side's
-absorption probability is a Hermitian form psi^H X psi whose matrix solves
-a Stein equation, and the never-absorbed mass is the form of the
-projection P onto the eigenvalue-1 flat band, the W - 2 compactly
-supported states of a strip of width W = M + N.  The contraction depends
-only on the strip width and the flat band is known in closed form, so P
-takes one small linear solve.  The site-and-coin mirror maps the left side
-to the right one, and with the ledger X_left + X_right + P = I it fixes
-the mirror-even half of X_left as (I - P)/2; only the mirror-odd half is
-summed, by Smith's doubling across the two half-size mirror sectors with
-matrix products alone, so this route needs numpy only.  One such solve
-per width, cached as one read-only array, gives both sides and the
-trapped mass at every start site; each block is real symmetric, so a
-query reads its three forms as one real contraction of the spinor's six
-Gram terms with the blocks' entries, in plain floats: the entries of its
-start site, converted to float rows once, the first time it is asked.
+absorption probability is a Hermitian form psi^H X psi, X the Gram matrix
+of the start site's hit sequences, and the never-absorbed mass is the form
+of the projection P onto the eigenvalue-1 flat band, the W - 2 compactly
+supported states of a strip of width W = M + N.  Three times the step is an
+integer matrix, so every block entry is a rational number.  The blocks
+have a boundary layer: moving a wall one site farther from the start
+changes them (3 - 2 sqrt 2)^2 = 0.0294 times as much as the move before,
+the multiplier of the paper's Theorem 4 map p -> (2 + 3p)/(3 + 4p) at its
+fixed point 1/sqrt 2.  So geometry (M, N) is read at (min(M, K),
+min(N, K)) with K = :data:`_CLAMP` = 14, where the error of that
+truncation is below 1e-20, and only the K^2 = 196 geometries with
+M, N <= K are ever read.
+
+Their blocks are committed, in the generated module ``_strip_table``: the
+six upper-triangle entries of X_left and of P per geometry, each the float
+nearest to the exact rational, so every entry is correctly rounded.
+``tests/exact_oracle.py`` computes them exactly (Berlekamp-Massey over Q
+for the strip's one hit-function denominator, the Gohberg-Semencul inverse
+of its autocovariance for X_left, the closed-form flat band for P),
+asserts the ledger X_left + X_right + P = I in Fractions, and writes the
+module (``python tests/exact_oracle.py --write``; ``--check`` compares it
+bit for bit).  X_right(M, N) is X_left(N, M) with the coin order
+reversed, the site-and-coin mirror.  No linear algebra runs on this route.
+The table is imported on the first two-boundary query, not by ``import
+groverline``, and each clamped geometry's three blocks are built as nested
+float lists the first time it is read, then kept.  Each block is real
+symmetric, so a query reads its three forms as one real contraction of the
+spinor's six Gram terms with the blocks' entries, in plain floats.
 :func:`absorption_matrices` returns the three start-site blocks of one
 geometry and :func:`absorption_profile` those of every start site of one
-strip; each answers every spinor.  All three routes read the cache
-through one lookup, ``_site_rows``.
-
-The blocks have a boundary layer: moving a wall one site farther from the
-start changes them (3 - 2 sqrt 2)^2 = 0.0294 times as much as the move
-before, the multiplier of the paper's Theorem 4 map p -> (2 + 3p)/(3 + 4p)
-at its fixed point 1/sqrt 2.  So that lookup reads geometry (M, N) at
-(min(M, K), min(N, K)) with K = :data:`_CLAMP` = 14, where the error of
-that truncation is below 1e-20, far below the solve's own rounding, and no
-strip wider than 2K is ever solved: the cache holds at most 2K - 1 widths,
-and a wider profile reads at most K of them, broadcasting the block of
-(K, K) over the sites beyond K from both walls.
+strip, broadcasting the blocks of (K, K) over the sites beyond K from both
+walls; each answers every spinor.  All three routes read the table through
+one lookup, ``_site_rows``, the one place the clamp is applied.
 
 Circle quadrature: the total absorption probability is also the sum of
 squared first-hit amplitudes, i.e. the Hadamard square of a generating
@@ -77,7 +81,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,7 +94,7 @@ from .genfun import (
     s_closed,
     r_closed,
 )
-from .walk import grover_coin, validate_input, validate_steps
+from .walk import validate_input, validate_steps
 
 __all__ = [
     "ToleranceError",
@@ -378,9 +382,11 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
     projections.  With ``spec=None`` the corner-mapped Gauss-Legendre
     rule (``"gauss-split"``, abs_tol 1e-10) integrates; pass
     ``QuadratureSpec("adaptive-split", ...)`` for scipy's adaptive
-    quadrature as a cross-check.  Past a rule's reach, m > 1024 for
-    ``"gauss-split"`` and m >= 60 for ``"adaptive-split"``, it raises
-    ``ValueError`` instead of answering (:data:`_ONE_BOUNDARY_REACH`).
+    quadrature as a cross-check.  A looser ``abs_tol`` than 1e-10 is
+    tightened to 1e-10, where the rules' reaches hold.  Past a rule's
+    reach, m > 1024 for ``"gauss-split"`` and m >= 60 for
+    ``"adaptive-split"``, it raises ``ValueError`` instead of answering
+    (:data:`_ONE_BOUNDARY_REACH`).
     """
     return _circle_answer(m, None, validate_input(spinor, m=m), spec).p_left
 
@@ -411,9 +417,10 @@ def _two_boundary_integrand(m: int, n: int, spinor):
 #: 1.1e-12 up to m = 59 and 7.8e-6 off at m = 60.  Gauss-split's onset does
 #: not move with max_points: with finest order 256 it still answers m = 700
 #: and fails m = 1024 by its own check.  A tighter abs_tol was measured to
-#: answer or raise ToleranceError inside the reach; a looser one stops
-#: sooner and is not covered (at abs_tol 1e-8 gauss-split is 5e-8 off at
-#: m = 1024 and adaptive-split 1.4e-5 off at m = 45).
+#: answer or raise ToleranceError inside the reach.  A looser one would stop
+#: sooner, on coarse levels that miss the peaks (at abs_tol 1e-8 gauss-split
+#: was 2.6e-8 off at m = 1024 and adaptive-split 1.4e-5 off at m = 45), so a
+#: one-boundary side is integrated at min(abs_tol, 1e-10).
 _ONE_BOUNDARY_REACH = {"gauss-split": 1024, "adaptive-split": 59}
 
 
@@ -422,8 +429,9 @@ def _circle_answer(m, n, spinor, spec: QuadratureSpec | None) -> AbsorptionAnswe
 
     The one quadrature route of both one- and two-boundary queries.  A side
     whose far side is open integrates :func:`_one_boundary_integrand` under
-    ``spec``, or :data:`_ONE_BOUNDARY_SPEC` without one, and is refused
-    with ``ValueError`` past that rule's reach before anything is
+    ``spec``, or :data:`_ONE_BOUNDARY_SPEC` without one, at an ``abs_tol``
+    of at most 1e-10, the tolerance at which the rule's reach was measured,
+    and is refused with ``ValueError`` past that reach before anything is
     integrated; a side with both walls integrates
     :func:`_two_boundary_integrand` under ``spec``.  The left side is
     integrated first and the right side is the mirrored left computation,
@@ -442,6 +450,8 @@ def _circle_answer(m, n, spinor, spec: QuadratureSpec | None) -> AbsorptionAnswe
                 raise ValueError(
                     f"{rule.method} is accurate for one boundary up to m = {reach}, got m = {near}"
                 )
+            if rule.abs_tol > _ONE_BOUNDARY_SPEC.abs_tol:  # the reach's tolerance
+                rule = replace(rule, abs_tol=_ONE_BOUNDARY_SPEC.abs_tol)
             f = _one_boundary_integrand(near, psi)
         else:
             rule, f = spec, _two_boundary_integrand(near, far, psi)
@@ -463,172 +473,55 @@ def _circle_answer(m, n, spinor, spec: QuadratureSpec | None) -> AbsorptionAnswe
 #: the largest entry change over all geometries, is measured at about
 #: 0.36 * 0.0294^(K - 1) for K = 4-11 (K = 10: 5.9e-15, K = 11: 1.8e-16);
 #: K = 14 is the least K that puts it below 1e-20, so the answer is a
-#: truncation whose error is bounded far below the solve's own rounding
-#: (about 1e-15).  Fixed, not a knob: there is one strip route.
+#: truncation whose error is bounded far below the table's rounding (half
+#: an ulp per entry); the exact oracle finds 4.2e-21 to 4.4e-21 at (15, 15),
+#: (14, 20) and (1, 30).  Fixed, not a knob: there is one strip route, and
+#: the committed table holds the K^2 geometries with M, N <= K.
 _CLAMP = 14
 
-#: Doublings before :func:`_mirror_doubling` gives up.  Its sum covers
-#: 2^k steps after k doublings; widths 2-28 (2K, the widest ever solved)
-#: stop after 5-17.
-_STEIN_MAX_DOUBLINGS = 64
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-_SQRT_HALF = math.sqrt(0.5)
+#: One slot per clamped geometry (m, n), m, n = 1..K, at index
+#: K * (m - 1) + n - 1: ``None`` until :func:`_site_rows` first reads the
+#: geometry, then its three blocks as nested float lists.
+_strip_rows: list = [None] * (_CLAMP * _CLAMP)
 
 
-def _mirror_doubling(b_even: np.ndarray, b_odd: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Y = sum_t (B_e^T)^t Q B_o^t, the solution of Y = B_e^T Y B_o + Q, by doubling.
+def _table_rows(m: int, n: int) -> list:
+    """The blocks of (m, n), m, n <= K, as nested float lists, from the committed table.
 
-    Smith's doubling across two sectors: Y <- Y + B_e^T Y B_o with
-    B_e = b_even^(2^k) and B_o = b_odd^(2^k) adds the next 2^k terms of
-    the sum, and both powers are squared in one stacked product (the
-    smaller sector padded with zeros).  Stops once both powers are below
-    sqrt(eps) in every entry: that bounds the rest of the sum by rounding
-    and certifies that both b_even and b_odd are strictly stable, which
-    an increment alone cannot (it vanishes when one sector decays, however
-    the other behaves).  Raises :class:`RuntimeError` on a non-finite power
-    or sum, or after :data:`_STEIN_MAX_DOUBLINGS` doublings.
+    ``_strip_table`` holds X_left's and P_trapped's six upper-triangle
+    entries per geometry, each the float nearest to the exact rational
+    block; it is imported here, on the first two-boundary read, so that
+    ``import groverline`` does not load it.  X_right(m, n) is X_left(n, m)
+    with the coin order reversed, the site-and-coin mirror.
     """
-    n_odd = len(b_odd)
-    powers = np.zeros((2, len(b_even), len(b_even)))
-    powers[0] = b_even
-    powers[1, :n_odd, :n_odd] = b_odd
-    y = q
-    # an overflow is reported below as a non-finite increment
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_STEIN_MAX_DOUBLINGS):
-            y = y + powers[0].T @ y @ powers[1, :n_odd, :n_odd]
-            powers = powers @ powers
-            largest = abs(powers).max()  # NaN and inf propagate
-            if not (math.isfinite(largest) and largest > _SQRT_EPS):
-                break
-        else:
-            raise RuntimeError(
-                f"Stein doubling did not converge in {_STEIN_MAX_DOUBLINGS} doublings"
-            )
-    if not (math.isfinite(largest) and np.isfinite(y).all()):
-        raise RuntimeError("Stein doubling diverged: non-finite increment")
-    return y
+    from ._strip_table import BLOCKS
+
+    i, j = 12 * (_CLAMP * (m - 1) + n - 1), 12 * (_CLAMP * (n - 1) + m - 1)
+    ll, ls, lr, ss, sr, rr = BLOCKS[j : j + 6]
+    return [_symmetric(*BLOCKS[i : i + 6]), _symmetric(rr, sr, lr, ss, ls, ll),
+            _symmetric(*BLOCKS[i + 6 : i + 12])]
 
 
-def _solve_strip(width: int) -> np.ndarray:
-    """Start-site blocks of ``(X_left, X_right, P_trapped)`` for every start site.
-
-    The strip between boundaries at -m and +n has W - 1 interior sites
-    (W = m + n) and its one-step contraction A depends on W alone; the
-    start site picks the block.  Returns one read-only ``(3, W - 1, 3, 3)``
-    array whose ``[k, s]`` is the symmetric 3x3 diagonal block of X_left,
-    X_right or P_trapped (k = 0, 1, 2) at the start site of geometry
-    (s + 1, W - 1 - s).  :func:`_strip_cache` keeps it per width, so every
-    geometry and spinor of one strip shares one solve.
-
-    The solve rests on the site-and-coin mirror J, the reversal of the
-    whole site-major amplitude vector (site s -> W - 2 - s, coin
-    c -> 2 - c).  J maps A to itself, the flat band to itself and the left
-    loss row to the right one, so X_right = J X_left J: its blocks are
-    X_left's reversed on all three axes.  The ledger X_left + X_right + P
-    = I then fixes the mirror-even half of X_left, (X_left + J X_left J)/2
-    = (I - P)/2, and only the mirror-odd half is summed: with E_e and E_o
-    orthonormal bases of J's even and odd subspaces, A - P (the band moved
-    to eigenvalue 0) is the direct sum of B_e = E_e^T (A - P) E_e and
-    B_o = E_o^T (A - P) E_o, and X_left = (I - P)/2 + D + D^T with
-    D = E_e Y E_o^T and Y = sum_t (B_e^T)^t c_e^T c_o B_o^t
-    (:func:`_mirror_doubling`, whose stop certifies that both halves are
-    strictly stable, which is what makes (I - P)/2 exact).  Everything is
-    sliced, not multiplied: E_e pairs index i with its mirror 3W - 4 - i
-    at weight 1/sqrt(2) (a middle index is its own mirror, weight 1),
-    E_o at weights +-1/sqrt(2).  P = B (B^T B)^-1 B^T comes from the
-    closed-form band B with one small solve, so no QR, SVD or
-    eigendecomposition runs.
-    """
-    coin = grover_coin()
-    sites = width - 1
-    size = 3 * sites
-    # site-major amplitudes (index 3 * site + coin); L moves one site left,
-    # S stays, R moves one site right
-    a = np.zeros((size, size))
-    bands = a.reshape(sites, 3, sites, 3)
-    for c, shift in ((0, 1), (1, 0), (2, -1)):
-        target = np.arange(max(0, -shift), sites - max(0, shift))
-        bands[target, c, target + shift] = coin[c]
-    # ker(A - I) is the flat band, known in closed form: one state per pair
-    # of adjacent interior sites, (1, 1/2, 0) on the first and (0, 1/2, 1)
-    # on the second; its Gram matrix is tridiag(1/4, 5/2, 1/4)
-    flat = width - 2
-    band = np.zeros((sites, 3, flat))
-    pair = np.arange(flat)
-    band[pair, :, pair] = (1.0, 0.5, 0.0)
-    band[pair + 1, :, pair] = (0.0, 0.5, 1.0)
-    band = band.reshape(size, flat)
-    p = band @ np.linalg.solve(band.T @ band, band.T)
-    # fold A - P and the left loss row c (the coin's L row at the leftmost
-    # site) into the mirror sectors; A - P commutes with J, so its top rows
-    # carry both halves
-    n_odd = size // 2
-    n_even = size - n_odd  # one more when size is odd: the middle index
-    c = np.zeros(size)
-    c[:3] = coin[0]
-    rows = a[:n_even] - p[:n_even]
-    near, far = rows[:, :n_even], rows[:, ::-1][:, :n_even]
-    b_even, b_odd = near + far, (near - far)[:n_odd, :n_odd]
-    c_even = (c[:n_even] + c[::-1][:n_even]) * _SQRT_HALF
-    c_odd = (c[:n_odd] - c[::-1][:n_odd]) * _SQRT_HALF
-    if n_even > n_odd:
-        b_even[-1] *= _SQRT_HALF
-        b_even[:, -1] *= _SQRT_HALF
-        c_even[-1] *= _SQRT_HALF
-    y = _mirror_doubling(b_even, b_odd, np.outer(c_even, c_odd))
-    # site blocks of D = E_e Y E_o^T: index i reads Y at its sector index
-    # min(i, size - 1 - i), weighted 1/2 (1/sqrt(2) on the middle row) and
-    # signed +1 on the left half of the columns, -1 on the right, 0 in the
-    # middle
-    y = 0.5 * y
-    if n_even > n_odd:
-        y[-1] *= math.sqrt(2.0)
-    index = np.arange(size).reshape(sites, 3)
-    sector = np.minimum(index, size - 1 - index)
-    sign = np.sign(size - 1 - 2 * index)
-    d = y[sector[:, :, None], np.minimum(sector, n_odd - 1)[:, None, :]] * sign[:, None, :]
-    site = np.arange(sites)
-    trapped = p.reshape(sites, 3, sites, 3)[site, :, site]
-    blocks = np.empty((3, sites, 3, 3))
-    blocks[2] = 0.5 * (trapped + trapped.transpose(0, 2, 1))
-    blocks[0] = 0.5 * (np.eye(3) - blocks[2]) + (d + d.transpose(0, 2, 1))
-    blocks[1] = blocks[0, ::-1, ::-1, ::-1]
-    blocks.flags.writeable = False
-    return blocks
-
-
-@functools.lru_cache(maxsize=None)
-def _strip_cache(width: int) -> tuple[np.ndarray, list]:
-    """One width's cached solve: its read-only blocks and one row slot per start site.
-
-    Only widths 2..2K are asked (:data:`_CLAMP`), so the cache is unbounded
-    and holds at most 2K - 1 entries.  A slot starts as ``None``;
-    :func:`_site_rows` fills it with the site's three blocks as nested
-    float lists the first time any route asks that site, so each (width,
-    site) is converted from the array once, and the rows share the blocks'
-    cache entry: ``_strip_cache.cache_clear`` drops both.
-    """
-    return _solve_strip(width), [None] * (width - 1)
+def _symmetric(ll, ls, lr, ss, sr, rr) -> list:
+    return [[ll, ls, lr], [ls, ss, sr], [lr, sr, rr]]
 
 
 def _site_rows(m: int, n: int) -> list:
     """The three start-site blocks of geometry (m, n) as nested float lists.
 
-    The one reader of the strip cache, and the one place the clamp is
+    The one reader of the strip table, and the one place the clamp is
     applied: (m, n) is read at (min(m, K), min(n, K)), K = :data:`_CLAMP`,
     with conditional expressions (two ``min()`` calls cost more on a
-    cached query).  The rows are converted from the cached array the first
-    time the clamped (width, site) is asked and kept in its slot; they are
-    the array's entries, so ``np.array(rows)`` gives its blocks to the bit.
+    repeated query).  Each clamped geometry's rows are built from the table
+    the first time it is asked and kept in its slot of :data:`_strip_rows`.
     ``m`` and ``n`` must be validated boundary distances.
     """
     m = m if m < _CLAMP else _CLAMP
     n = n if n < _CLAMP else _CLAMP
-    blocks, rows = _strip_cache(int(m + n))
-    row = rows[m - 1]
+    slot = _CLAMP * (m - 1) + n - 1
+    row = _strip_rows[slot]
     if row is None:
-        row = rows[m - 1] = blocks[:, m - 1].tolist()
+        row = _strip_rows[slot] = _table_rows(m, n)
     return row
 
 
@@ -638,10 +531,10 @@ def _strip_forms(blocks, spinor) -> list[float]:
     Symmetry makes each form the real contraction
     sum_i B_ii |psi_i|^2 + 2 sum_{i<j} B_ij Re(conj(psi_i) psi_j), so the
     six real Gram terms of the spinor meet the blocks' entries in plain
-    float arithmetic: no complex array is built, and on a cached width
-    this is the whole of a query's arithmetic.  ``blocks`` is nested float
-    lists, as a query reads them; an array gives the same values as numpy
-    floats.  A basis spinor e_k reads each block's B_kk exactly.
+    float arithmetic: no complex array is built, and on a geometry read
+    before this is the whole of a query's arithmetic.  ``blocks`` is
+    nested float lists, as a query reads them; an array gives the same
+    values as numpy floats.  A basis spinor e_k reads each block's B_kk exactly.
     """
     a, b, c = map(complex, spinor)
     ar, ai, br, bi, cr, ci = a.real, a.imag, b.real, b.imag, c.real, c.imag
@@ -660,41 +553,33 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     contraction A on the 3(m+n-1) amplitudes at sites -m+1..n-1.  The
     amplitude absorbed at -m on step t+1 is c_L A^t psi, with c_L the L row
     of the coin at site -m+1 (c_R: the R row at site n-1), so
-    p_left = psi^H X_L psi, where X_L = sum_t (A^t)^T c_L^T c_L A^t solves
-    the Stein equation X = A^T X A + c_L^T c_L.  A keeps the eigenvalue-1
-    flat band (the compactly supported states that never reach a boundary,
-    dimension m+n-2: the states with (1, 1/2, 0) on one interior site and
-    (0, 1/2, 1) on the next); a contraction's unitary part reduces it, so
-    the band is moved to eigenvalue 0 (A - P), leaving a strictly stable
-    Stein equation, and its projection P = B (B^T B)^-1 B^T, from the
-    closed-form band states B with one small solve, is the trapped mass.
-    X_R is the site-and-coin mirror J X_L J, so it needs no second solve,
-    and the ledger X_L + X_R + P = I fixes X_L's mirror-even half,
-    (I - P)/2.  Only the mirror-odd half is summed: A - P splits into
-    half-size blocks on J's even and odd subspaces, and their cross Stein
-    sum is summed by doubling (Smith, 1968), Y <- Y + B_e^T Y B_o with
-    B = (A - P)^(2^k) per sector, numpy matrix products only, until both
-    powers vanish to sqrt(eps), which certifies both sectors strictly
-    stable.
+    p_left = psi^H X_L psi, where X_L = sum_t (A^t)^T c_L^T c_L A^t is the
+    Gram matrix of the hit sequences.  A keeps the eigenvalue-1 flat band
+    (the compactly supported states that never reach a boundary, dimension
+    m+n-2: the states with (1, 1/2, 0) on one interior site and (0, 1/2, 1)
+    on the next), and its projection P = B (B^T B)^-1 B^T is the trapped
+    mass.  X_R is the site-and-coin mirror J X_L J.
 
-    A depends only on the width m + n, so the work (one small solve, one
-    half-size doubling) is done once per width and cached as one read-only
-    array that every (m, n) with the same sum reads; see
-    :func:`absorption_profile`.
-    The returned arrays are built anew from the site's cached float rows,
-    to the bit of the cached blocks; the caller may modify them.
+    3A is an integer matrix, so each block entry is rational.  The blocks
+    come from the committed table ``_strip_table``, where each entry is the
+    float nearest to that rational, computed exactly by
+    ``tests/exact_oracle.py`` (Berlekamp-Massey and the Gohberg-Semencul
+    inverse for X_L, the closed-form band for P, the ledger
+    X_L + X_R + P = I checked in Fractions); ``python tests/exact_oracle.py
+    --write`` regenerates it and ``--check`` compares it bit for bit.  No
+    linear algebra runs here.  The returned arrays are built anew from the
+    geometry's kept float rows; the caller may modify them.
 
     The blocks are read at the clamped geometry (min(m, K), min(n, K)),
-    K = :data:`_CLAMP` = 14, so no strip wider than 28 is solved.  That is
-    a truncation: a wall's distance moves the blocks less at each site, by
-    the factor (3 - 2 sqrt 2)^2 = 0.0294 of Theorem 4's recurrence at its
-    fixed point, and past K the whole remaining change is below 1e-20,
-    far below the solve's rounding.  Geometries with m, n <= K are solved
-    as they are.
+    K = :data:`_CLAMP` = 14, the table's depth.  That is a truncation: a
+    wall's distance moves the blocks less at each site, by the factor
+    (3 - 2 sqrt 2)^2 = 0.0294 of Theorem 4's recurrence at its fixed point,
+    and past K the whole remaining change is below 1e-20, far below the
+    entries' rounding.  Geometries with m, n <= K are read as they are.
 
     Each block is real symmetric, in ``(L, S, R)`` order, and for every unit
-    spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to rounding (by
-    construction), so one call answers every spinor of the geometry.
+    spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to the entries'
+    rounding, a few ulp, so one call answers every spinor of the geometry.
     """
     validate_input(left=m, right=n)
     return tuple(np.array(_site_rows(m, n)))
@@ -708,17 +593,17 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the :func:`absorption_matrices` blocks of boundaries at -(s + 1) and
     +(width - 1 - s), so psi^H X_left[s] psi is the paper's two-boundary
     left absorption probability for that geometry, and the three blocks
-    of every entry sum to the identity.  The arrays are fresh (three views
-    of one new array) and share no memory with the cache.
+    of every entry sum to the identity, up to the entries' rounding.  The
+    arrays are fresh (three views of one new array) and share no memory
+    with the kept rows.
 
-    Each entry is read at its clamped geometry, as in
-    :func:`absorption_matrices`, to the bit: up to width 15 that is one
-    solve of the strip, and a wider profile is assembled in O(width) from
-    at most K = 14 cached solves of widths up to 28.  Only the at most 2K
-    sites within K of a wall are read one by one; the block of (14, 14) is
-    broadcast over every site farther than that from both walls.  X_right
-    stays X_left's site-and-coin mirror to the bit, since each cached
-    width's is.  The clamp's truncation error is below 1e-20.
+    Each entry is read at its clamped geometry from the committed table, as
+    in :func:`absorption_matrices`, to the bit, so a profile of any width
+    needs no solve: only the at most 2K sites within K of a wall are read
+    one by one, and the block of (14, 14) is broadcast over every site
+    farther than that from both walls.  X_right is X_left's site-and-coin
+    mirror to the bit, since the table stores X_left alone.  The clamp's
+    truncation error is below 1e-20.
     """
     validate_steps(width, 2, "width")
     width = int(width)
@@ -742,11 +627,12 @@ def prob_two_boundary(
     :func:`absorption_matrices`, read at the clamped geometry
     (min(M, 14), min(N, 14)), ``trapped`` is psi^H P_trapped psi, and
     ``error_estimate`` is the ledger residual
-    |psi^H (X_left + X_right + P_trapped) psi - 1|.  The solve builds the
-    blocks so that this ledger holds, so the residual reads rounding only;
-    the solve's own check is the stop of its doubling, which raises
-    instead of answering when the strip's contraction is not certified
-    strictly stable.
+    |psi^H (X_left + X_right + P_trapped) psi - 1|.  The blocks are the
+    committed table's correctly rounded entries, whose exact values satisfy
+    this ledger, so the residual reads the table's rounding and the form's
+    arithmetic: a few ulp, not zero by construction.  The exact oracle
+    ``tests/exact_oracle.py`` that made the table checks the ledger in
+    Fractions.
 
     With a :class:`QuadratureSpec` the circle quadrature answers instead,
     as an independent cross-check: the left probability integrates
@@ -762,7 +648,7 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        # the query is validated: read its clamped geometry's cached rows
+        # the query is validated: read its clamped geometry's kept rows
         p_left, p_right, trapped = _strip_forms(_site_rows(query.left, query.right), query.spinor)
         total = p_left + p_right
         return AbsorptionAnswer(
@@ -848,8 +734,8 @@ def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row
     The exact route reads every right boundary n >= K = 14 at 14
     (:func:`absorption_matrices`), so with ``spec=None`` the deficit step
     of every row n >= 14 is exactly 0.0 and its ``log2_deficit`` is None:
-    the true step there is below 1e-20, where the unclamped solve gave
-    only rounding noise.
+    the true step there is below 1e-20, under the rounding of the
+    table's entries.
     """
     validate_steps(max_n, 2, "max_n")
     answers = [

@@ -9,6 +9,8 @@ prefix, so pytest does not collect it.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,23 +32,26 @@ from groverline import (
 )
 
 # the CLI's two-boundary commands run the quadrature, so the exact strip
-# route is called through the API
+# route is called through the API; its blocks come from the generated
+# table module, which must ship with the installed package
+assert "groverline._strip_table" not in sys.modules
 a = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=5, right=20))
 assert a.error_estimate < 1e-12 and abs(a.total + a.trapped - 1) < 1e-12, a
-print(a)
+table = sys.modules["groverline._strip_table"]
+assert Path(table.__file__).parent == Path(groverline.__file__).parent, table.__file__
+assert len(table.BLOCKS) == 12 * absorb._CLAMP ** 2
+print(a, table.__file__)
 
 x = absorption_matrices(20, 40)
 assert np.abs(sum(x) - np.eye(3)).max() < 1e-12
 print(x[0])
 
-# a profile wider than 2K (K = 14) is assembled from the clamped widths:
-# ledger and mirror within 1e-12, at most 2K - 1 widths cached
+# a profile wider than 2K (K = 14) is assembled from the clamped table
+# geometries: ledger and mirror within 1e-12
 xl, xr, p = absorption_profile(300)
 e = max(np.abs(xl + xr + p - np.eye(3)).max(), np.abs(xr - xl[::-1, ::-1, ::-1]).max())
 assert e <= 1e-12, e
-n = absorb._strip_cache.cache_info().currsize
-assert n <= 2 * absorb._CLAMP - 1, n
-print(e, n)
+print(e)
 
 # one geometry asked twice, a cache miss and then a hit, each answer against
 # the forms of the blocks

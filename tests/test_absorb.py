@@ -33,6 +33,7 @@ from groverline.absorb import (
     table1,
     theorem4_sequence,
 )
+from groverline._strip_table import BLOCKS
 from groverline.genfun import BranchPointError, r_closed
 from groverline.walk import BoundarySpec, CoinSpinor, run_walk, validate_input
 
@@ -354,11 +355,10 @@ class TestTwoBoundary:
     @pytest.mark.parametrize(
         "m,n", [(m, w - m) for w in range(2, 31) for m in range(1, w)] + [(20, 40)]
     )
-    def test_exact_answer_is_the_forms_of_the_matrices(self, m, n):
-        # every start site of widths 2-30, from a cold solve: the matrices
-        # are built from the site's rows, converted once, and the queries
-        # read the same rows
-        absorb._strip_cache.cache_clear()
+    def test_exact_answer_is_the_forms_of_the_matrices(self, m, n, cold_strip_rows):
+        # every start site of widths 2-30, from a cold read: the matrices
+        # are built from the geometry's rows, built once from the table,
+        # and the queries read the same rows
         blocks = absorption_matrices(m, n)
         # the float basis spinors and an all-int one: a basis spinor e_k
         # reads the diagonal entry of each block exactly
@@ -368,7 +368,7 @@ class TestTwoBoundary:
             assert [ans.p_left, ans.p_right, ans.trapped] == [x[k, k] for x in blocks]
         psi = _gauss_split_spinors()[-1]  # numpy complex128 components
         for spinor in basis + [psi, tuple(map(complex, psi))]:
-            # reading the cached rows changes no bit of the answer
+            # reading the kept rows changes no bit of the answer
             ans = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))
             forms = _strip_forms(np.stack(blocks), spinor)
             assert _bits(ans.p_left, ans.p_right, ans.trapped) == _bits(*forms)
@@ -377,50 +377,64 @@ class TestTwoBoundary:
                 want = np.real(np.conj(spinor) @ x @ np.array(spinor))
                 assert form == pytest.approx(want, abs=1e-15)
 
-    def test_rows_are_converted_once_and_cleared_with_the_blocks(self):
+    def test_rows_are_converted_once_and_cleared_with_the_blocks(self, monkeypatch):
         spinors = [(0.6, 0.8j, 0), (0.48, -0.6, 0.64j)]
-        absorb._strip_cache.cache_clear()
+        k = absorb._CLAMP
+        built = []
+        build = absorb._table_rows
+
+        def spy(m, n):
+            built.append((m, n))
+            return build(m, n)
+
+        monkeypatch.setattr(absorb, "_table_rows", spy)
+        rows = [None] * (k * k)
+        monkeypatch.setattr(absorb, "_strip_rows", rows)
         first = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
-        blocks, rows = absorb._strip_cache(7)
-        # only the asked site is converted, to the array's entries as floats
-        assert [row is not None for row in rows] == [False, False, True, False, False, False]
-        row = rows[2]
-        assert row == blocks[:, 2].tolist()
+        # only the asked geometry's rows are built, from the table's floats:
+        # X_left and P_trapped at (3, 4), X_right from X_left at (4, 3)
+        assert built == [(3, 4)]
+        assert [i for i, row in enumerate(rows) if row is not None] == [k * 2 + 3]
+        row = rows[k * 2 + 3]
+        i = 12 * (k * 2 + 3)
+        for block, entries in zip((row[0], row[2]), (BLOCKS[i:i + 6], BLOCKS[i + 6:i + 12])):
+            upper = [block[0][0], block[0][1], block[0][2], block[1][1], block[1][2], block[2][2]]
+            assert upper == list(entries)
+        assert np.array_equal(np.array(row[1]), np.array(build(4, 3)[0])[::-1, ::-1])
         assert {type(x) for block in row for line in block for x in line} == {float}
         assert all(type(v) is float for v in dataclasses.astuple(first))
-        # a second spinor and another geometry of the width reuse the one solve,
-        # and the site's row is not converted again
+        # a second spinor reuses the rows, another geometry of the width
+        # builds its own
         prob_two_boundary(AbsorptionQuery(spinors[1], left=3, right=4))
         prob_two_boundary(AbsorptionQuery(spinors[1], left=1, right=6))
-        assert absorb._strip_cache.cache_info().misses == 1
-        assert absorb._strip_cache(7)[1][2] is row
-        assert [r is not None for r in absorb._strip_cache(7)[1]] == [True, False, True] + [False] * 3
-        # clearing the cache drops the blocks and the rows: the next query
-        # solves and converts anew, to the same bits
-        absorb._strip_cache.cache_clear()
-        assert absorb._strip_cache.cache_info().currsize == 0
+        assert built == [(3, 4), (1, 6)]
+        assert rows[k * 2 + 3] is row
+        # empty slots drop the rows: the next query builds them anew, to the
+        # same bits
+        rows = [None] * (k * k)
+        monkeypatch.setattr(absorb, "_strip_rows", rows)
         again = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
         assert _bits(*dataclasses.astuple(again)) == _bits(*dataclasses.astuple(first))
-        assert absorb._strip_cache.cache_info().misses == 1
-        fresh = absorb._strip_cache(7)[1][2]
+        assert built == [(3, 4), (1, 6), (3, 4)]
+        fresh = rows[k * 2 + 3]
         assert fresh is not row and fresh == row
 
-    def test_far_walls_read_the_clamped_geometry(self):
+    def test_far_walls_read_the_clamped_geometry(self, cold_strip_rows):
         # a wall beyond K is read at K: (20, 40), (14, 40) and (20, 14) are
-        # the query of (14, 14) to the bit and share its converted row, and
-        # (3, 40) is (3, 14); no width above 2K enters the cache
+        # the query of (14, 14) to the bit and share its row, and (3, 40) is
+        # (3, 14); only those two clamped geometries get rows
         k = absorb._CLAMP
         spinor = (0.48, -0.6, 0.64j)
-        absorb._strip_cache.cache_clear()
         want = prob_two_boundary(AbsorptionQuery(spinor, left=k, right=k))
-        row = absorb._strip_cache(2 * k)[1][k - 1]
+        row = cold_strip_rows[k * k - 1]
         for m, n in ((20, 40), (k, 40), (20, k), (np.int64(100), np.int64(100))):
             assert prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n)) == want
-        assert absorb._strip_cache(2 * k)[1][k - 1] is row
+        assert cold_strip_rows[k * k - 1] is row
         assert prob_two_boundary(AbsorptionQuery(spinor, left=3, right=40)) == prob_two_boundary(
             AbsorptionQuery(spinor, left=3, right=k)
         )
-        assert absorb._strip_cache.cache_info().currsize == 2
+        filled = [i for i, r in enumerate(cold_strip_rows) if r is not None]
+        assert filled == [k * 2 + k - 1, k * k - 1]
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and
@@ -722,8 +736,9 @@ class TestRecords:
         query = AbsorptionQuery((0, 0, 1), left=1, right=1)
         answer = prob_two_boundary(query)
         assert repr(query) == "AbsorptionQuery(spinor=(0, 0, 1), left=1, right=1)"
+        # the box's blocks are 2/3 and 1/3, each the nearest float
         assert repr(answer) == (
-            "AbsorptionAnswer(p_left=0.6666666666666667, p_right=0.3333333333333333, "
+            "AbsorptionAnswer(p_left=0.6666666666666666, p_right=0.3333333333333333, "
             "total=1.0, deficit=0.0, error_estimate=0.0, trapped=0.0)"
         )
         assert answer == prob_two_boundary(AbsorptionQuery([0, 0, 1], left=1, right=1))
@@ -815,7 +830,7 @@ class TestTable1:
     def test_deficit_steps_are_exact(self, rows):
         # the trapped mass t_N = 1 - s_N of coin R between -2 and +N obeys
         # t_0 = 0, t_(N+1) = 16 / (40 - t_N); every scaled step
-        # (t_(N+1) - t_N) * 1e12 within 1e-4 (measured at most 2.7e-5)
+        # (t_(N+1) - t_N) * 1e12 within 1e-4 (measured at most 3.3e-5)
         t = [Fraction(0)]
         for _ in range(6):
             t.append(16 / (40 - t[-1]))

@@ -6,6 +6,7 @@ the public names, the names that moved to the test oracles or were
 deleted, and the ``absorb`` attributes the benchmark's tracer wraps.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ def loaded():
         "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
         "integrate": "scipy.integrate" in sys.modules,
         "fft": "numpy.fft" in sys.modules,
+        "table": "groverline._strip_table" in sys.modules,
     }
 
 seen = {}
@@ -37,6 +39,8 @@ gl.prob_one_boundary(3, (0, 0, 1))
 seen["prob_one_boundary"] = loaded()
 gl.absorption_answer(gl.AbsorptionQuery((0, 1, 0), left=2))
 seen["absorption_answer_one"] = loaded()
+gl.AbsorptionQuery((0, 0, 1), left=2, right=3)
+seen["query"] = loaded()
 gl.prob_two_boundary(gl.AbsorptionQuery((0, 0, 1), left=2, right=3))
 seen["prob_two_boundary"] = loaded()
 gl.absorption_profile(7)
@@ -53,6 +57,7 @@ print(json.dumps(seen))
 """
 
 
+@functools.lru_cache(maxsize=None)
 def _probe() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -81,6 +86,17 @@ def test_scipy_stays_off_the_default_routes():
     assert seen["adaptive_split"]["integrate"]
 
 
+def test_strip_table_loads_on_the_first_two_boundary_query():
+    # the committed table of strip blocks is imported by the first
+    # two-boundary read, not by the package, the one-boundary routes or
+    # building a query
+    seen = _probe()
+    for step in ("import", "short_series", "series", "prob_one_boundary",
+                 "absorption_answer_one", "query"):
+        assert not seen[step]["table"], step
+    assert seen["prob_two_boundary"]["table"]
+
+
 PUBLIC = {
     "AbsorptionAnswer", "AbsorptionQuery", "AbsorptionReport", "BoundarySpec",
     "BranchPointError", "CoinSpinor", "OscillationTrace", "PoleError",
@@ -95,7 +111,8 @@ PUBLIC = {
 
 #: names the package no longer holds: test oracles now under tests/, code
 #: nothing but its own tests called, a second path to a CLI check, and
-#: wrappers around the one stepping loop, the validator and the strip lookup
+#: wrappers around the one stepping loop, the validator and the strip lookup,
+#: and the float strip solve, now a test oracle
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
@@ -105,6 +122,8 @@ GONE = (
     "theorem4_crosscheck", "_TWO_BOUNDARY_SPEC", "decay_slope", "tail_decay_fit",
     "partial_absorption", "spinor_mass_history", "_stein_doubling",
     "evolve", "_stepped", "_components", "_one_boundary_value", "_strip_blocks",
+    "_solve_strip", "_mirror_doubling", "_STEIN_MAX_DOUBLINGS", "_SQRT_EPS", "_SQRT_HALF",
+    "_strip_cache",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",

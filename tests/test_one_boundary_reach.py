@@ -14,6 +14,8 @@ gauss-split is within 1.1e-13 up to m = 1100 and 1.8e-8 off at m = 1250
 (coins L and R); adaptive-split is within 1.1e-12 up to m = 59 and 7.8e-6
 off at m = 60 (coin L).  Each wrong answer came with an error estimate below
 its abs_tol, so past its reach each rule is refused with ``ValueError``.
+Both reaches were measured at abs_tol 1e-10, and a looser abs_tol is
+tightened to 1e-10 for a one-boundary side.
 """
 
 import functools
@@ -88,6 +90,29 @@ def test_adaptive_split_at_the_edge_of_its_reach(coin):
     # measured: at most 1.3e-13 off, against its abs_tol of 1e-10
     got = prob_one_boundary(59, SPINORS[coin], ADAPTIVE)
     assert abs(got - reference(59, coin)) <= ADAPTIVE.abs_tol
+
+
+@pytest.mark.parametrize("tol", (1e-8, 1e-6))
+@pytest.mark.parametrize("coin", SPINORS)
+def test_gauss_split_keeps_its_reach_at_a_looser_tolerance(coin, tol):
+    # a one-boundary side is integrated at min(abs_tol, 1e-10), where the
+    # reach was measured; integrated at 1e-8 itself, m = 1024 was 2.6e-8 to
+    # 5.3e-8 off with no refusal
+    spec = QuadratureSpec("gauss-split", tol)
+    got = prob_one_boundary(1024, SPINORS[coin], spec)
+    assert got == prob_one_boundary(1024, SPINORS[coin])
+    assert abs(got - reference(1024, coin)) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", (1e-8, 1e-6))
+@pytest.mark.parametrize("coin", ("L", "mixed"))
+@pytest.mark.parametrize("m", (30, 45))
+def test_adaptive_split_keeps_its_reach_at_a_looser_tolerance(m, coin, tol):
+    # integrated at the looser tolerance itself, coin L was 1.4e-5 off at
+    # m = 45 (abs_tol 1e-8) and 3.1e-5 off at m = 30 (1e-6); measured now
+    # at most 1.1e-12 off
+    got = prob_one_boundary(m, SPINORS[coin], QuadratureSpec("adaptive-split", tol))
+    assert abs(got - reference(m, coin)) <= ADAPTIVE.abs_tol
 
 
 @pytest.mark.parametrize(

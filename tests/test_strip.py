@@ -1,19 +1,21 @@
 """The exact finite-strip route against the circle quadrature and itself.
 
-``absorption_matrices`` answers two-boundary queries from the closed-form
-flat band and one mirror-split Stein solve per strip width (a doubling
-sum over the mirror-odd half), cached; ``prob_two_boundary`` with an
+``absorption_matrices`` answers two-boundary queries from the committed
+table of correctly rounded blocks (``tests/exact_oracle.py`` makes it and
+pins it, in ``tests/test_exact_oracle.py``); ``prob_two_boundary`` with an
 explicit ``QuadratureSpec`` still runs the independent circle
 quadrature, which is the reference here,
 ``strip_oracle`` keeps the dense construction with one SVD and one scipy
-Stein solve per side and an 80-bit construction with no LAPACK call, and
+Stein solve per side, an 80-bit construction with no LAPACK call and a
+float mirror-split Stein solve, and
 theorem4's recurrence run in ``Fraction`` gives one block entry exactly.
 Every route reads a geometry at its boundary-layer clamp
 (min(M, K), min(N, K)); the clamp is held to the 80-bit reference, to a
-direct solve of the unclamped width, and to the per-site rate it rests on.
+float solve of the unclamped width, and to the per-site rate it rests on.
 """
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -29,7 +31,13 @@ from groverline.absorb import (
     prob_one_boundary,
     prob_two_boundary,
 )
-from strip_oracle import dense_absorption_matrices, longdouble_strip_blocks
+from groverline import _strip_table
+from strip_oracle import (
+    dense_absorption_matrices,
+    longdouble_strip_blocks,
+    mirror_doubling,
+    mirror_strip_blocks,
+)
 from test_series import BAD_COUNTS
 
 SWEEP = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 6, 8, 10, 12)]
@@ -98,8 +106,8 @@ def exact_theorem4(max_n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 40, 59, 79])
 def test_start_entry_is_the_exact_recurrence(n):
     # boundary adjacent on the left, coin R: X_left's R-R entry is p_n
-    # exactly; measured at most 3.4e-16 off over n = 1..79 (n >= K reads
-    # p_K, 1.3e-14 off unclamped)
+    # exactly; the table holds p_n correctly rounded for n <= K, measured
+    # at most 4.8e-17 off over n = 1..79 (n >= K reads p_K)
     exact = exact_theorem4(n)[n]
     assert abs(absorption_matrices(1, n)[0][2, 2] - float(exact)) < 5e-14
 
@@ -136,7 +144,7 @@ def test_stein_doubling_fails_fast(a, q, message):
     b_even, b_odd = a
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match=message):
-        absorb._mirror_doubling(b_even, b_odd, q)
+        mirror_doubling(b_even, b_odd, q)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -227,39 +235,43 @@ def test_cache_is_one_read_only_array(width):
     assert np.array_equal(profile, profile.transpose(0, 1, 3, 2))
     # X_right is X_left's site-and-coin mirror, to the bit
     assert np.array_equal(profile[1], profile[0][::-1, ::-1, ::-1])
-    # the widest strip the profile reads (2K for any wider profile) is one
-    # read-only cached array with one row slot per start site; up to
-    # width K + 1 no distance is clamped and the profile is that array
-    widest = min(width, 2 * K)
-    blocks, rows = absorb._strip_cache(widest)
-    assert isinstance(blocks, np.ndarray)
-    assert blocks.shape == (3, widest - 1, 3, 3)
-    assert not blocks.flags.writeable
-    assert len(rows) == widest - 1
-    assert np.array_equal(blocks[1], blocks[0][::-1, ::-1, ::-1])
-    if width <= K + 1:
-        assert np.array_equal(profile, blocks)
+    # every block is read from one read-only flat tuple of floats, twelve
+    # entries per clamped geometry, through that geometry's row slot
+    table = _strip_table.BLOCKS
+    assert type(table) is tuple and len(table) == 12 * K * K
+    assert {type(x) for x in table} == {float}
+    assert len(absorb._strip_rows) == K * K
+    for s in range(width - 1):
+        m, n = clamped(s + 1, width - 1 - s)
+        row = absorb._strip_rows[K * (m - 1) + n - 1]
+        assert np.array_equal(profile[:, s], np.array(row))
+        i = 12 * (K * (m - 1) + n - 1)
+        upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        assert [row[0][a][b] for a, b in upper] == list(table[i : i + 6])
+        assert [row[2][a][b] for a, b in upper] == list(table[i + 6 : i + 12])
 
 
 def test_returned_blocks_do_not_alias_the_cache():
     spinor = random_spinors(11, 1)[0]
     queries = [AbsorptionQuery(spinor, left=m, right=7 - m) for m in range(1, 7)]
     before = [prob_two_boundary(q) for q in queries]
-    cached = absorb._strip_cache(7)[0].copy()
+    cached = np.stack(absorption_profile(7))
+    rows = [absorb._strip_rows[K * (m - 1) + 6 - m] for m in range(1, 7)]
+    copies = [[[list(line) for line in block] for block in row] for row in rows]
     returned = absorption_matrices(3, 4) + absorption_profile(7)
     assert [b.shape for b in returned] == [(3, 3)] * 3 + [(6, 3, 3)] * 3
     for block in returned:
         assert block.flags.writeable
         block[...] = 7.0
     assert [prob_two_boundary(q) for q in queries] == before
-    assert np.array_equal(absorb._strip_cache(7)[0], cached)
+    assert [absorb._strip_rows[K * (m - 1) + 6 - m] for m in range(1, 7)] == copies
     assert all(np.array_equal(b, c) for b, c in zip(absorption_profile(7), cached))
 
 
-def test_cold_solve_reproduces_cached_answer():
+def test_cold_solve_reproduces_cached_answer(monkeypatch):
     geometries = [(1, 1), (2, 5), (6, 3), (20, 40)]
     cached = [absorption_matrices(m, n) for m, n in geometries]
-    absorb._strip_cache.cache_clear()
+    monkeypatch.setattr(absorb, "_strip_rows", [None] * (K * K))
     for (m, n), before in zip(geometries, cached):
         after = absorption_matrices(m, n)
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
@@ -280,9 +292,7 @@ def test_longdouble_reference_is_exact(width):
 @EXTENDED
 @pytest.mark.parametrize("width", REFERENCE_WIDTHS)
 def test_agrees_with_longdouble_reference(width):
-    # every start site, clamped above width K + 1; measured at most 7.6e-16
-    # (the solve of width 20), with one BLAS thread or two (2.7e-15 at width
-    # 60 unclamped)
+    # every start site, clamped above width K + 1; measured at most 5.2e-17
     blocks = np.stack(absorption_profile(width))
     assert np.max(np.abs(blocks - longdouble_strip_blocks(width))) < 2e-14
 
@@ -295,12 +305,12 @@ def test_trapped_blocks_match_svd_kernel():
 
 
 def test_strip_solve_needs_no_svd(monkeypatch):
+    # the float mirror-split solve of strip_oracle
     def no_svd(*args, **kwargs):
         raise AssertionError("the strip solve called an SVD")
 
-    absorb._strip_cache.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    x_left, x_right, trapped = absorption_profile(25)
+    x_left, x_right, trapped = mirror_strip_blocks(25)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
 
 
@@ -310,11 +320,30 @@ def test_strip_solve_needs_no_factorization(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the strip solve called a matrix factorization")
 
-    absorb._strip_cache.cache_clear()
     for name in ("qr", "svd", "eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    x_left, x_right, trapped = absorption_profile(25)
+    x_left, x_right, trapped = mirror_strip_blocks(25)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
+
+
+def test_production_strip_route_runs_no_linear_algebra(monkeypatch, cold_strip_rows):
+    # every two-boundary production path answers cold, the table module
+    # imported anew, with numpy's solvers and factorizations refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-boundary production path ran numpy.linalg")
+
+    for name in ("solve", "svd", "qr", "eig", "eigh", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.delitem(sys.modules, "groverline._strip_table", raising=False)
+    answer = prob_two_boundary(AbsorptionQuery((0.6, 0.8j, 0), left=5, right=20))
+    assert answer.error_estimate < 1e-15
+    x_left, x_right, trapped = absorption_matrices(3, 4)
+    assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-15
+    profile = absorption_profile(300)
+    assert np.max(np.abs(sum(profile) - np.eye(3))) < 1e-15
+    rows = absorb.table1()
+    assert all(row.precision_ok for row in rows)
+    assert "groverline._strip_table" in sys.modules
 
 
 def test_clamp_depth_follows_from_the_rate():
@@ -331,7 +360,7 @@ def clamped(m, n, k=K):
 @pytest.mark.parametrize("width", range(2, 61))
 def test_clamp_agrees_with_longdouble_reference(width):
     # every geometry of the width, read at its clamped geometry; measured at
-    # most 7.6e-16 (width 20 and up: the solve of width 20 itself)
+    # most 5.2e-17
     ref = longdouble_strip_blocks(width)
     for m in range(1, width):
         for x, y in zip(absorption_matrices(m, width - m), ref[:, m - 1]):
@@ -371,40 +400,47 @@ def test_blocks_forget_the_wall_at_the_theorem4_rate(m):
 
 @pytest.mark.parametrize("width", range(61, 201))
 def test_clamp_agrees_with_the_unclamped_solve(width):
-    # the left edge layer against a direct solve of the whole width (the
+    # the left edge layer against a float solve of the whole width (the
     # right one is its mirror); measured at most 9.1e-15 (width 200), the
-    # direct solve's own drift, which grows with the width
-    direct = absorb._solve_strip(width)
+    # float solve's own drift, which grows with the width
+    direct = mirror_strip_blocks(width)
     for m in range(1, K + 1):
         for x, y in zip(absorption_matrices(m, width - m), direct[:, m - 1]):
             assert np.max(np.abs(x - y)) < 2e-14
 
 
-def test_no_strip_wider_than_2k_is_solved(monkeypatch):
-    solved = []
-    solve = absorb._solve_strip
+def test_no_strip_wider_than_2k_is_solved(monkeypatch, cold_strip_rows):
+    # no geometry past the clamp is read from the table, and each clamped
+    # geometry's rows are built once
+    built = []
+    build = absorb._table_rows
 
-    def spy(width):
-        solved.append(width)
-        return solve(width)
+    def spy(m, n):
+        built.append((m, n))
+        return build(m, n)
 
-    absorb._strip_cache.cache_clear()
-    monkeypatch.setattr(absorb, "_solve_strip", spy)
+    monkeypatch.setattr(absorb, "_table_rows", spy)
     x_left, x_right, trapped = absorption_matrices(60, 120)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
     profile = absorption_profile(300)
     assert [b.shape for b in profile] == [(299, 3, 3)] * 3
     answer = prob_two_boundary(AbsorptionQuery((0.6, 0.8j, 0), left=20, right=40))
     assert abs(answer.total + answer.trapped - 1) < 1e-12
-    assert solved and max(solved) <= 2 * K
-    # the profile's K edge widths K + 1..2K, each solved once
-    assert sorted(solved) == list(range(K + 1, 2 * K + 1))
+    assert built and max(m + n for m, n in built) <= 2 * K
+    assert len(built) == len(set(built))
+    # the profile's edge geometries (m, K) and (K, n), widths K + 1..2K
+    assert sorted({m + n for m, n in built}) == list(range(K + 1, 2 * K + 1))
+    assert set(built) == {(m, K) for m in range(1, K + 1)} | {(K, n) for n in range(1, K + 1)}
 
 
-def test_cache_holds_at_most_2k_minus_1_widths():
+def test_cache_holds_at_most_2k_minus_1_widths(cold_strip_rows):
     for width in (*range(2, 81), 150, 300):
         absorption_profile(width)
         for m in (1, K - 1, K, K + 1, width // 2):
             if m < width:
                 absorption_matrices(m, width - m)
-    assert absorb._strip_cache.cache_info().currsize <= 2 * K - 1
+    # every row slot is a clamped geometry, so the rows span at most the
+    # 2K - 1 widths 2..2K
+    filled = [divmod(i, K) for i, row in enumerate(cold_strip_rows) if row is not None]
+    assert len(filled) == K * K
+    assert len({m + n + 2 for m, n in filled}) == 2 * K - 1
