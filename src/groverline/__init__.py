@@ -11,8 +11,9 @@ Four independent routes to the same physics cross-validate each other:
   two-boundary widening iteration;
 * :mod:`groverline.absorb` turns them into absorption probabilities:
   exactly on a finite strip, from a committed table of the strip blocks'
-  exact rational entries, correctly rounded, and by circle-averaging
-  quadrature for one boundary and as the two-boundary cross-check;
+  exact rational entries, correctly rounded; for one boundary from one
+  3x3 form per distance, a fixed 16-node rule in the variable y = -l; and
+  by circle-averaging quadrature as the cross-check of both;
   :mod:`groverline.localize` extracts the trapped-mass observables from
   long simulator runs.
 
@@ -22,8 +23,10 @@ them against are test oracles under ``tests/``: ``walk_oracle.py`` (the
 sparse walk), ``series_oracle.py`` (the coefficient sweep),
 ``genfun_oracle.py`` (the tracked branch, the transfer-matrix forms and
 the identities), ``strip_oracle.py`` (the dense two-solve, 80-bit and
-float mirror-split strip solves) and ``exact_oracle.py`` (the exact
-rational strip blocks, which write and check the committed table).
+float mirror-split strip solves), ``exact_oracle.py`` (the exact
+rational strip blocks, which write and check the committed table) and
+``exact_one_boundary.py`` (the exact one-boundary forms, from a moment
+recurrence in Fractions).
 """
 
 from .absorb import (

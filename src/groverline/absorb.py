@@ -1,4 +1,4 @@
-"""Absorption probabilities: exact on a finite strip, by circle quadrature otherwise.
+"""Absorption probabilities: exact on a finite strip, one 3x3 form per distance for one boundary.
 
 Two boundaries (production route): between the boundaries one step of the
 walk is a real contraction on the interior amplitudes, so each side's
@@ -36,40 +36,53 @@ strip, broadcasting the blocks of (K, K) over the sites beyond K from both
 walls; each answers every spinor.  All three routes read the table through
 one lookup, ``_site_rows``, the one place the clamp is applied.
 
-Circle quadrature: the total absorption probability is also the sum of
-squared first-hit amplitudes, i.e. the Hadamard square of a generating
-function evaluated at 1, which turns into the circle average
-(1/2pi) int |f(e^{i theta})|^2.  It is the production route for one
-boundary and the cross-check route for two (pass a
-:class:`QuadratureSpec`).  One function, ``_circle_answer``, answers every
-such query: it integrates the left side, and the right side as the left
-side of the mirrored walk.  The walk is symmetric under swapping L and R
-together with the sites, so the right probability of boundaries at -M and
-+N and spinor (alpha, beta, gamma) is the left probability of boundaries
-at -N and +M and spinor (gamma, beta, alpha).  One refinement loop,
-:func:`integrate_periodic`, doubles the node count until two levels agree;
-the two integrand families differ only in its level sequence:
+One boundary (production route): the absorption probability of a boundary
+m sites away is the circle mean (1/2pi) int |alpha l + beta s + gamma r|^2
+|l|^(2(m-1)) dtheta of the first-hit functions, so it too is a form
+psi^H F_m psi.  On the outer arc theta_b < |theta| <= pi, theta_b =
+arccos(-1/3) the branch angle of Delta, |l| = 1, and that arc gives the
+m-independent limit M_inf.  On the inner arc l is real and lies in
+[-1, -q], q = 5 - 2 sqrt 6, with l + 1/l = -2(2 + 3 cos theta), so y = -l
+is a coordinate on each half of it, and
+
+    F_m = M_inf + (1/pi) int_q^1 R(y) y^(2m-2) dy / sqrt((y - q)(1/q - y))
+
+with R a Laurent polynomial in y.  The branch corner maps to y = 1, where
+the integrand is smooth, and the only singularity left, 1/sqrt(y - q) at
+theta = 0, is removed by y = q + (y1 - q) u^2 on the last panel.
+``_one_boundary_form`` evaluates it with one fixed rule, 16 Gauss-Legendre
+nodes per panel, for every m: no refinement loop, no tolerance and no
+reach.  A query reads the form as one contraction, as the strip route
+does, and a right boundary reads the coin-reversed spinor.
+``tests/exact_one_boundary.py`` computes F_m exactly from the moments of
+y, and holds the rule to it.
+
+Circle quadrature (cross-check route, with an explicit
+:class:`QuadratureSpec`): the total absorption probability is also the
+sum of squared first-hit amplitudes, i.e. the Hadamard square of a
+generating function evaluated at 1, which turns into the circle average
+(1/2pi) int |f(e^{i theta})|^2.  One function, ``_circle_answer``,
+answers every such query: it integrates the left side, and the right side
+as the left side of the mirrored walk.  The walk is symmetric under
+swapping L and R together with the sites, so the right probability of
+boundaries at -M and +N and spinor (alpha, beta, gamma) is the left
+probability of boundaries at -N and +M and spinor (gamma, beta, alpha).
 
 * two-boundary integrands are rational with every pole strictly outside
   the closed disk, so the periodic midpoint trapezoid rule on 64 * 2^k
-  nodes converges spectrally and reaches ~1e-13 absolute error; nodes
-  are offset by half a cell so theta = 0 (a removable 0/0 point of the
-  widening recursion) is never sampled.  The node count grows quickly
-  with the strip width, because the strip's slowest decay rates crowd
-  the unit circle;
+  nodes (:func:`integrate_periodic`, which doubles the node count until
+  two levels agree) converges spectrally and reaches ~1e-13 absolute
+  error; nodes are offset by half a cell so theta = 0 (a removable 0/0
+  point of the widening recursion) is never sampled.  The node count
+  grows quickly with the strip width, because the strip's slowest decay
+  rates crowd the unit circle;
 * one-boundary integrands carry square-root corners at the two branch
-  angles of Delta.  The circle is cut at those angles and at 0 and pi
-  into four pieces, each with its corner at one end; the substitution
-  theta = corner + (far - corner) u^2 makes the corner smooth in u, and
-  Gauss-Legendre in u at orders 16, 32, ..., 1024 per piece converges
-  spectrally (``"gauss-split"``, the default).  scipy's adaptive
-  quadrature split at the same angles (``"adaptive-split"``) stays
-  outside that loop as an explicit cross-check route; only it loads
-  ``scipy.integrate``, on first use.  The factor |l|^(2(m-1)) of a
-  boundary m sites away narrows the corners to a width of about 1/m^2,
-  and past a reach each rule misses them while its error estimate stays
-  small, so ``"gauss-split"`` is refused for m > 1024 and
-  ``"adaptive-split"`` for m >= 60 (:data:`_ONE_BOUNDARY_REACH`).
+  angles of Delta.  scipy's adaptive quadrature split at those angles
+  (``"adaptive-split"``) integrates them as a cross-check; only it loads
+  ``scipy.integrate``, on first use.  The factor |l|^(2(m-1)) narrows the
+  corners to a width of about 1/m^2, and past m = 59 the rule misses them
+  while its error estimate stays small, so it is refused there
+  (:data:`_ONE_BOUNDARY_REACH`).
 
 The scalar recurrence for the adjacent-left-boundary probabilities p_n
 and the localization-deficit table build on the same machinery.
@@ -133,23 +146,21 @@ class QuadratureSpec:
 
     * ``"trapezoid"``: periodic midpoint rule, levels of 64 * 2^k nodes,
       for integrands analytic in a neighborhood of the circle;
-    * ``"gauss-split"``: corner-mapped Gauss-Legendre on the four pieces
-      between the branch angles and 0, pi, levels of order 16, 32, ...,
-      1024 per piece (4 * order nodes), for the one-boundary integrands
-      with square-root corners (the one-boundary default);
     * ``"adaptive-split"``: scipy's adaptive quadrature split at the two
-      branch angles, the independent cross-check for the same integrands.
+      branch angles, for the one-boundary integrands with square-root
+      corners.
 
-    The first two run the same refinement loop over their own level
-    sequence (:func:`integrate_periodic`).  ``abs_tol`` (a finite real
+    Both are cross-check routes: a query without a spec reads the exact
+    strip blocks or the one-boundary form.  ``abs_tol`` (a finite real
     > 0; a bool is refused) applies to the circle mean, not the raw
     integral; ``max_points`` (an integer >= 16) caps the evaluations of
-    one refinement level.  Both refinement rules start at 64 points and
-    need a second level, of 128, before they can return, so with
-    ``max_points`` below 128 they never answer: they raise
-    :class:`ToleranceError` with a ``nan`` error (``"adaptive-split"``
-    only reads ``max_points // 1024`` as its subinterval limit, at least
-    50, and answers at any accepted value).
+    one refinement level of the trapezoid rule
+    (:func:`integrate_periodic`).  That rule starts at 64 points and needs
+    a second level, of 128, before it can return, so with ``max_points``
+    below 128 it never answers: it raises :class:`ToleranceError` with a
+    ``nan`` error (``"adaptive-split"`` only reads ``max_points // 1024``
+    as its subinterval limit, at least 50, and answers at any accepted
+    value).
     """
 
     method: str = "trapezoid"
@@ -157,7 +168,7 @@ class QuadratureSpec:
     max_points: int = 2 ** 22
 
     def __post_init__(self):
-        if self.method not in ("trapezoid", "gauss-split", "adaptive-split"):
+        if self.method not in ("trapezoid", "adaptive-split"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
         tol = self.abs_tol
         if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
@@ -165,34 +176,26 @@ class QuadratureSpec:
         validate_steps(self.max_points, 16, "max_points")
 
 
-_ONE_BOUNDARY_SPEC = QuadratureSpec(method="gauss-split", abs_tol=1e-10)
-
-
 def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
     """Circle mean (1/2pi) int_0^2pi f(theta) dtheta with an error estimate.
 
     ``f`` must accept a numpy array of angles and return real values.
-    The trapezoid and gauss-split rules share one refinement loop: each
-    level of the method's sequence that fits in ``spec.max_points`` is
-    evaluated in turn, and the difference from the previous level is the
-    error estimate.  Raises :class:`ToleranceError` when the estimate
-    cannot be pushed below ``spec.abs_tol`` that way, at once when a
-    level's mean is not finite.
+    The trapezoid rule refines: each level of 64 * 2^k midpoint nodes that
+    fits in ``spec.max_points`` is evaluated in turn, and the difference
+    from the previous level is the error estimate.  Raises
+    :class:`ToleranceError` when the estimate cannot be pushed below
+    ``spec.abs_tol`` that way, at once when a level's mean is not finite.
+    ``"adaptive-split"`` hands ``f`` to scipy's adaptive quadrature.  No
+    query without a :class:`QuadratureSpec` calls this.
     """
     if spec.method == "adaptive-split":
         return _adaptive_split(f, spec)
-    if spec.method == "trapezoid":
-        levels = (64 * 2 ** k for k in itertools.count())
-        level_mean = _midpoint_mean
-    else:
-        levels = (4 * n for n in _GAUSS_SPLIT_ORDERS)
-        level_mean = _gauss_split_mean
     prev = err = float("nan")
     points = 0
-    for size in levels:
+    for size in (64 * 2 ** k for k in itertools.count()):
         if size > spec.max_points:
             break
-        cur = level_mean(f, size)
+        cur = _midpoint_mean(f, size)
         err = abs(cur - prev)
         if err < spec.abs_tol:
             return cur, err
@@ -210,41 +213,6 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
 def _midpoint_mean(f, n: int) -> float:
     theta = 2 * np.pi * (np.arange(n) + 0.5) / n
     return float(np.mean(f(theta)))
-
-
-#: Gauss-split orders per piece: 16, 32, ..., 1024.  At 2048 the node
-#: nearest a corner sits about 1.5e-13 from the branch point, inside the
-#: distance at which genfun refuses to pick a branch.
-_GAUSS_SPLIT_ORDERS = tuple(16 * 2 ** k for k in range(7))
-
-
-@functools.lru_cache(maxsize=len(_GAUSS_SPLIT_ORDERS))
-def _gauss_split_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and circle-mean weights of the order-n rule on all four pieces.
-
-    Each piece runs from a branch angle (its corner) to 0, pi or 2pi (its
-    far end); theta = corner + (far - corner) u^2 with u = (x + 1) / 2 and
-    Gauss-Legendre in x on [-1, 1], so d theta = (far - corner) u dx and
-    a square-root corner becomes smooth in u.  Cached, because
-    ``leggauss`` costs 1-5 ms at the orders a query uses, more than the
-    integrand; the arrays are read-only, since every caller shares them.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(n)
-    u = 0.5 * (x + 1.0)
-    b1, b2 = BRANCH_ANGLES
-    pieces = ((b1, 0.0), (b1, np.pi), (b2, np.pi), (b2, 2 * np.pi))
-    theta = np.concatenate([c + (far - c) * u * u for c, far in pieces])
-    weight = np.concatenate([abs(far - c) * u * w for c, far in pieces])
-    weight /= 2 * np.pi
-    theta.flags.writeable = weight.flags.writeable = False
-    return theta, weight
-
-
-def _gauss_split_mean(f, size: int) -> float:
-    theta, weight = _gauss_split_rule(size // 4)
-    return float(weight @ f(theta))
 
 
 def _adaptive_split(f, spec: QuadratureSpec) -> tuple[float, float]:
@@ -317,10 +285,11 @@ class AbsorptionAnswer:
     deficit also contains the mass escaping to the open side, not only
     the localized remainder.  ``trapped`` is the never-absorbed mass
     psi^H P psi, computed directly from the flat-band projection on the
-    exact two-boundary route and ``None`` on the quadrature routes.  On
-    the exact route the deficit is that directly computed ``trapped``
-    (never below zero, however small); the quadrature routes report
-    1 - total, which rounds to about 1e-16 around a true zero.
+    exact two-boundary route and ``None`` on the other routes.  On the
+    exact route the deficit is that directly computed ``trapped`` (never
+    below zero, however small); the one-boundary form and the quadrature
+    routes report 1 - total, which rounds to about 1e-16 around a true
+    zero.
 
     ``__init__`` is written out, as for :class:`AbsorptionQuery`: it fills
     the instance's ``__dict__`` in one call instead of one
@@ -373,22 +342,101 @@ def _one_boundary_integrand(m: int, spinor):
     return f
 
 
+#: q = 5 - 2 sqrt 6 = -l(1), the near end of y = -l on the inner arc, and
+#: 1/q; q is taken as 1/(5 + 2 sqrt 6), which has no cancellation
+_INV_Q = 5.0 + 2.0 * math.sqrt(6.0)
+_Q = 1.0 / _INV_Q
+_S_END = math.log(_INV_Q)  # s = -ln y at y = q
+
+#: M_inf, the outer arc's share of every F_m (|l| = 1 there), upper triangle
+#: in (L, S, R) order, LL, LS, LR, SS, SR, RR: a + (b sqrt 2 + c theta_b)/pi
+#: with the rows a, b and c below; LL = 1 - theta_b/pi,
+#: LS = -1 + (2 sqrt 2 + theta_b)/(2pi), LR = -1 + (2 sqrt 2 + 5 theta_b)/(4pi),
+#: SS = (2 sqrt 2 - theta_b)/pi, SR = (5 theta_b - 6 sqrt 2)/(4pi) and
+#: RR = (10 sqrt 2 - 7 theta_b)/(4pi)
+_M_INF = np.array([1.0, -1.0, -1.0, 0.0, 0.0, 0.0]) + (
+    np.array([0.0, 1.0, 0.5, 2.0, -1.5, 2.5]) * math.sqrt(2.0)
+    + np.array([-1.0, 0.5, 1.25, -1.0, 1.25, -1.75]) * BRANCH_ANGLES[0]
+) / math.pi
+
+#: A boundary farther than this is read at this distance, so that 2m - 1
+#: stays a float: F_m - M_inf is about 0.03/m^2, below 2e-21 here, far
+#: under the rounding of M_inf's entries.
+_FAR = 2 ** 32
+
+#: The error estimate of a one-boundary answer on the form route, the
+#: largest distance measured, rounded up: 1.1e-16 to the 30-digit reference
+#: of tests/test_one_boundary_reach.py (coins L, S, R and a mixed spinor,
+#: m = 1 to 10^6), 2.4e-16 to the exact forms of
+#: tests/exact_one_boundary.py (100 random unit spinors, m = 1-40, 100, 200
+#: and 400).  Every entry of F_m is within 1.2e-16 of the exact one for
+#: m = 1..400.
+_ONE_BOUNDARY_ERROR = 5e-16
+
+
+@functools.cache
+def _legendre16() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [0, 1], made on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(16)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _one_boundary_form(m: int) -> list:
+    """F_m, the form of a left boundary m sites away, as nested float lists.
+
+    F_m = M_inf + (1/pi) int_q^1 R(y) y^(2m-2) dy / sqrt((y - q)(1/q - y)),
+    with y = -l on the inner arc and R's entries LL = y(1 - y),
+    LS = -(1 - y)^2/2, LR = -(1 - y)(y^2 - 6y + 1)/(4y), SS = 2(1 - y),
+    SR = (1 - y)^2/(2y) and RR = (1 - y)/y.  The rule: 16 Gauss-Legendre
+    nodes per panel in s = -ln y, the first panel [0, 1/(2m - 1)], about
+    the width of y^(2m-2)'s peak at y = 1, each next panel twice as wide.
+    The panel that reaches y = q is taken in u, y = q + (y1 - q) u^2, where
+    1/sqrt(y - q) dy = 2 sqrt(y1 - q) du: y - q is never formed there,
+    which would put an entry 2.8e-15 off at m = 1.  That is 32 nodes at
+    m = 1, 96 at m = 10, 368 at m = 10^6 and 560 at :data:`_FAR`.  ``m``
+    must be a validated boundary distance.
+    """
+    m = m if m < _FAR else _FAR
+    x, w = _legendre16()
+    ys, weights = [], []
+    start, width = 0.0, 1.0 / (2 * m - 1)
+    while start + width < _S_END:
+        y = np.exp(-(start + width * x))
+        ys.append(y)
+        weights.append(width * w * y / np.sqrt((y - _Q) * (_INV_Q - y)))
+        start, width = start + width, 2.0 * width
+    top = math.exp(-start) - _Q
+    y = _Q + top * x * x
+    ys.append(y)
+    weights.append(2.0 * math.sqrt(top) * w / np.sqrt(_INV_Q - y))
+    y = np.concatenate(ys)
+    weight = np.concatenate(weights) * y ** (2 * m - 2)
+    v, inv = 1.0 - y, 1.0 / y
+    r = np.array([y * v, -0.5 * v * v, -0.25 * v * (y * y - 6.0 * y + 1.0) * inv,
+                  2.0 * v, 0.5 * v * v * inv, v * inv])
+    return _symmetric(*(_M_INF + (r @ weight) / math.pi).tolist())
+
+
 def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> float:
     """Probability of absorption at a single boundary m sites to the left.
 
-    Computes (1/2pi) int |alpha L + beta S + gamma R|^2 |L|^(2m-2) dtheta;
-    the basis cases reduce to the plain squared generating functions and
-    the general spinor follows by linearity of the evolution and the
-    projections.  With ``spec=None`` the corner-mapped Gauss-Legendre
-    rule (``"gauss-split"``, abs_tol 1e-10) integrates; pass
-    ``QuadratureSpec("adaptive-split", ...)`` for scipy's adaptive
-    quadrature as a cross-check.  A looser ``abs_tol`` than 1e-10 is
-    tightened to 1e-10, where the rules' reaches hold.  Past a rule's
-    reach, m > 1024 for ``"gauss-split"`` and m >= 60 for
-    ``"adaptive-split"``, it raises ``ValueError`` instead of answering
-    (:data:`_ONE_BOUNDARY_REACH`).
+    The circle mean (1/2pi) int |alpha L + beta S + gamma R|^2 |L|^(2m-2)
+    dtheta, by linearity of the evolution and the projections a Hermitian
+    form psi^H F_m psi.  With ``spec=None`` (production) F_m is
+    ``_one_boundary_form``'s fixed 16-node rule in y = -L, within
+    :data:`_ONE_BOUNDARY_ERROR` of the 30-digit reference for every m >= 1.
+    With ``QuadratureSpec("adaptive-split", ...)`` scipy's adaptive
+    quadrature integrates the circle mean instead, as a cross-check; a
+    looser ``abs_tol`` than 1e-10 is tightened to 1e-10, where its reach
+    holds, and past that reach, m >= 60, it raises ``ValueError`` instead
+    of answering (:data:`_ONE_BOUNDARY_REACH`).
     """
-    return _circle_answer(m, None, validate_input(spinor, m=m), spec).p_left
+    spinor = validate_input(spinor, m=m)
+    if spec is None:
+        return _strip_forms([_one_boundary_form(m)], spinor)[0]
+    return _circle_answer(m, None, spinor, spec).p_left
 
 
 def _two_boundary_integrand(m: int, n: int, spinor):
@@ -407,51 +455,48 @@ def _two_boundary_integrand(m: int, n: int, spinor):
     return f
 
 
-#: The largest boundary distance m at which each corner rule integrates one
-#: boundary.  Past it the |l|^(2(m-1)) corner peaks, of width about 1/m^2,
-#: fall between the coarse levels' nodes, which agree to within abs_tol on
-#: a value that misses them: the answer is wrong by far more than its error
-#: estimate.  Against a 30-digit reference (tests/test_one_boundary_reach.py)
-#: at abs_tol 1e-10, gauss-split is within 1.1e-13 up to m = 1100 and 1.8e-8
-#: off at m = 1250 (orders 16 and 32 agree there), adaptive-split within
-#: 1.1e-12 up to m = 59 and 7.8e-6 off at m = 60.  Gauss-split's onset does
-#: not move with max_points: with finest order 256 it still answers m = 700
-#: and fails m = 1024 by its own check.  A tighter abs_tol was measured to
-#: answer or raise ToleranceError inside the reach.  A looser one would stop
-#: sooner, on coarse levels that miss the peaks (at abs_tol 1e-8 gauss-split
-#: was 2.6e-8 off at m = 1024 and adaptive-split 1.4e-5 off at m = 45), so a
-#: one-boundary side is integrated at min(abs_tol, 1e-10).
-_ONE_BOUNDARY_REACH = {"gauss-split": 1024, "adaptive-split": 59}
+#: The largest boundary distance m at which the corner rule integrates one
+#: boundary, and the abs_tol at which that reach was measured.  Past it the
+#: |l|^(2(m-1)) corner peaks, of width about 1/m^2, fall between the rule's
+#: nodes, and it agrees with itself to within abs_tol on a value that misses
+#: them: the answer is wrong by far more than its error estimate.  Against a
+#: 30-digit reference (tests/test_one_boundary_reach.py) at abs_tol 1e-10,
+#: adaptive-split is within 1.1e-12 up to m = 59 and 7.8e-6 off at m = 60.
+#: A looser abs_tol would stop sooner (at 1e-8 it was 1.4e-5 off at
+#: m = 45), so a one-boundary side is integrated at min(abs_tol, 1e-10).
+#: The trapezoid rule has no reach: it fails the corners by its own check.
+_ONE_BOUNDARY_REACH = {"adaptive-split": 59}
+_REACH_TOL = 1e-10
 
 
-def _circle_answer(m, n, spinor, spec: QuadratureSpec | None) -> AbsorptionAnswer:
+def _circle_answer(m, n, spinor, spec: QuadratureSpec) -> AbsorptionAnswer:
     """Circle-quadrature answer for boundaries at -m and +n (``None``: open side).
 
-    The one quadrature route of both one- and two-boundary queries.  A side
-    whose far side is open integrates :func:`_one_boundary_integrand` under
-    ``spec``, or :data:`_ONE_BOUNDARY_SPEC` without one, at an ``abs_tol``
-    of at most 1e-10, the tolerance at which the rule's reach was measured,
-    and is refused with ``ValueError`` past that reach before anything is
-    integrated; a side with both walls integrates
-    :func:`_two_boundary_integrand` under ``spec``.  The left side is
-    integrated first and the right side is the mirrored left computation,
-    (n, m, (gamma, beta, alpha)).  The total sums the sides, the deficit is
-    1 - total and the error estimate sums the sides' estimates.  ``m``,
-    ``n`` and ``spinor`` must be validated.
+    The one quadrature route of both one- and two-boundary queries, run
+    only under an explicit ``spec``.  A side whose far side is open
+    integrates :func:`_one_boundary_integrand` at an ``abs_tol`` of at most
+    :data:`_REACH_TOL`, the tolerance at which the rule's reach was
+    measured, and is refused with ``ValueError`` past that reach before
+    anything is integrated; a side with both walls integrates
+    :func:`_two_boundary_integrand`.  The left side is integrated first and
+    the right side is the mirrored left computation, (n, m, (gamma, beta,
+    alpha)).  The total sums the sides, the deficit is 1 - total and the
+    error estimate sums the sides' estimates.  ``m``, ``n`` and ``spinor``
+    must be validated.
     """
     values, errors = [None, None], []
     for side, (near, far, psi) in enumerate(((m, n, spinor), (n, m, spinor[::-1]))):
         if near is None:
             continue
         if far is None:
-            rule = spec or _ONE_BOUNDARY_SPEC
+            rule = spec
             reach = _ONE_BOUNDARY_REACH.get(rule.method, math.inf)
             if near > reach:
                 raise ValueError(
                     f"{rule.method} is accurate for one boundary up to m = {reach}, got m = {near}"
                 )
-            if rule.abs_tol > _ONE_BOUNDARY_SPEC.abs_tol:  # the reach's tolerance
-                rule = replace(rule, abs_tol=_ONE_BOUNDARY_SPEC.abs_tol)
+            if rule.abs_tol > _REACH_TOL:
+                rule = replace(rule, abs_tol=_REACH_TOL)
             f = _one_boundary_integrand(near, psi)
         else:
             rule, f = spec, _two_boundary_integrand(near, far, psi)
@@ -668,16 +713,24 @@ def absorption_answer(
     """Dispatch a query to the right pipeline and fill an answer record.
 
     Two boundaries go to :func:`prob_two_boundary` (the exact strip route
-    unless ``spec`` is given), one boundary to the circle quadrature
-    (``"gauss-split"`` unless ``spec`` is given), which answers a right
-    boundary N sites away as the left boundary of the mirrored walk: N
-    sites to the left, spinor (gamma, beta, alpha).  Past the one-boundary
-    rule's reach it raises ``ValueError``, as :func:`prob_one_boundary`.
+    unless ``spec`` is given).  One boundary reads the form psi^H F_m psi
+    of :func:`prob_one_boundary`, with ``error_estimate``
+    :data:`_ONE_BOUNDARY_ERROR`, or under ``spec`` the circle quadrature,
+    which raises ``ValueError`` past its reach.  A right boundary N sites
+    away is answered as the left boundary of the mirrored walk: N sites to
+    the left, spinor (gamma, beta, alpha).  With one boundary the deficit
+    is 1 - total, the trapped and the escaping mass together.
     """
     if query.left is not None and query.right is not None:
         return prob_two_boundary(query, spec)
     # the query's spinor and boundary are validated
-    return _circle_answer(query.left, query.right, query.spinor, spec)
+    if spec is not None:
+        return _circle_answer(query.left, query.right, query.spinor, spec)
+    if query.left is not None:
+        (p,) = _strip_forms([_one_boundary_form(query.left)], query.spinor)
+        return AbsorptionAnswer(p, None, p, 1.0 - p, _ONE_BOUNDARY_ERROR)
+    (p,) = _strip_forms([_one_boundary_form(query.right)], query.spinor[::-1])
+    return AbsorptionAnswer(None, p, p, 1.0 - p, _ONE_BOUNDARY_ERROR)
 
 
 def theorem4_sequence(max_n: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from groverline.absorb import (
     theorem4_sequence,
 )
 from groverline._strip_table import BLOCKS
-from groverline.genfun import BranchPointError, r_closed
+from groverline.genfun import r_closed
 from groverline.walk import BoundarySpec, CoinSpinor, run_walk, validate_input
 
 from test_series import BAD_COUNTS
@@ -106,54 +106,14 @@ class TestIntegratePeriodic:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec("simpson", 1e-10)
+        # no corner-mapped Gauss-Legendre method: one boundary reads its form
+        with pytest.raises(ValueError, match="unknown quadrature method 'gauss-split'"):
+            QuadratureSpec("gauss-split", 1e-10)
         with pytest.raises(ValueError):
             QuadratureSpec("trapezoid", -1e-10)
         with pytest.raises(ValueError):
             QuadratureSpec("trapezoid", 1e-10, 4)
 
-
-    def test_constant_gauss_split(self):
-        value, err = integrate_periodic(
-            lambda t: np.ones_like(t), QuadratureSpec("gauss-split", 1e-12)
-        )
-        assert value == pytest.approx(1.0, abs=1e-14)
-        assert err <= 1e-12
-
-    def test_gauss_split_tolerance_failure_is_not_branch_error(self):
-        # the order stops at 1024 per piece, before a node comes within
-        # genfun's refusal distance of a branch point
-        def f(theta):
-            return np.abs(r_closed(np.exp(1j * theta))) ** 2
-
-        try:
-            integrate_periodic(f, QuadratureSpec("gauss-split", 1e-30))
-        except BranchPointError:
-            pytest.fail("gauss-split sampled a branch point")
-        except ToleranceError as exc:
-            assert exc.value == pytest.approx(P_ONE_R, abs=1e-9)
-            assert 0 <= exc.error < 1e-12
-        else:
-            pytest.fail("abs_tol=1e-30 was met")
-
-    def test_gauss_split_needs_room_for_a_second_level(self):
-        # 64 nodes fit, the 128 of the second level do not: no estimate
-        def f(theta):
-            return np.abs(r_closed(np.exp(1j * theta))) ** 2
-
-        with pytest.raises(ToleranceError) as exc_info:
-            integrate_periodic(f, QuadratureSpec("gauss-split", 1e-10, 100))
-        assert exc_info.value.value == pytest.approx(P_ONE_R, abs=1e-3)
-
-    def test_gauss_split_level_never_exceeds_max_points(self):
-        sizes = []
-
-        def f(theta):
-            sizes.append(theta.size)
-            return np.abs(r_closed(np.exp(1j * theta))) ** 2
-
-        with pytest.raises(ToleranceError):
-            integrate_periodic(f, QuadratureSpec("gauss-split", 1e-30, 1000))
-        assert sizes == [64, 128, 256, 512]
 
     def test_trapezoid_tolerance_failure_carries_last_difference(self):
         means = []
@@ -197,7 +157,7 @@ class TestIntegratePeriodic:
             integrate_periodic(f, QuadratureSpec("trapezoid", 1e-30, max_points))
         assert sizes == expected
 
-    @pytest.mark.parametrize("method", ["trapezoid", "gauss-split"])
+    @pytest.mark.parametrize("method", ["trapezoid"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_level_fails_at_once(self, method, bad):
         # finer levels cannot repair a NaN or inf mean, so the loop stops
@@ -242,7 +202,7 @@ def _bits(*values):
     return [None if v is None else float(v).hex() for v in values]
 
 
-def _gauss_split_spinors():
+def _one_boundary_spinors():
     rng = np.random.default_rng(20140527)
     spinors = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for _ in range(3):
@@ -251,33 +211,42 @@ def _gauss_split_spinors():
     return spinors
 
 
-class TestGaussSplit:
-    """The default one-boundary route against scipy's adaptive quadrature."""
+class TestOneBoundaryForm:
+    """The default one-boundary route, the form F_m, against scipy's adaptive quadrature."""
 
-    SPINORS = _gauss_split_spinors()
+    SPINORS = _one_boundary_spinors()
     ADAPTIVE = QuadratureSpec("adaptive-split", 1e-10)
-    GAUSS = QuadratureSpec("gauss-split", 1e-10)
 
     def test_is_the_one_boundary_default(self):
         psi = self.SPINORS[-1]
-        assert prob_one_boundary(4, psi) == prob_one_boundary(4, psi, self.GAUSS)
+        form = absorb._one_boundary_form(4)
+        assert prob_one_boundary(4, psi) == _strip_forms([form], psi)[0]
         ans = absorption_answer(AbsorptionQuery(psi, left=4))
-        assert ans.p_left == prob_one_boundary(4, psi, self.GAUSS)
+        assert ans.p_left == prob_one_boundary(4, psi)
+        assert ans.error_estimate == absorb._ONE_BOUNDARY_ERROR
+        # nested float lists, symmetric, as the strip route reads its blocks
+        assert {type(x) for row in form for x in row} == {float}
+        assert np.array_equal(np.array(form), np.array(form).T)
 
     @pytest.mark.parametrize("m", range(1, 16))
     def test_agrees_with_adaptive_split(self, m):
         for psi in self.SPINORS:
             ans = absorption_answer(AbsorptionQuery(psi, left=m))
-            assert ans.error_estimate <= self.GAUSS.abs_tol
+            assert ans.error_estimate == absorb._ONE_BOUNDARY_ERROR
             ref = prob_one_boundary(m, psi, self.ADAPTIVE)
             assert ans.p_left == pytest.approx(ref, abs=1e-11), psi
 
     @pytest.mark.parametrize("m", (1, 3, 9))
     def test_right_boundary_mirrors(self, m):
+        # a right boundary is the left one of the mirrored walk, to the bit
         for psi in self.SPINORS:
             right = absorption_answer(AbsorptionQuery(psi, right=m))
-            left = prob_one_boundary(m, psi[::-1])
-            assert right.p_right == left
+            left = absorption_answer(AbsorptionQuery(psi[::-1], left=m))
+            assert right.p_right == prob_one_boundary(m, psi[::-1])
+            assert _bits(right.p_left, right.p_right, right.total, right.deficit,
+                         right.error_estimate) == _bits(
+                left.p_right, left.p_left, left.total, left.deficit, left.error_estimate)
+            assert right.trapped is left.trapped is None
 
 
 class TestOneBoundary:
@@ -366,7 +335,7 @@ class TestTwoBoundary:
         for k, e in zip((0, 1, 2, 1), basis):
             ans = prob_two_boundary(AbsorptionQuery(e, left=m, right=n))
             assert [ans.p_left, ans.p_right, ans.trapped] == [x[k, k] for x in blocks]
-        psi = _gauss_split_spinors()[-1]  # numpy complex128 components
+        psi = _one_boundary_spinors()[-1]  # numpy complex128 components
         for spinor in basis + [psi, tuple(map(complex, psi))]:
             # reading the kept rows changes no bit of the answer
             ans = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))

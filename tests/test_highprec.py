@@ -1,4 +1,4 @@
-"""Independent high-precision oracle for the finite-line deficit table.
+"""Independent high-precision oracles: the finite-line deficit table, and one-boundary constants.
 
 A plain mpmath walk that shares no code with ``groverline``: the coin
 G = (2/3)J - I acts on the (L, S, R) components of every site, then L moves
@@ -8,6 +8,10 @@ the mass absorbed in one step falls below 1e-32, for N = 1..6.  That leaves
 about 15 significant digits in the scaled deficit p(N) = (s_N - s_{N+1}) *
 1e12 where double precision leaves about 5 at p(5) ~ 4.4e-11, so it settles
 which of the package and the published table is right at N = 4 and N = 5.
+
+The same file checks, by 40-digit quadrature of the printed closed forms,
+the constants the exact one-boundary oracle (``exact_one_boundary.py``)
+rests on: the outer arc's limit M_inf and the recurrence's first moments.
 """
 
 import math
@@ -16,6 +20,8 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from exact_one_boundary import M_INF, evaluate, moment  # noqa: E402
+from exact_one_boundary import UPPER as UPPER_ONE  # noqa: E402
 from test_absorb import DEFICIT_1E12, LOG2_DEFICIT  # noqa: E402
 from test_acceptance import (  # noqa: E402
     PUBLISHED_DEFICIT,
@@ -128,3 +134,61 @@ def test_published_entries_contradict_oracle(oracle):
     assert math.log2(PUBLISHED_DEFICIT[4]) == pytest.approx(
         PUBLISHED_LOG2[4], abs=1e-4
     )
+
+
+# --- the one-boundary constants, by 40-digit quadrature -------------------
+#
+# The exact one-boundary oracle (exact_one_boundary.py) rests on two
+# integrals it does not compute: the outer arc's limit M_inf, and the first
+# moments J_0 = (pi - theta_b)/2 and J_(-1) = (pi + theta_b)/2 of its
+# recurrence.  Each is checked here against an mpmath quadrature at 40
+# digits that uses only the printed closed forms.
+
+ONE_DPS = 40
+
+
+def _outer_arc_limit():
+    """(1/2pi) int Re(g g^H) dtheta over theta_b < |theta| < pi, g = (l, s, r)."""
+    corner = mpmath.acos(mpmath.mpf(-1) / 3)
+
+    def g(t):
+        z = mpmath.expj(t)
+        d = -mpmath.expj((t + mpmath.pi) / 2) * mpmath.sqrt(-6 * (1 + 3 * mpmath.cos(t)))
+        return (
+            (-3 - 4 * z - 3 * z * z + (1 + z) * d) / (2 * z),
+            (-3 - z + d) / (2 * z),
+            (3 - 2 * z + 3 * z * z + (z - 1) * d) / (4 * z),
+        )
+
+    def entry(i, j, u):
+        # theta = corner + (pi - corner) u^2 smooths the square-root corner
+        t = corner + (mpmath.pi - corner) * u * u
+        l_s_r = g(t)
+        return mpmath.re(l_s_r[i] * mpmath.conj(l_s_r[j])) * 2 * (mpmath.pi - corner) * u
+
+    # theta and -theta give conjugate (l, s, r), so Re(g g^H) is even
+    out = {(i, j): mpmath.quad(lambda u: entry(i, j, u), [0, 1]) / mpmath.pi for i, j in UPPER_ONE}
+    return out, g
+
+
+def test_outer_arc_limit_matches_m_inf():
+    with mpmath.workdps(ONE_DPS):
+        limit, g = _outer_arc_limit()
+        # |l| = 1 on the outer arc, so the arc's share does not depend on m
+        assert abs(abs(g(mpmath.mpf(2))[0]) - 1) < mpmath.mpf(10) ** -38
+        for (i, j), entry in zip(UPPER_ONE, M_INF):
+            exact = evaluate(entry, mpmath, ONE_DPS + 20)
+            assert abs(limit[i, j] - exact) < mpmath.mpf(10) ** -38, (i, j)
+
+
+def test_first_moments_match_their_closed_forms():
+    with mpmath.workdps(ONE_DPS):
+        q = 5 - 2 * mpmath.sqrt(6)
+        mid, half = (q + 1 / q) / 2, (1 / q - q) / 2
+        # y = mid - half cos(t) takes dy / sqrt((y - q)(1/q - y)) to dt
+        end = mpmath.acos((mid - 1) / half)
+        for k in (-1, 0, 1, 2, 7):
+            got = mpmath.quad(lambda t: (mid - half * mpmath.cos(t)) ** k, [0, end])
+            # J_k = A pi + B sqrt2 + C theta_b = pi (A + (B sqrt2 + C theta_b)/pi)
+            want = mpmath.pi * evaluate(moment(k), mpmath, ONE_DPS + 20)
+            assert abs(got - want) < mpmath.mpf(10) ** -38, k

@@ -37,6 +37,8 @@ gl.two_boundary_series(3, 3000)
 seen["series"] = loaded()
 gl.prob_one_boundary(3, (0, 0, 1))
 seen["prob_one_boundary"] = loaded()
+gl.prob_one_boundary(5000, (0.6, 0.8j, 0))
+seen["prob_one_boundary_far"] = loaded()
 gl.absorption_answer(gl.AbsorptionQuery((0, 1, 0), left=2))
 seen["absorption_answer_one"] = loaded()
 gl.AbsorptionQuery((0, 0, 1), left=2, right=3)
@@ -78,7 +80,8 @@ def test_scipy_stays_off_the_default_routes():
     assert seen["series"]["fft"]
     assert seen["series"]["scipy"] == []
     # the default routes, the exact strip solve included, are numpy-only
-    for step in ("prob_one_boundary", "absorption_answer_one", "prob_two_boundary",
+    for step in ("prob_one_boundary", "prob_one_boundary_far", "absorption_answer_one",
+                 "prob_two_boundary",
                  "absorption_profile", "table1", "theorem4"):
         assert seen[step]["scipy"] == [], step
     assert seen["theorem4_rc"] == 0
@@ -92,7 +95,7 @@ def test_strip_table_loads_on_the_first_two_boundary_query():
     # building a query
     seen = _probe()
     for step in ("import", "short_series", "series", "prob_one_boundary",
-                 "absorption_answer_one", "query"):
+                 "prob_one_boundary_far", "absorption_answer_one", "query"):
         assert not seen[step]["table"], step
     assert seen["prob_two_boundary"]["table"]
 
@@ -112,7 +115,8 @@ PUBLIC = {
 #: names the package no longer holds: test oracles now under tests/, code
 #: nothing but its own tests called, a second path to a CLI check, and
 #: wrappers around the one stepping loop, the validator and the strip lookup,
-#: and the float strip solve, now a test oracle
+#: the float strip solve, now a test oracle, and the corner-mapped
+#: Gauss-Legendre rule, which the one-boundary form replaced
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
@@ -123,7 +127,8 @@ GONE = (
     "partial_absorption", "spinor_mass_history", "_stein_doubling",
     "evolve", "_stepped", "_components", "_one_boundary_value", "_strip_blocks",
     "_solve_strip", "_mirror_doubling", "_STEIN_MAX_DOUBLINGS", "_SQRT_EPS", "_SQRT_HALF",
-    "_strip_cache",
+    "_strip_cache", "_GAUSS_SPLIT_ORDERS", "_gauss_split_rule", "_gauss_split_mean",
+    "_ONE_BOUNDARY_SPEC",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
@@ -160,6 +165,37 @@ def test_moved_and_deleted_names_are_gone():
     assert not hasattr(walk.WindowWalk, "step")
     assert "left" not in inspect.signature(absorb.table1).parameters
     assert "trace" not in inspect.signature(genfun.delta).parameters
+
+
+def test_default_one_boundary_queries_integrate_nothing(monkeypatch):
+    # the form route reads neither the circle quadrature nor a closed form
+    # of genfun, however far the boundary; the fresh-interpreter probe above
+    # pins that it loads no scipy module either
+    import groverline
+    from groverline import absorb, genfun
+
+    calls = []
+
+    def spy(name, orig):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for module in (absorb, genfun):
+        for name in ("integrate_periodic", "delta", "delta_on_circle", "l_closed",
+                     "s_closed", "r_closed"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    psi = (0.6, 0.8j, 0)
+    for m in (3, 5000):
+        groverline.prob_one_boundary(m, psi)
+        groverline.absorption_answer(groverline.AbsorptionQuery(psi, left=m))
+        groverline.absorption_answer(groverline.AbsorptionQuery(psi, right=m))
+    assert calls == []
+    # the spies do see a call: an explicit spec integrates on the circle
+    groverline.prob_one_boundary(3, psi, groverline.QuadratureSpec("adaptive-split", 1e-10))
+    assert "integrate_periodic" in calls and "l_closed" in calls
 
 
 def test_traced_names_stay_on_absorb():

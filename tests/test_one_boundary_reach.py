@@ -1,4 +1,4 @@
-"""The one-boundary rules against a 30-digit corner-split reference, and their reach.
+"""The one-boundary routes against a 30-digit corner-split reference, and the quadrature's reach.
 
 The reference integrates (1/2pi) int |alpha l + beta s + gamma r|^2
 |l|^(2(m-1)) dtheta in mpmath from the printed closed forms, sharing no
@@ -10,12 +10,12 @@ arccos(-1/3), so the inner arc (-theta_b, theta_b) is split at 0 and at
 its own, with its corner at an end.
 
 Measured against it, for coins L, S, R and the spinor (0.48, -0.6, 0.64i):
-gauss-split is within 1.1e-13 up to m = 1100 and 1.8e-8 off at m = 1250
-(coins L and R); adaptive-split is within 1.1e-12 up to m = 59 and 7.8e-6
-off at m = 60 (coin L).  Each wrong answer came with an error estimate below
-its abs_tol, so past its reach each rule is refused with ``ValueError``.
-Both reaches were measured at abs_tol 1e-10, and a looser abs_tol is
-tightened to 1e-10 for a one-boundary side.
+the default route, the form F_m in y = -l, is within 1.1e-16 at every m
+tested, 1 to 10^6, and has no reach.  adaptive-split is within 1.1e-12 up
+to m = 59 and 7.8e-6 off at m = 60 (coin L), with an error estimate below
+its abs_tol, so past m = 59 it is refused with ``ValueError``.  Its reach
+was measured at abs_tol 1e-10, and a looser abs_tol is tightened to 1e-10
+for a one-boundary side.
 """
 
 import functools
@@ -63,26 +63,13 @@ def reference(m, coin):
 
 
 @pytest.mark.parametrize("coin", SPINORS)
-@pytest.mark.parametrize("m", (100, 1024))
-def test_gauss_split_within_its_reach(m, coin):
-    # measured: at most 9.5e-14 off
-    assert abs(prob_one_boundary(m, SPINORS[coin]) - reference(m, coin)) <= 1e-12
-
-
-@pytest.mark.parametrize("coin", ("L", "R"))
-def test_gauss_split_reach_does_not_shrink_with_max_points(coin):
-    # Past the reach the two coarsest levels (orders 16 and 32) agree to
-    # within abs_tol on a value that misses the corner peaks, so a smaller
-    # max_points keeps the same onset.  With the finest order 256 (1024
-    # points) m = 700 is still answered to 7.9e-14 and m = 1024 cannot
-    # converge, while m = 1025 is refused as at the default max_points.
-    spec = QuadratureSpec("gauss-split", 1e-10, 1024)
-    psi = SPINORS[coin]
-    assert abs(prob_one_boundary(700, psi, spec) - reference(700, coin)) <= 1e-12
-    with pytest.raises(absorb.ToleranceError):
-        prob_one_boundary(1024, psi, spec)
-    with pytest.raises(ValueError, match="up to m = 1024, got m = 1025"):
-        prob_one_boundary(1025, psi, spec)
+@pytest.mark.parametrize("m", (1, 2, 3, 59, 60, 100, 1024, 1025, 1250, 5000, 10 ** 6))
+def test_default_route_matches_the_reference(m, coin):
+    # no reach: m = 60 and up are refused by adaptive-split, and the default
+    # route answers them as it answers m = 1; measured: at most 1.1e-16 off
+    # (m = 1, coin S), 7.7e-17 from m = 2 on
+    got = prob_one_boundary(m, SPINORS[coin])
+    assert abs(got - reference(m, coin)) <= absorb._ONE_BOUNDARY_ERROR
 
 
 @pytest.mark.parametrize("coin", SPINORS)
@@ -90,18 +77,6 @@ def test_adaptive_split_at_the_edge_of_its_reach(coin):
     # measured: at most 1.3e-13 off, against its abs_tol of 1e-10
     got = prob_one_boundary(59, SPINORS[coin], ADAPTIVE)
     assert abs(got - reference(59, coin)) <= ADAPTIVE.abs_tol
-
-
-@pytest.mark.parametrize("tol", (1e-8, 1e-6))
-@pytest.mark.parametrize("coin", SPINORS)
-def test_gauss_split_keeps_its_reach_at_a_looser_tolerance(coin, tol):
-    # a one-boundary side is integrated at min(abs_tol, 1e-10), where the
-    # reach was measured; integrated at 1e-8 itself, m = 1024 was 2.6e-8 to
-    # 5.3e-8 off with no refusal
-    spec = QuadratureSpec("gauss-split", tol)
-    got = prob_one_boundary(1024, SPINORS[coin], spec)
-    assert got == prob_one_boundary(1024, SPINORS[coin])
-    assert abs(got - reference(1024, coin)) <= 1e-12
 
 
 @pytest.mark.parametrize("tol", (1e-8, 1e-6))
@@ -115,26 +90,19 @@ def test_adaptive_split_keeps_its_reach_at_a_looser_tolerance(m, coin, tol):
     assert abs(got - reference(m, coin)) <= ADAPTIVE.abs_tol
 
 
-@pytest.mark.parametrize(
-    ("m", "spec", "message"),
-    [
-        (1025, None, "gauss-split is accurate for one boundary up to m = 1024, got m = 1025"),
-        (1025, QuadratureSpec("gauss-split", 1e-10), "up to m = 1024, got m = 1025"),
-        (60, ADAPTIVE, "adaptive-split is accurate for one boundary up to m = 59, got m = 60"),
-    ],
-)
-def test_refused_past_the_reach_before_integrating(monkeypatch, m, spec, message):
+def test_refused_past_the_reach_before_integrating(monkeypatch):
     def fail(*args):
         raise AssertionError("integrated past the reach")
 
     monkeypatch.setattr(absorb, "integrate_periodic", fail)
     psi = SPINORS["mixed"]
+    message = "adaptive-split is accurate for one boundary up to m = 59, got m = 60"
     with pytest.raises(ValueError, match=message):
-        prob_one_boundary(m, psi, spec)
+        prob_one_boundary(60, psi, ADAPTIVE)
     # a right boundary is the mirrored left one, and is refused alike
-    for query in (AbsorptionQuery(psi, left=m), AbsorptionQuery(psi, right=m)):
+    for query in (AbsorptionQuery(psi, left=60), AbsorptionQuery(psi, right=60)):
         with pytest.raises(ValueError, match=message):
-            absorption_answer(query, spec)
+            absorption_answer(query, ADAPTIVE)
 
 
 def test_trapezoid_has_no_one_boundary_reach():
