@@ -26,10 +26,11 @@ module (``python tests/exact_oracle.py --write``; ``--check`` compares it
 bit for bit).  X_right(M, N) is X_left(N, M) with the coin order
 reversed, the site-and-coin mirror.  No linear algebra runs on this route.
 The table is imported on the first two-boundary query, not by ``import
-groverline``, and each clamped geometry's three blocks are built as nested
-float lists the first time it is read, then kept.  Each block is real
-symmetric, so a query reads its three forms as one real contraction of the
-spinor's six Gram terms with the blocks' entries, in plain floats.
+groverline``, and that query builds the three blocks of all K^2 clamped
+geometries at once, as one immutable tuple of nested float tuples, so no
+later query builds anything.  Each block is real symmetric, so a query
+reads its three forms as one real contraction of the spinor's six Gram
+terms with the blocks' entries, in plain floats.
 :func:`absorption_matrices` returns the three start-site blocks of one
 geometry and :func:`absorption_profile` those of every start site of one
 strip, broadcasting the blocks of (K, K) over the sites beyond K from both
@@ -383,8 +384,8 @@ def _legendre16() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _one_boundary_form(m: int) -> list:
-    """F_m, the form of a left boundary m sites away, as nested float lists.
+def _one_boundary_form(m: int) -> tuple:
+    """F_m, the form of a left boundary m sites away, as nested float tuples.
 
     F_m = M_inf + (1/pi) int_q^1 R(y) y^(2m-2) dy / sqrt((y - q)(1/q - y)),
     with y = -l on the inner arc and R's entries LL = y(1 - y),
@@ -524,14 +525,15 @@ def _circle_answer(m, n, spinor, spec: QuadratureSpec) -> AbsorptionAnswer:
 #: the committed table holds the K^2 geometries with M, N <= K.
 _CLAMP = 14
 
-#: One slot per clamped geometry (m, n), m, n = 1..K, at index
-#: K * (m - 1) + n - 1: ``None`` until :func:`_site_rows` first reads the
-#: geometry, then its three blocks as nested float lists.
-_strip_rows: list = [None] * (_CLAMP * _CLAMP)
+#: The three start-site blocks (X_left, X_right, P_trapped) of every clamped
+#: geometry (m, n), m, n = 1..K, at index K * (m - 1) + n - 1, as nested
+#: float tuples: ``None`` until the first two-boundary read builds all K^2
+#: of them at once (:func:`_load_rows`), then never changed.
+_ROWS: tuple | None = None
 
 
-def _table_rows(m: int, n: int) -> list:
-    """The blocks of (m, n), m, n <= K, as nested float lists, from the committed table.
+def _load_rows() -> tuple:
+    """Every clamped geometry's blocks as nested float tuples, from the committed table.
 
     ``_strip_table`` holds X_left's and P_trapped's six upper-triangle
     entries per geometry, each the float nearest to the exact rational
@@ -541,33 +543,39 @@ def _table_rows(m: int, n: int) -> list:
     """
     from ._strip_table import BLOCKS
 
-    i, j = 12 * (_CLAMP * (m - 1) + n - 1), 12 * (_CLAMP * (n - 1) + m - 1)
-    ll, ls, lr, ss, sr, rr = BLOCKS[j : j + 6]
-    return [_symmetric(*BLOCKS[i : i + 6]), _symmetric(rr, sr, lr, ss, ls, ll),
-            _symmetric(*BLOCKS[i + 6 : i + 12])]
+    halves = [_symmetric(*six) for six in zip(*[iter(BLOCKS)] * 6)]
+    lefts, trapped = halves[::2], halves[1::2]
+    mirrors = [
+        _symmetric(rr, sr, lr, ss, ls, ll) for (ll, ls, lr), (_, ss, sr), (_, _, rr) in lefts
+    ]
+    k = _CLAMP
+    rights = [mirrors[k * n + m] for m in range(k) for n in range(k)]
+    return tuple(zip(lefts, rights, trapped))
 
 
-def _symmetric(ll, ls, lr, ss, sr, rr) -> list:
-    return [[ll, ls, lr], [ls, ss, sr], [lr, sr, rr]]
+def _symmetric(ll, ls, lr, ss, sr, rr) -> tuple:
+    return ((ll, ls, lr), (ls, ss, sr), (lr, sr, rr))
 
 
-def _site_rows(m: int, n: int) -> list:
-    """The three start-site blocks of geometry (m, n) as nested float lists.
+def _site_rows(m: int, n: int) -> tuple:
+    """The three start-site blocks of geometry (m, n) as nested float tuples.
 
     The one reader of the strip table, and the one place the clamp is
     applied: (m, n) is read at (min(m, K), min(n, K)), K = :data:`_CLAMP`,
     with conditional expressions (two ``min()`` calls cost more on a
-    repeated query).  Each clamped geometry's rows are built from the table
-    the first time it is asked and kept in its slot of :data:`_strip_rows`.
-    ``m`` and ``n`` must be validated boundary distances.
+    repeated query).  The first call builds every clamped geometry's rows
+    into :data:`_ROWS`; every call, that first one included, is then one
+    index into it, so a geometry read for the first time costs what a
+    repeated one does.  ``m`` and ``n`` must be validated boundary
+    distances.
     """
+    global _ROWS
+    rows = _ROWS
+    if rows is None:
+        rows = _ROWS = _load_rows()
     m = m if m < _CLAMP else _CLAMP
     n = n if n < _CLAMP else _CLAMP
-    slot = _CLAMP * (m - 1) + n - 1
-    row = _strip_rows[slot]
-    if row is None:
-        row = _strip_rows[slot] = _table_rows(m, n)
-    return row
+    return rows[_CLAMP * (m - 1) + n - 1]
 
 
 def _strip_forms(blocks, spinor) -> list[float]:
@@ -576,9 +584,9 @@ def _strip_forms(blocks, spinor) -> list[float]:
     Symmetry makes each form the real contraction
     sum_i B_ii |psi_i|^2 + 2 sum_{i<j} B_ij Re(conj(psi_i) psi_j), so the
     six real Gram terms of the spinor meet the blocks' entries in plain
-    float arithmetic: no complex array is built, and on a geometry read
-    before this is the whole of a query's arithmetic.  ``blocks`` is
-    nested float lists, as a query reads them; an array gives the same
+    float arithmetic: no complex array is built, and once the table is
+    loaded this is the whole of a query's arithmetic.  ``blocks`` is
+    nested float tuples, as a query reads them; an array gives the same
     values as numpy floats.  A basis spinor e_k reads each block's B_kk exactly.
     """
     a, b, c = map(complex, spinor)
@@ -613,7 +621,8 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     X_L + X_R + P = I checked in Fractions); ``python tests/exact_oracle.py
     --write`` regenerates it and ``--check`` compares it bit for bit.  No
     linear algebra runs here.  The returned arrays are built anew from the
-    geometry's kept float rows; the caller may modify them.
+    geometry's float rows, built with every other geometry's on the first
+    two-boundary read; the caller may modify them.
 
     The blocks are read at the clamped geometry (min(m, K), min(n, K)),
     K = :data:`_CLAMP` = 14, the table's depth.  That is a truncation: a
@@ -640,7 +649,7 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     left absorption probability for that geometry, and the three blocks
     of every entry sum to the identity, up to the entries' rounding.  The
     arrays are fresh (three views of one new array) and share no memory
-    with the kept rows.
+    with the rows the table was read into.
 
     Each entry is read at its clamped geometry from the committed table, as
     in :func:`absorption_matrices`, to the bit, so a profile of any width
@@ -693,7 +702,7 @@ def prob_two_boundary(
     if query.left is None or query.right is None:
         raise ValueError("prob_two_boundary needs both boundaries")
     if spec is None:
-        # the query is validated: read its clamped geometry's kept rows
+        # the query is validated: read its clamped geometry's prebuilt rows
         p_left, p_right, trapped = _strip_forms(_site_rows(query.left, query.right), query.spinor)
         total = p_left + p_right
         return AbsorptionAnswer(

@@ -103,7 +103,10 @@ def validate_input(spinor=_NO_SPINOR, **boundaries) -> tuple | None:
     ``int`` components) pass before the slower abstract-base-class checks,
     which on a cached strip query cost about as much as its arithmetic;
     ``bool`` is never an exact ``int``, and every other type takes those
-    checks, so no verdict moves.
+    checks, so no verdict moves.  Three such components are accepted in
+    one pass when their squared norm, the same sum the full checks form,
+    is within the tolerance, which no NaN or infinity can be; anything
+    else, an overflow included, takes the full checks and their message.
     """
     for name, v in boundaries.items():
         if v is None or (type(v) is int and v >= 1):
@@ -120,6 +123,13 @@ def validate_input(spinor=_NO_SPINOR, **boundaries) -> tuple | None:
         raise ValueError(f"spinor must be a sequence, got {type(spinor).__name__}") from None
     if len(comps) != 3:
         raise ValueError("spinor needs exactly three components")
+    a, b, c = comps
+    if type(a) in _BUILTIN_NUMBERS and type(b) in _BUILTIN_NUMBERS and type(c) in _BUILTIN_NUMBERS:
+        try:
+            if abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 - 1.0) <= INIT_NORM_TOL:
+                return comps
+        except OverflowError:  # the checks below give its message
+            pass
     for i, c in enumerate(comps):
         if type(c) in _BUILTIN_NUMBERS:
             continue

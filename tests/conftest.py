@@ -22,12 +22,11 @@ def profile500():
 
 @pytest.fixture
 def cold_strip_rows(monkeypatch):
-    """An empty row slot for every clamped strip geometry, for one test.
+    """The strip table unloaded, for one test.
 
-    The strip route builds a geometry's float rows from the committed table
-    the first time it is read; with this fixture every read in the test is
-    a first read again, and the slots are put back afterwards.
+    The first two-boundary read builds every clamped geometry's float rows
+    from the committed table into ``absorb._ROWS``; with this fixture that
+    first read happens in the test, and the loaded rows are put back
+    afterwards.
     """
-    rows = [None] * len(absorb._strip_rows)
-    monkeypatch.setattr(absorb, "_strip_rows", rows)
-    return rows
+    monkeypatch.setattr(absorb, "_ROWS", None)

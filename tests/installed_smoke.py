@@ -33,17 +33,23 @@ from groverline import (
 
 # the CLI's two-boundary commands run the quadrature, so the exact strip
 # route is called through the API; its blocks come from the generated
-# table module, which must ship with the installed package
+# table module, which must ship with the installed package, and the first
+# two-boundary query builds the rows of all K^2 clamped geometries
 assert "groverline._strip_table" not in sys.modules
+assert absorb._ROWS is None
 a = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=5, right=20))
 assert a.error_estimate < 1e-12 and abs(a.total + a.trapped - 1) < 1e-12, a
 table = sys.modules["groverline._strip_table"]
 assert Path(table.__file__).parent == Path(groverline.__file__).parent, table.__file__
 assert len(table.BLOCKS) == 12 * absorb._CLAMP ** 2
+assert len(absorb._ROWS) == absorb._CLAMP ** 2
 print(a, table.__file__)
 
+# far walls read the clamped geometry (K, K), to the bit
 x = absorption_matrices(20, 40)
 assert np.abs(sum(x) - np.eye(3)).max() < 1e-12
+k = absorb._CLAMP
+assert [u.tobytes() for u in x] == [v.tobytes() for v in absorption_matrices(k, k)]
 print(x[0])
 
 # a profile wider than 2K (K = 14) is assembled from the clamped table
@@ -53,8 +59,7 @@ e = max(np.abs(xl + xr + p - np.eye(3)).max(), np.abs(xr - xl[::-1, ::-1, ::-1])
 assert e <= 1e-12, e
 print(e)
 
-# one geometry asked twice, a cache miss and then a hit, each answer against
-# the forms of the blocks
+# one geometry asked twice, each answer against the forms of the blocks
 ss = [(0.6, 0.8j, 0), (0.48, -0.6, 0.64j)]
 aa = [prob_two_boundary(AbsorptionQuery(s, left=3, right=9)) for s in ss]
 xs = absorption_matrices(3, 9)

@@ -224,7 +224,7 @@ class TestOneBoundaryForm:
         ans = absorption_answer(AbsorptionQuery(psi, left=4))
         assert ans.p_left == prob_one_boundary(4, psi)
         assert ans.error_estimate == absorb._ONE_BOUNDARY_ERROR
-        # nested float lists, symmetric, as the strip route reads its blocks
+        # nested float tuples, symmetric, as the strip route reads its blocks
         assert {type(x) for row in form for x in row} == {float}
         assert np.array_equal(np.array(form), np.array(form).T)
 
@@ -326,8 +326,9 @@ class TestTwoBoundary:
     )
     def test_exact_answer_is_the_forms_of_the_matrices(self, m, n, cold_strip_rows):
         # every start site of widths 2-30, from a cold read: the matrices
-        # are built from the geometry's rows, built once from the table,
-        # and the queries read the same rows
+        # are built from the geometry's rows, built with every other
+        # geometry's from the table on that read, and the queries read the
+        # same rows
         blocks = absorption_matrices(m, n)
         # the float basis spinors and an all-int one: a basis spinor e_k
         # reads the diagonal entry of each block exactly
@@ -337,7 +338,7 @@ class TestTwoBoundary:
             assert [ans.p_left, ans.p_right, ans.trapped] == [x[k, k] for x in blocks]
         psi = _one_boundary_spinors()[-1]  # numpy complex128 components
         for spinor in basis + [psi, tuple(map(complex, psi))]:
-            # reading the kept rows changes no bit of the answer
+            # reading the prebuilt rows changes no bit of the answer
             ans = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))
             forms = _strip_forms(np.stack(blocks), spinor)
             assert _bits(ans.p_left, ans.p_right, ans.trapped) == _bits(*forms)
@@ -349,61 +350,61 @@ class TestTwoBoundary:
     def test_rows_are_converted_once_and_cleared_with_the_blocks(self, monkeypatch):
         spinors = [(0.6, 0.8j, 0), (0.48, -0.6, 0.64j)]
         k = absorb._CLAMP
-        built = []
-        build = absorb._table_rows
+        loads = []
+        load = absorb._load_rows
 
-        def spy(m, n):
-            built.append((m, n))
-            return build(m, n)
+        def spy():
+            loads.append(1)
+            return load()
 
-        monkeypatch.setattr(absorb, "_table_rows", spy)
-        rows = [None] * (k * k)
-        monkeypatch.setattr(absorb, "_strip_rows", rows)
+        monkeypatch.setattr(absorb, "_load_rows", spy)
+        monkeypatch.setattr(absorb, "_ROWS", None)
         first = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
-        # only the asked geometry's rows are built, from the table's floats:
-        # X_left and P_trapped at (3, 4), X_right from X_left at (4, 3)
-        assert built == [(3, 4)]
-        assert [i for i, row in enumerate(rows) if row is not None] == [k * 2 + 3]
+        # the first read builds every clamped geometry's rows in one load,
+        # from the table's floats: X_left and P_trapped at (m, n), X_right
+        # from X_left at (n, m)
+        rows = absorb._ROWS
+        assert loads == [1] and type(rows) is tuple and len(rows) == k * k
         row = rows[k * 2 + 3]
         i = 12 * (k * 2 + 3)
         for block, entries in zip((row[0], row[2]), (BLOCKS[i:i + 6], BLOCKS[i + 6:i + 12])):
             upper = [block[0][0], block[0][1], block[0][2], block[1][1], block[1][2], block[2][2]]
-            assert upper == list(entries)
-        assert np.array_equal(np.array(row[1]), np.array(build(4, 3)[0])[::-1, ::-1])
+            assert _bits(*upper) == _bits(*entries)
+        mirror = np.array(rows[k * 3 + 2][0])[::-1, ::-1]
+        assert _bits(*np.ravel(row[1])) == _bits(*mirror.ravel())
         assert {type(x) for block in row for line in block for x in line} == {float}
         assert all(type(v) is float for v in dataclasses.astuple(first))
-        # a second spinor reuses the rows, another geometry of the width
-        # builds its own
+        # a second spinor and another geometry of the width read the same
+        # rows: nothing more is built
         prob_two_boundary(AbsorptionQuery(spinors[1], left=3, right=4))
         prob_two_boundary(AbsorptionQuery(spinors[1], left=1, right=6))
-        assert built == [(3, 4), (1, 6)]
-        assert rows[k * 2 + 3] is row
-        # empty slots drop the rows: the next query builds them anew, to the
-        # same bits
-        rows = [None] * (k * k)
-        monkeypatch.setattr(absorb, "_strip_rows", rows)
+        assert loads == [1]
+        assert absorb._ROWS is rows and rows[k * 2 + 3] is row
+        # an unloaded table drops the rows: the next query builds them anew,
+        # to the same bits
+        monkeypatch.setattr(absorb, "_ROWS", None)
         again = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
         assert _bits(*dataclasses.astuple(again)) == _bits(*dataclasses.astuple(first))
-        assert built == [(3, 4), (1, 6), (3, 4)]
-        fresh = rows[k * 2 + 3]
+        assert loads == [1, 1]
+        fresh = absorb._ROWS[k * 2 + 3]
         assert fresh is not row and fresh == row
 
     def test_far_walls_read_the_clamped_geometry(self, cold_strip_rows):
         # a wall beyond K is read at K: (20, 40), (14, 40) and (20, 14) are
-        # the query of (14, 14) to the bit and share its row, and (3, 40) is
-        # (3, 14); only those two clamped geometries get rows
+        # the query of (14, 14) to the bit and read its very row object, and
+        # (3, 40) reads the row of (3, 14)
         k = absorb._CLAMP
         spinor = (0.48, -0.6, 0.64j)
         want = prob_two_boundary(AbsorptionQuery(spinor, left=k, right=k))
-        row = cold_strip_rows[k * k - 1]
+        row = absorb._ROWS[k * k - 1]
         for m, n in ((20, 40), (k, 40), (20, k), (np.int64(100), np.int64(100))):
             assert prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n)) == want
-        assert cold_strip_rows[k * k - 1] is row
+            assert absorb._site_rows(m, n) is row
         assert prob_two_boundary(AbsorptionQuery(spinor, left=3, right=40)) == prob_two_boundary(
             AbsorptionQuery(spinor, left=3, right=k)
         )
-        filled = [i for i, r in enumerate(cold_strip_rows) if r is not None]
-        assert filled == [k * 2 + k - 1, k * k - 1]
+        assert absorb._site_rows(3, 40) is absorb._ROWS[k * 2 + k - 1]
+        assert absorb._site_rows(40, 3) is absorb._ROWS[k * (k - 1) + 2]
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and

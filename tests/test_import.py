@@ -24,6 +24,7 @@ def loaded():
         "integrate": "scipy.integrate" in sys.modules,
         "fft": "numpy.fft" in sys.modules,
         "table": "groverline._strip_table" in sys.modules,
+        "rows": None if gl.absorb._ROWS is None else len(gl.absorb._ROWS),
     }
 
 seen = {}
@@ -97,7 +98,10 @@ def test_strip_table_loads_on_the_first_two_boundary_query():
     for step in ("import", "short_series", "series", "prob_one_boundary",
                  "prob_one_boundary_far", "absorption_answer_one", "query"):
         assert not seen[step]["table"], step
+        assert seen[step]["rows"] is None, step
+    # and that read builds the rows of all K^2 = 196 clamped geometries
     assert seen["prob_two_boundary"]["table"]
+    assert seen["prob_two_boundary"]["rows"] == 196
 
 
 PUBLIC = {
@@ -115,8 +119,9 @@ PUBLIC = {
 #: names the package no longer holds: test oracles now under tests/, code
 #: nothing but its own tests called, a second path to a CLI check, and
 #: wrappers around the one stepping loop, the validator and the strip lookup,
-#: the float strip solve, now a test oracle, and the corner-mapped
-#: Gauss-Legendre rule, which the one-boundary form replaced
+#: the float strip solve, now a test oracle, the corner-mapped
+#: Gauss-Legendre rule, which the one-boundary form replaced, and the
+#: per-geometry row slots, which the table of all rows built at load replaced
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
@@ -128,7 +133,7 @@ GONE = (
     "evolve", "_stepped", "_components", "_one_boundary_value", "_strip_blocks",
     "_solve_strip", "_mirror_doubling", "_STEIN_MAX_DOUBLINGS", "_SQRT_EPS", "_SQRT_HALF",
     "_strip_cache", "_GAUSS_SPLIT_ORDERS", "_gauss_split_rule", "_gauss_split_mean",
-    "_ONE_BOUNDARY_SPEC",
+    "_ONE_BOUNDARY_SPEC", "_strip_rows", "_table_rows",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",

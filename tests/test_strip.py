@@ -236,14 +236,14 @@ def test_cache_is_one_read_only_array(width):
     # X_right is X_left's site-and-coin mirror, to the bit
     assert np.array_equal(profile[1], profile[0][::-1, ::-1, ::-1])
     # every block is read from one read-only flat tuple of floats, twelve
-    # entries per clamped geometry, through that geometry's row slot
+    # entries per clamped geometry, through that geometry's prebuilt row
     table = _strip_table.BLOCKS
     assert type(table) is tuple and len(table) == 12 * K * K
     assert {type(x) for x in table} == {float}
-    assert len(absorb._strip_rows) == K * K
+    assert type(absorb._ROWS) is tuple and len(absorb._ROWS) == K * K
     for s in range(width - 1):
         m, n = clamped(s + 1, width - 1 - s)
-        row = absorb._strip_rows[K * (m - 1) + n - 1]
+        row = absorb._ROWS[K * (m - 1) + n - 1]
         assert np.array_equal(profile[:, s], np.array(row))
         i = 12 * (K * (m - 1) + n - 1)
         upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -256,25 +256,35 @@ def test_returned_blocks_do_not_alias_the_cache():
     queries = [AbsorptionQuery(spinor, left=m, right=7 - m) for m in range(1, 7)]
     before = [prob_two_boundary(q) for q in queries]
     cached = np.stack(absorption_profile(7))
-    rows = [absorb._strip_rows[K * (m - 1) + 6 - m] for m in range(1, 7)]
+    rows = [absorb._ROWS[K * (m - 1) + 6 - m] for m in range(1, 7)]
     copies = [[[list(line) for line in block] for block in row] for row in rows]
+    # the rows are tuples all the way down: nothing can write into them
+    assert all(
+        type(row) is type(block) is type(line) is tuple
+        for row in rows for block in row for line in block
+    )
     returned = absorption_matrices(3, 4) + absorption_profile(7)
     assert [b.shape for b in returned] == [(3, 3)] * 3 + [(6, 3, 3)] * 3
     for block in returned:
         assert block.flags.writeable
         block[...] = 7.0
     assert [prob_two_boundary(q) for q in queries] == before
-    assert [absorb._strip_rows[K * (m - 1) + 6 - m] for m in range(1, 7)] == copies
+    now = [absorb._ROWS[K * (m - 1) + 6 - m] for m in range(1, 7)]
+    assert all(a is b for a, b in zip(now, rows))
+    assert [[[list(line) for line in block] for block in row] for row in now] == copies
     assert all(np.array_equal(b, c) for b, c in zip(absorption_profile(7), cached))
 
 
 def test_cold_solve_reproduces_cached_answer(monkeypatch):
     geometries = [(1, 1), (2, 5), (6, 3), (20, 40)]
     cached = [absorption_matrices(m, n) for m, n in geometries]
-    monkeypatch.setattr(absorb, "_strip_rows", [None] * (K * K))
+    loaded = absorb._ROWS
+    monkeypatch.setattr(absorb, "_ROWS", None)
     for (m, n), before in zip(geometries, cached):
         after = absorption_matrices(m, n)
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    # the reload builds new rows equal to the old ones
+    assert absorb._ROWS is not loaded and absorb._ROWS == loaded
 
 
 @EXTENDED
@@ -410,16 +420,21 @@ def test_clamp_agrees_with_the_unclamped_solve(width):
 
 
 def test_no_strip_wider_than_2k_is_solved(monkeypatch, cold_strip_rows):
-    # no geometry past the clamp is read from the table, and each clamped
-    # geometry's rows are built once
-    built = []
-    build = absorb._table_rows
+    # no geometry past the clamp is read from the table, and the rows of
+    # every clamped geometry are built once, in one load
+    built, loads = [], []
+    load = absorb._load_rows
 
-    def spy(m, n):
-        built.append((m, n))
-        return build(m, n)
+    class Reads(tuple):
+        def __getitem__(self, i):
+            built.append(tuple(x + 1 for x in divmod(i, K)))
+            return super().__getitem__(i)
 
-    monkeypatch.setattr(absorb, "_table_rows", spy)
+    def spy():
+        loads.append(1)
+        return Reads(load())
+
+    monkeypatch.setattr(absorb, "_load_rows", spy)
     x_left, x_right, trapped = absorption_matrices(60, 120)
     assert np.max(np.abs(x_left + x_right + trapped - np.eye(3))) < 1e-12
     profile = absorption_profile(300)
@@ -427,7 +442,7 @@ def test_no_strip_wider_than_2k_is_solved(monkeypatch, cold_strip_rows):
     answer = prob_two_boundary(AbsorptionQuery((0.6, 0.8j, 0), left=20, right=40))
     assert abs(answer.total + answer.trapped - 1) < 1e-12
     assert built and max(m + n for m, n in built) <= 2 * K
-    assert len(built) == len(set(built))
+    assert loads == [1] and len(absorb._ROWS) == K * K
     # the profile's edge geometries (m, K) and (K, n), widths K + 1..2K
     assert sorted({m + n for m, n in built}) == list(range(K + 1, 2 * K + 1))
     assert set(built) == {(m, K) for m in range(1, K + 1)} | {(K, n) for n in range(1, K + 1)}
@@ -439,8 +454,15 @@ def test_cache_holds_at_most_2k_minus_1_widths(cold_strip_rows):
         for m in (1, K - 1, K, K + 1, width // 2):
             if m < width:
                 absorption_matrices(m, width - m)
-    # every row slot is a clamped geometry, so the rows span at most the
-    # 2K - 1 widths 2..2K
-    filled = [divmod(i, K) for i, row in enumerate(cold_strip_rows) if row is not None]
-    assert len(filled) == K * K
+    # the rows are one tuple of the K^2 clamped geometries, each three 3x3
+    # blocks of float tuples, so they span at most the 2K - 1 widths 2..2K
+    rows = absorb._ROWS
+    assert type(rows) is tuple and len(rows) == K * K
+    for row in rows:
+        assert type(row) is tuple and len(row) == 3
+        for block in row:
+            assert type(block) is tuple and [type(line) for line in block] == [tuple] * 3
+            assert [len(line) for line in block] == [3] * 3
+            assert {type(x) for line in block for x in line} == {float}
+    filled = [divmod(i, K) for i in range(len(rows))]
     assert len({m + n + 2 for m, n in filled}) == 2 * K - 1
