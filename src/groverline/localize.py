@@ -5,10 +5,11 @@ probabilities oscillate around nonzero means instead of decaying, the
 time-averaged profile has twin peaks at the start's two neighbors with
 geometric tails, and a single absorbing boundary can leave a large
 never-absorbed remainder parked next to it.  These helpers read them off
-the walk engine, :class:`~groverline.walk.WindowWalk`: a trace of every
-step by ``advance(1)`` in its own loop, anything else by advancing the
-engine straight to the times it reads.  The infinite-time profile, the
-start state's flat-band projection, is in closed form.
+the walk engine, :class:`~groverline.walk.WindowWalk`: the trace and the
+time-averaged profile by ``advance(2)`` in their own loops, each call
+reading the two states the engine's buffers hold, anything else by
+advancing the engine straight to the time it reads.  The infinite-time
+profile, the start state's flat-band projection, is in closed form.
 """
 
 from __future__ import annotations
@@ -47,17 +48,27 @@ def oscillation_trace(
 ) -> OscillationTrace:
     """Track P(-1, t) and P(0, t) for the free walk, t = 1..steps.
 
-    Both stay bounded away from zero forever; their time averages settle
-    near 0.2027 each (about 0.4053 combined) for the rightward start.
+    Both stay bounded away from zero forever.  For the rightward start
+    their running means over t = 1..T approach the stationary values
+    2q = 0.202041 each, 4q = 0.404082 combined
+    (:func:`stationary_profile`), from above: P(-1) averages 0.2049 at
+    T = 500 and 0.2025 at T = 4000.  Each ``advance(2)`` is read from both
+    of the engine's buffers.
     """
     validate_steps(steps, 1)
     init = init or CoinSpinor(0, 0, 1)
     engine = WindowWalk(init, BoundarySpec(), steps)
     i = engine.index(-1)
+    # after advance(2) from an even t, buffer 1 holds state t + 1 and
+    # buffer 0 state t + 2: both columns of both, in time order
+    pair = engine._windows[::-1, :, i:i + 2]
     amps = np.empty((steps, 3, 2), dtype=complex)
-    for t in range(steps):
+    for t in range(0, steps - 1, 2):
+        engine.advance(2)
+        amps[t:t + 2] = pair
+    if steps & 1:
         engine.advance(1)
-        amps[t] = engine.amps[:, i:i + 2]
+        amps[-1] = engine.amps[:, i:i + 2]
     probs = np.sum(np.abs(amps) ** 2, axis=1)
     return OscillationTrace(
         steps=np.arange(1, steps + 1),
@@ -77,20 +88,30 @@ def two_peak_profile(
     remnant floors the averaged tail at O(log steps / steps); use
     :func:`stationary_profile` when the geometric tail itself is the
     object of study.  Returns {position: mean probability} restricted to
-    positions that ever carry mass.
+    positions that ever carry mass.  Both of the engine's buffers are
+    summed after each ``advance(2)``, over the last product's reach.
     """
     validate_steps(steps, 2)
     init = init or CoinSpinor(0, 0, 1)
     engine = WindowWalk(init, BoundarySpec(), steps)
-    # squares of the float view (re, im interleaved), paired once at the end:
-    # no complex abs, which goes through hypot and allocates twice per step
+    # squares of the float views (re, im interleaved), paired once at the
+    # end: no complex abs, which goes through hypot and allocates twice
+    both = engine._windows.view(float)
     acc = np.zeros(2 * engine.width)
     times = range(steps // 2, steps + 1)
-    for t in times:
-        engine.advance(t - engine.t)
-        cone = engine.cone()
-        f = engine.amps[:, cone].view(float)
-        acc[2 * cone.start:2 * cone.stop] += np.einsum("ij,ij->j", f, f)
+    pairs, odd = divmod(len(times), 2)
+    engine.advance(times[0] - 1)
+    for _ in range(pairs):
+        # the two buffers hold states t - 1 and t, zero outside the reach
+        engine.advance(2)
+        lo, hi = engine._reach()
+        f = both[:, :, 2 * lo:2 * hi]
+        acc[2 * lo:2 * hi] += np.einsum("bij,bij->j", f, f)
+    if odd:
+        engine.advance(1)
+        lo, hi = engine._reach()
+        f = engine.amps[:, lo:hi].view(float)
+        acc[2 * lo:2 * hi] += np.einsum("ij,ij->j", f, f)
     acc = (acc[0::2] + acc[1::2]) / len(times)
     return {
         engine.lo + i: float(p) for i, p in enumerate(acc) if p > 0.0

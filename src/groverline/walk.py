@@ -16,11 +16,12 @@ step, and is fast enough for thousands of steps.  Its one stepping loop is
 :meth:`WindowWalk.advance`, which runs any number of steps, and every
 simulator entry point goes through it: :func:`run_walk`,
 ``residual_near_origin`` and the ``simulate`` command's snapshots jump
-straight to the times they read, and observers of every step (the
-``simulate`` rows with boundaries, the localization trace) call
-``advance(1)`` in their own loop.  The engine validates the start spinor
-and the step count.  :func:`run_walk` returns an :class:`AbsorptionReport`
-of the per-step hit amplitudes and masses and the residual norm.
+straight to the times they read, the ``simulate`` rows with boundaries
+call ``advance(1)`` per row, and the localization trace and profile call
+``advance(2)`` and read the last two states from the engine's two
+buffers.  The engine validates the start spinor and the step count.
+:func:`run_walk` returns an :class:`AbsorptionReport` of the per-step hit
+amplitudes and masses and the residual norm.
 
 The module holds only that engine and what drives it.  The sparse,
 value-semantic walk the tests check the engine against shares no code
@@ -240,6 +241,14 @@ class WindowWalk:
     coin and the shift together; the guard columns keep that view inside
     its buffer, and nothing reads them.
 
+    After ``advance(n)`` with n >= 2, ``amps`` (``_windows[t % 2]``) holds
+    the state at t and the other buffer the state at t - 1 as the last
+    step multiplied it, after any flush; both are zero outside that
+    product's reach (:meth:`_reach`), so an observer can read two steps
+    per call.  On a bounded side the other buffer's sink element may
+    still hold the hit of step t - 1: ``advance`` zeroes it only in the
+    current buffer.
+
     ``cols`` is the span of *live* columns padded by ``_BLOCK`` columns
     per side and clipped to the window's interior (the window itself on a
     free side).  The live columns run from the first to the last column
@@ -252,11 +261,16 @@ class WindowWalk:
     nothing.  A rebuild scans the current buffer inward from the columns
     the last product could write, a stretch of two blocks at each end, and
     zeroes everything outside the new live span in both buffers, sink
-    elements included, so a wall the span has left records zero hits.
-    Between two walls, once the padded cone covers the whole interior (at
-    once on a strip narrower than the padding), the views serve to the end
-    of the run with no scan.  When f underflows to 0.0 (c at most
-    2^-475), nothing is flushed and ``cols`` is the padded light cone.
+    elements included, so a wall the span has left records zero hits
+    (while the span still reaches a wall, the products rewrite its sink
+    element every step).  A rebuild makes about a dozen numpy calls and
+    took 11-14 us in a walk (half-line T = 3000, free T = 2000; one
+    OpenBLAS thread, 2-vCPU x86_64), about 8% of the 33 steps it serves,
+    which cost 4-5 us each.  Between two walls, once the padded cone
+    covers the whole interior (at once on a strip narrower than the
+    padding), the views serve to the end of the run with no scan.  When f
+    underflows to 0.0 (c at most 2^-475), nothing is flushed and ``cols``
+    is the padded light cone.
 
     Why a floor.  The walk's front runs at about |m| = t/sqrt(3), and
     ahead of it the amplitudes decay geometrically, down to 3^-t at the
@@ -323,6 +337,9 @@ class WindowWalk:
             )
             for r in reals
         ]
+        # the two buffers as views made once: unpacking ``_windows`` makes
+        # two new views, 0.75 us, at every rebuild
+        self._buffers = tuple(self._windows)
         self.amps = self._windows[0]
         spinor = init.as_array()
         self.amps[:, self.index(0)] = spinor
@@ -337,8 +354,13 @@ class WindowWalk:
             self.hit_left.append if bounds.left is not None else None,
             self.hit_right.append if bounds.right is not None else None,
         )
+        # the multiplied columns [first, last) stop short of a bounded side's
+        # sink column
+        self._first = 0 if bounds.left is None else 1
+        self._last = width if bounds.right is None else width - 1
+        self._walls = bounds.left is not None and bounds.right is not None
         # per parity of t: (source, target, window after the step)
-        self._views: list[tuple] = []
+        self._views: tuple = ()
         # the window columns the views multiply
         self._span = (0, 0)
         # the last t the views serve; the first step builds them
@@ -361,44 +383,49 @@ class WindowWalk:
         """
         if t == 1:
             self._windows[0].fill(0)
-        # the multiplied columns stop short of a bounded side's sink column
-        first = 0 if self.bounds.left is None else 1
-        last = self.width if self.bounds.right is None else self.width - 1
+        first, last = self._first, self._last
         start = max(first, self.index(-t) - _BLOCK)
         stop = min(last, self.index(t) + 1 + _BLOCK)
         # a free side's window edge is no wall: the cone reaches it only in
         # the last _BLOCK steps, which keep multiplying the live columns
-        walls = self.bounds.left is not None and self.bounds.right is not None
         if not t:
             self._fresh_until = 0
-        elif walls and start == first and stop == last:
+        elif self._walls and start == first and stop == last:
             self._fresh_until = self.steps - 1
         else:
             if self._floor:
-                start, stop = self._flush(t & 1, first, last)
+                start, stop = self._flush(t & 1)
             self._fresh_until = min(t + _BLOCK, self.steps - 1)
         self._span = (start, stop)
         floats = slice(2 * start, 2 * stop)
-        self._views = [
-            (self._sources[cur][:, floats], self._targets[1 - cur][:, floats],
-             self._windows[1 - cur])
-            for cur in (0, 1)
-        ]
+        (s0, s1), (t0, t1), (w0, w1) = self._sources, self._targets, self._buffers
+        self._views = ((s0[:, floats], t1[:, floats], w1), (s1[:, floats], t0[:, floats], w0))
 
-    def _flush(self, cur: int, first: int, last: int) -> tuple[int, int]:
+    def _reach(self) -> tuple[int, int]:
+        """Window columns [lo, hi) the last product could write: its span and one more per side."""
+        start, stop = self._span
+        return max(0, start - 1), min(self.width, stop + 1)
+
+    def _flush(self, cur: int) -> tuple[int, int]:
         """Zero both buffers outside the live columns of buffer ``cur``; return those padded.
 
-        The last product wrote its span and, through the shift, one column
-        on each side (a sink column among them), so nothing outside that
-        reach can be nonzero in either buffer, and only that reach is
-        scanned and zeroed.  The live columns come back padded by
-        ``_BLOCK`` and clipped to [``first``, ``last``).
+        Nothing outside the last product's reach (a sink column among it)
+        can be nonzero in either buffer, so only that reach is scanned and
+        zeroed.  The live columns come back padded by ``_BLOCK`` and clipped
+        to the multiplied columns.  A side whose first scanned column is
+        live has nothing to zero but, beside a wall, the sink column, and
+        that is skipped: the next product into each buffer rewrites its one
+        written element, and ``advance`` zeroes that element in the
+        current buffer when it returns.
         """
-        start, stop = self._span
-        lo, hi = max(0, start - 1), min(self.width, stop + 1)
-        a, b = _live_span(self._sources[cur], max(first, lo), min(last, hi), self._floor)
-        self._windows[:, :, lo:a] = 0
-        self._windows[:, :, b:hi] = 0
+        lo, hi = self._reach()
+        first, last = self._first, self._last
+        scan_lo, scan_hi = max(first, lo), min(last, hi)
+        a, b = _live_span(self._sources[cur], scan_lo, scan_hi, self._floor)
+        if a > scan_lo:
+            self._windows[:, :, lo:a] = 0
+        if b < scan_hi:
+            self._windows[:, :, b:hi] = 0
         return max(first, a - _BLOCK), min(last, b + _BLOCK)
 
     def advance(self, n: int) -> None:
@@ -458,18 +485,22 @@ def _live_span(floats: np.ndarray, lo: int, hi: int, floor: float) -> tuple[int,
     range, about a block more than a rebuild's padding, so it finds both
     ends of the span unless one has moved inward by a block since the last
     rebuild.  Then, or on a range no wider than the two stretches, it
-    reads the whole range.  ``(lo, lo)`` when no column is live.
+    reads the whole range.  ``(lo, lo)`` when no column is live.  The
+    mask of live float columns is searched as bytes, one per column, by
+    ``find`` and ``rfind``, which costs no numpy call.
     """
     n = 2 * _BLOCK
     if hi - lo > 2 * n:
         edges = np.concatenate((floats[:, 2 * lo:2 * (lo + n)], floats[:, 2 * (hi - n):2 * hi]), axis=1)
-        live = np.flatnonzero(np.abs(edges).max(axis=0) >= floor)
-        if live.size and live[0] < 2 * n <= live[-1]:
-            return lo + int(live[0]) // 2, hi - 2 * n + int(live[-1]) // 2 + 1
-    live = np.flatnonzero(np.abs(floats[:, 2 * lo:2 * hi]).max(axis=0) >= floor)
-    if not live.size:
+        live = (np.abs(edges, out=edges).max(axis=0) >= floor).tobytes()
+        i, j = live.find(1, 0, 2 * n), live.rfind(1, 2 * n)
+        if i >= 0 and j >= 0:
+            return lo + i // 2, hi - 2 * n + j // 2 + 1
+    live = (np.abs(floats[:, 2 * lo:2 * hi]).max(axis=0) >= floor).tobytes()
+    i = live.find(1)
+    if i < 0:
         return lo, lo
-    return lo + int(live[0]) // 2, lo + int(live[-1]) // 2 + 1
+    return lo + i // 2, lo + live.rfind(1) // 2 + 1
 
 
 @dataclass(frozen=True)

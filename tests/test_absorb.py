@@ -441,6 +441,19 @@ class TestTwoBoundary:
         report = run_walk(CoinSpinor(0, 0, 1), BoundarySpec(left=2, right=2), 2000)
         assert report.residual_norm == pytest.approx(ans.deficit, abs=5e-3)
 
+    @pytest.mark.parametrize("spinor", [(0, 0, 1), (0.48, 0.6, 0.64j)], ids=["R", "complex"])
+    @pytest.mark.parametrize("left, right", [(2, 2), (1, 3), (1, 5), (2, 4), (3, 3)])
+    def test_narrow_strip_walk_matches_the_exact_route(self, spinor, left, right):
+        # the tight half of the simulator leg: on strips this narrow the walk
+        # has converged by T = 2000, so its hit masses and residual meet the
+        # exact route to rounding (measured: at most 6.7e-16 per side and
+        # 1.1e-13 on residual - trapped)
+        ans = prob_two_boundary(AbsorptionQuery(spinor, left=left, right=right))
+        report = run_walk(CoinSpinor(*spinor), BoundarySpec(left=left, right=right), 2000)
+        assert abs(report.cumulative_left - ans.p_left) <= 1e-14
+        assert abs(report.cumulative_right - ans.p_right) <= 1e-14
+        assert abs(report.residual_norm - ans.trapped) <= 1e-12
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             AbsorptionQuery((0, 0, 1))

@@ -14,7 +14,13 @@ from groverline.localize import (
 from groverline.walk import BoundarySpec, CoinSpinor, WindowWalk
 
 from test_series import BAD_COUNTS
-from walk_oracle import WalkState, apply_evolution, position_distribution, position_probability
+from walk_oracle import (
+    WalkState,
+    apply_evolution,
+    cone_profile,
+    position_distribution,
+    position_probability,
+)
 
 
 class TestInputValidation:
@@ -101,16 +107,24 @@ class TestOscillationTrace:
         assert trace500.p_minus1[half].std() > 5e-3
         assert trace500.p_zero[half].std() > 5e-3
 
-    @pytest.mark.parametrize("init", [CoinSpinor(0, 0, 1), CoinSpinor(0.48, 0.6, 0.64j)])
-    def test_bit_identical_to_position_probability(self, init):
-        trace = oscillation_trace(40, init=init)
-        engine = WindowWalk(init, BoundarySpec(), 40)
+    @pytest.mark.parametrize("init, steps", [
+        pytest.param(CoinSpinor(0, 0, 1), 40, id="init0"),
+        pytest.param(CoinSpinor(0.48, 0.6, 0.64j), 40, id="init1"),
+        # across about thirty view rebuilds, each flushing below the floor
+        pytest.param(CoinSpinor(0, 0, 1), 1000, id="init0-rebuilds"),
+        pytest.param(CoinSpinor(0.48, 0.6, 0.64j), 1000, id="init1-rebuilds"),
+    ])
+    def test_bit_identical_to_position_probability(self, init, steps):
+        # the trace reads both buffers after every advance(2), this engine
+        # one step at a time
+        trace = oscillation_trace(steps, init=init)
+        engine = WindowWalk(init, BoundarySpec(), steps)
         want = []
-        for _ in range(40):
+        for _ in range(steps):
             engine.advance(1)
             want.append((position_probability(engine, -1), position_probability(engine, 0)))
         want = np.array(want)
-        assert np.array_equal(trace.steps, np.arange(1, 41))
+        assert np.array_equal(trace.steps, np.arange(1, steps + 1))
         assert np.array_equal(trace.p_minus1, want[:, 0])
         assert np.array_equal(trace.p_zero, want[:, 1])
 
@@ -147,6 +161,17 @@ class TestTwoPeakProfile:
         assert got.keys() == want.keys()
         for m, p in want.items():
             assert got[m] == pytest.approx(p / count, abs=1e-15)
+
+    @pytest.mark.parametrize("steps", [2, 3, 50, 800, 801])
+    @pytest.mark.parametrize("init", [CoinSpinor(0, 0, 1), CoinSpinor(0.48, 0.6, 0.64j)])
+    def test_matches_the_per_step_cone_oracle(self, init, steps):
+        # odd and even counts of observed steps (2, 3, 26, 401, 402), before
+        # the first flushing rebuild and across many
+        got = two_peak_profile(steps, init)
+        want = cone_profile(steps, init)
+        assert got.keys() == want.keys()
+        for m, p in want.items():
+            assert got[m] == pytest.approx(p, abs=1e-15)
 
     def test_total_mass_conserved(self, profile500):
         assert sum(profile500.values()) == pytest.approx(1.0, abs=1e-9)

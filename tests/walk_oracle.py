@@ -13,6 +13,11 @@ either side.
 amplitude array by a plain full-window complex product and copies, the
 engine's arithmetic without its light cone, fused shift, float view or
 flush.
+
+:func:`cone_profile` is the oracle of ``localize.two_peak_profile``'s
+accumulation: it steps the engine to each observed time and adds that
+state's squares over the light cone, where the profile reads two states
+per call from the engine's two buffers.
 """
 
 from dataclasses import dataclass, field, replace
@@ -126,3 +131,22 @@ def reference_step(amps: np.ndarray, bounds: BoundarySpec) -> tuple[np.ndarray, 
         hits.append(complex(out[2, -1]))
         out[:, -1] = 0
     return out, hits
+
+
+def cone_profile(steps: int, init: CoinSpinor) -> dict[int, float]:
+    """Mean P(m) over t = steps // 2 .. steps of the free walk, one observed step at a time.
+
+    Sums the squares of the float view (re, im interleaved) over the light
+    cone of each state and pairs them at the end; keys are the positions
+    with a nonzero mean.
+    """
+    engine = WindowWalk(init, BoundarySpec(), steps)
+    acc = np.zeros(2 * engine.width)
+    times = range(steps // 2, steps + 1)
+    for t in times:
+        engine.advance(t - engine.t)
+        cone = engine.cone()
+        f = engine.amps[:, cone].view(float)
+        acc[2 * cone.start:2 * cone.stop] += np.einsum("ij,ij->j", f, f)
+    acc = (acc[0::2] + acc[1::2]) / len(times)
+    return {engine.lo + i: float(p) for i, p in enumerate(acc) if p > 0.0}
