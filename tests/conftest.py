@@ -24,8 +24,8 @@ def profile500():
 def cold_strip_rows(monkeypatch):
     """The strip table unloaded, for one test.
 
-    The first two-boundary read builds every clamped geometry's float rows
-    from the committed table into ``absorb._ROWS``; with this fixture that
+    The first two-boundary read builds every clamped geometry's row of 18
+    floats from the committed table into ``absorb._ROWS``; with this fixture that
     first read happens in the test, and the loaded rows are put back
     afterwards.
     """

@@ -34,7 +34,8 @@ from groverline import (
 # the CLI's two-boundary commands run the quadrature, so the exact strip
 # route is called through the API; its blocks come from the generated
 # table module, which must ship with the installed package, and the first
-# two-boundary query builds the rows of all K^2 clamped geometries
+# two-boundary query builds the rows of all K^2 clamped geometries, each a
+# flat tuple of 18 floats
 assert "groverline._strip_table" not in sys.modules
 assert absorb._ROWS is None
 a = prob_two_boundary(AbsorptionQuery((0, 0, 1), left=5, right=20))
@@ -43,6 +44,8 @@ table = sys.modules["groverline._strip_table"]
 assert Path(table.__file__).parent == Path(groverline.__file__).parent, table.__file__
 assert len(table.BLOCKS) == 12 * absorb._CLAMP ** 2
 assert len(absorb._ROWS) == absorb._CLAMP ** 2
+assert all(type(row) is tuple and len(row) == 18 for row in absorb._ROWS)
+assert {type(x) for row in absorb._ROWS for x in row} == {float}
 print(a, table.__file__)
 
 # far walls read the clamped geometry (K, K), to the bit

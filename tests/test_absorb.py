@@ -7,6 +7,7 @@ simulator.  The scaled deficits are also checked against the independent
 """
 
 import dataclasses
+import gc
 import inspect
 import math
 import pickle
@@ -35,9 +36,10 @@ from groverline.absorb import (
 )
 from groverline._strip_table import BLOCKS
 from groverline.genfun import r_closed
-from groverline.walk import BoundarySpec, CoinSpinor, run_walk, validate_input
+from groverline.walk import BoundarySpec, CoinSpinor, WindowWalk, run_walk, validate_input
 
 from test_series import BAD_COUNTS
+from test_strip import UPPER
 
 P_ONE_L = 0.4248159326
 P_ONE_S = 0.5254692924
@@ -197,6 +199,14 @@ class TestIntegratePeriodic:
         assert QuadratureSpec("trapezoid", 1e-10, np.int64(4096)).max_points == 4096
 
 
+def _symmetric(six):
+    """The symmetric 3x3 array of six upper-triangle entries (LL, LS, LR, SS, SR, RR)."""
+    out = np.empty((3, 3))
+    out[UPPER] = six
+    out.T[UPPER] = six
+    return out
+
+
 def _bits(*values):
     """Each value's exact bits (``None`` kept), so a comparison tells -0.0 from 0.0."""
     return [None if v is None else float(v).hex() for v in values]
@@ -224,9 +234,8 @@ class TestOneBoundaryForm:
         ans = absorption_answer(AbsorptionQuery(psi, left=4))
         assert ans.p_left == prob_one_boundary(4, psi)
         assert ans.error_estimate == absorb._ONE_BOUNDARY_ERROR
-        # nested float tuples, symmetric, as the strip route reads its blocks
-        assert {type(x) for row in form for x in row} == {float}
-        assert np.array_equal(np.array(form), np.array(form).T)
+        # six upper-triangle floats, the order of each block of a strip row
+        assert len(form) == 6 and {type(x) for x in form} == {float}
 
     @pytest.mark.parametrize("m", range(1, 16))
     def test_agrees_with_adaptive_split(self, m):
@@ -340,7 +349,7 @@ class TestTwoBoundary:
         for spinor in basis + [psi, tuple(map(complex, psi))]:
             # reading the prebuilt rows changes no bit of the answer
             ans = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))
-            forms = _strip_forms(np.stack(blocks), spinor)
+            forms = _strip_forms([x[UPPER] for x in blocks], spinor)
             assert _bits(ans.p_left, ans.p_right, ans.trapped) == _bits(*forms)
             # and the forms are psi^H X psi of each block
             for form, x in zip(forms, blocks):
@@ -360,19 +369,20 @@ class TestTwoBoundary:
         monkeypatch.setattr(absorb, "_load_rows", spy)
         monkeypatch.setattr(absorb, "_ROWS", None)
         first = prob_two_boundary(AbsorptionQuery(spinors[0], left=3, right=4))
-        # the first read builds every clamped geometry's rows in one load,
+        # the first read builds every clamped geometry's row in one load,
         # from the table's floats: X_left and P_trapped at (m, n), X_right
         # from X_left at (n, m)
         rows = absorb._ROWS
         assert loads == [1] and type(rows) is tuple and len(rows) == k * k
         row = rows[k * 2 + 3]
+        assert type(row) is tuple and len(row) == 18
         i = 12 * (k * 2 + 3)
-        for block, entries in zip((row[0], row[2]), (BLOCKS[i:i + 6], BLOCKS[i + 6:i + 12])):
-            upper = [block[0][0], block[0][1], block[0][2], block[1][1], block[1][2], block[2][2]]
-            assert _bits(*upper) == _bits(*entries)
-        mirror = np.array(rows[k * 3 + 2][0])[::-1, ::-1]
-        assert _bits(*np.ravel(row[1])) == _bits(*mirror.ravel())
-        assert {type(x) for block in row for line in block for x in line} == {float}
+        assert _bits(*row[:6], *row[12:]) == _bits(*BLOCKS[i:i + 12])
+        # X_right's upper triangle is the mirror J X_left(n, m) J's
+        j = 12 * (k * 3 + 2)
+        mirror = _symmetric(BLOCKS[j:j + 6])[::-1, ::-1]
+        assert _bits(*row[6:12]) == _bits(*mirror[UPPER])
+        assert {type(x) for x in row} == {float}
         assert all(type(v) is float for v in dataclasses.astuple(first))
         # a second spinor and another geometry of the width read the same
         # rows: nothing more is built
@@ -405,6 +415,26 @@ class TestTwoBoundary:
         )
         assert absorb._site_rows(3, 40) is absorb._ROWS[k * 2 + k - 1]
         assert absorb._site_rows(40, 3) is absorb._ROWS[k * (k - 1) + 2]
+
+    def test_row_build_starts_no_collection(self):
+        # the K^2 rows are the only objects the build keeps, too few to start
+        # a pass of the cyclic garbage collector, however young the heap
+        import groverline._strip_table  # noqa: F401  imported before the watch
+
+        starts = []
+
+        def watch(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(watch)
+        try:
+            rows = absorb._load_rows()
+        finally:
+            gc.callbacks.remove(watch)
+        assert starts == [] and len(rows) == absorb._CLAMP ** 2
 
     def test_deficit_is_never_negative_when_nothing_is_trapped(self):
         # start next to the left boundary in coin R: nothing is trapped, and
@@ -616,6 +646,45 @@ class TestInputValidation:
         # number check, and the forms read them as the same complex values
         ans = prob_two_boundary(AbsorptionQuery(spinor, left=2, right=3))
         assert ans == prob_two_boundary(AbsorptionQuery(builtin, left=2, right=3))
+
+    REDUCED = [
+        (np.float32(0.6), 0, np.float32(0.8)),
+        (np.float16(0.6), 0, np.float16(0.8)),
+        (0, np.complex64(0.6j), np.float32(0.8)),
+    ]
+    REDUCED_IDS = ["float32", "float16", "complex64"]
+
+    @pytest.mark.parametrize("spinor", REDUCED, ids=REDUCED_IDS)
+    def test_reduced_precision_is_normed_in_double(self, spinor):
+        # the float32 (float16) components nearest 0.6 and 0.8 square to a
+        # unit sum in their own precision but are 4.8e-8 (-2.0e-4) off unit
+        # norm in double precision, which every route computes in: each
+        # entry point refuses them instead of answering with that error in
+        # its ledger
+        message = "spinor must have unit norm"
+        with pytest.raises(ValueError, match=message):
+            AbsorptionQuery(spinor, left=2, right=3)
+        with pytest.raises(ValueError, match=message):
+            prob_one_boundary(2, spinor)
+        with pytest.raises(ValueError, match=message):
+            absorption_answer(AbsorptionQuery(spinor, left=2))
+        with pytest.raises(ValueError, match=message):
+            run_walk(CoinSpinor(*spinor), BoundarySpec(left=1, right=4), 10)
+        with pytest.raises(ValueError, match=message):
+            WindowWalk(CoinSpinor(*spinor), BoundarySpec(), 10)
+
+    @pytest.mark.parametrize(
+        "spinor",
+        [(np.float32(0.5), np.float32(-0.5), math.sqrt(0.5)),
+         (np.complex64(0.5j), np.float16(0.5), math.sqrt(0.5))],
+        ids=["float32", "complex64-float16"],
+    )
+    def test_reduced_precision_of_unit_norm_accepted(self, spinor):
+        # components exact in their own precision are the doubles they name
+        widened = tuple(complex(c) for c in spinor)
+        ans = prob_two_boundary(AbsorptionQuery(spinor, left=2, right=3))
+        assert ans == prob_two_boundary(AbsorptionQuery(widened, left=2, right=3))
+        assert prob_one_boundary(2, spinor) == prob_one_boundary(2, widened)
 
     @pytest.mark.parametrize(
         "spinor,kwargs,message",

@@ -28,7 +28,11 @@ LEADING = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 1.0]]) / (8 * m
 
 
 def _production(m):
-    return np.array(absorb._one_boundary_form(m))
+    """The production form of distance m, expanded from its six upper-triangle floats."""
+    out = np.empty((3, 3))
+    for (i, j), entry in zip(UPPER, absorb._one_boundary_form(m)):
+        out[i, j] = out[j, i] = entry
+    return out
 
 
 def _m_inf():

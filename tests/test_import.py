@@ -121,7 +121,8 @@ PUBLIC = {
 #: wrappers around the one stepping loop, the validator and the strip lookup,
 #: the float strip solve, now a test oracle, the corner-mapped
 #: Gauss-Legendre rule, which the one-boundary form replaced, and the
-#: per-geometry row slots, which the table of all rows built at load replaced
+#: per-geometry row slots, which the table of all rows built at load replaced,
+#: and the nested 3x3 row builder, which the flat rows of 18 floats replaced
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
@@ -133,7 +134,7 @@ GONE = (
     "evolve", "_stepped", "_components", "_one_boundary_value", "_strip_blocks",
     "_solve_strip", "_mirror_doubling", "_STEIN_MAX_DOUBLINGS", "_SQRT_EPS", "_SQRT_HALF",
     "_strip_cache", "_GAUSS_SPLIT_ORDERS", "_gauss_split_rule", "_gauss_split_mean",
-    "_ONE_BOUNDARY_SPEC", "_strip_rows", "_table_rows",
+    "_ONE_BOUNDARY_SPEC", "_strip_rows", "_table_rows", "_symmetric",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",

@@ -45,6 +45,9 @@ J = np.eye(3)[::-1]  # reverses the coin order (L, S, R) -> (R, S, L)
 REFERENCE_WIDTHS = [*range(2, 41), 50, 60]
 K = absorb._CLAMP
 RATE = (3 - 2 * math.sqrt(2)) ** 2  # Theorem 4's multiplier at 1/sqrt(2)
+#: the upper triangle (LL, LS, LR, SS, SR, RR) of a 3x3 block, the order of
+#: each block of a strip row and of the one-boundary form
+UPPER = np.triu_indices(3)
 EXTENDED = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-18,
     reason="the 80-bit reference needs an extended-precision np.longdouble",
@@ -236,7 +239,8 @@ def test_cache_is_one_read_only_array(width):
     # X_right is X_left's site-and-coin mirror, to the bit
     assert np.array_equal(profile[1], profile[0][::-1, ::-1, ::-1])
     # every block is read from one read-only flat tuple of floats, twelve
-    # entries per clamped geometry, through that geometry's prebuilt row
+    # entries per clamped geometry, through that geometry's prebuilt row of
+    # 18: the upper triangles of X_left, X_right and P_trapped
     table = _strip_table.BLOCKS
     assert type(table) is tuple and len(table) == 12 * K * K
     assert {type(x) for x in table} == {float}
@@ -244,11 +248,9 @@ def test_cache_is_one_read_only_array(width):
     for s in range(width - 1):
         m, n = clamped(s + 1, width - 1 - s)
         row = absorb._ROWS[K * (m - 1) + n - 1]
-        assert np.array_equal(profile[:, s], np.array(row))
+        assert [list(x[UPPER]) for x in profile[:, s]] == [list(row[i:i + 6]) for i in (0, 6, 12)]
         i = 12 * (K * (m - 1) + n - 1)
-        upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-        assert [row[0][a][b] for a, b in upper] == list(table[i : i + 6])
-        assert [row[2][a][b] for a, b in upper] == list(table[i + 6 : i + 12])
+        assert list(row[:6]) + list(row[12:]) == list(table[i : i + 12])
 
 
 def test_returned_blocks_do_not_alias_the_cache():
@@ -257,12 +259,9 @@ def test_returned_blocks_do_not_alias_the_cache():
     before = [prob_two_boundary(q) for q in queries]
     cached = np.stack(absorption_profile(7))
     rows = [absorb._ROWS[K * (m - 1) + 6 - m] for m in range(1, 7)]
-    copies = [[[list(line) for line in block] for block in row] for row in rows]
-    # the rows are tuples all the way down: nothing can write into them
-    assert all(
-        type(row) is type(block) is type(line) is tuple
-        for row in rows for block in row for line in block
-    )
+    copies = [list(row) for row in rows]
+    # the rows are tuples of floats: nothing can write into them
+    assert all(type(row) is tuple and {type(x) for x in row} == {float} for row in rows)
     returned = absorption_matrices(3, 4) + absorption_profile(7)
     assert [b.shape for b in returned] == [(3, 3)] * 3 + [(6, 3, 3)] * 3
     for block in returned:
@@ -271,7 +270,7 @@ def test_returned_blocks_do_not_alias_the_cache():
     assert [prob_two_boundary(q) for q in queries] == before
     now = [absorb._ROWS[K * (m - 1) + 6 - m] for m in range(1, 7)]
     assert all(a is b for a, b in zip(now, rows))
-    assert [[[list(line) for line in block] for block in row] for row in now] == copies
+    assert [list(row) for row in now] == copies
     assert all(np.array_equal(b, c) for b, c in zip(absorption_profile(7), cached))
 
 
@@ -454,15 +453,12 @@ def test_cache_holds_at_most_2k_minus_1_widths(cold_strip_rows):
         for m in (1, K - 1, K, K + 1, width // 2):
             if m < width:
                 absorption_matrices(m, width - m)
-    # the rows are one tuple of the K^2 clamped geometries, each three 3x3
-    # blocks of float tuples, so they span at most the 2K - 1 widths 2..2K
+    # the rows are one tuple of the K^2 clamped geometries, each a flat
+    # tuple of 18 floats, so they span at most the 2K - 1 widths 2..2K
     rows = absorb._ROWS
     assert type(rows) is tuple and len(rows) == K * K
     for row in rows:
-        assert type(row) is tuple and len(row) == 3
-        for block in row:
-            assert type(block) is tuple and [type(line) for line in block] == [tuple] * 3
-            assert [len(line) for line in block] == [3] * 3
-            assert {type(x) for line in block for x in line} == {float}
+        assert type(row) is tuple and len(row) == 18
+        assert {type(x) for x in row} == {float}
     filled = [divmod(i, K) for i in range(len(rows))]
     assert len({m + n + 2 for m, n in filled}) == 2 * K - 1

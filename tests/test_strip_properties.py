@@ -1,13 +1,18 @@
 """Property tests of absorption over random spinors and strips."""
 
+import dataclasses
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from groverline import absorb  # noqa: E402
 from groverline.absorb import (  # noqa: E402
     _ONE_BOUNDARY_ERROR,
     AbsorptionQuery,
@@ -16,7 +21,7 @@ from groverline.absorb import (  # noqa: E402
     prob_one_boundary,
     prob_two_boundary,
 )
-from test_strip import form  # noqa: E402
+from test_strip import UPPER, form  # noqa: E402
 
 TOL = 1e-12
 LOEWNER_TOL = 1e-11
@@ -66,9 +71,60 @@ def test_answer_is_the_forms_of_the_matrices_to_the_bit(raw, width, data):
     m = data.draw(st.integers(min_value=1, max_value=width - 1), label="m")
     spinor = normalized(raw)
     answer = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=width - m))
-    forms = _strip_forms(np.stack(absorption_matrices(m, width - m)), spinor)
+    forms = _strip_forms([x[UPPER] for x in absorption_matrices(m, width - m)], spinor)
     got = [answer.p_left, answer.p_right, answer.trapped]
     assert [float(x).hex() for x in got] == [float(x).hex() for x in forms]
+
+
+#: component types of the drift test: every branch of the exact route's
+#: ``complex()`` dispatch (kept, converted) and of the number check
+COMPONENT_TYPES = (complex, float, int, np.float64, np.complex128, Fraction)
+
+
+@st.composite
+def typed_spinors(draw):
+    """A unit spinor whose components have the drawn types.
+
+    ``int`` components are 0, or +-1 when all three are ``int``; real types
+    carry the magnitude of their complex draw, with its real part's sign.
+    """
+    types = draw(st.tuples(*[st.sampled_from(COMPONENT_TYPES)] * 3))
+    if all(t is int for t in types):
+        k, sign = draw(st.integers(0, 2)), draw(st.sampled_from((1, -1)))
+        return tuple(sign if i == k else 0 for i in range(3))
+    raw = [complex(re, im) for re, im in draw(raw_spinor)]
+    v = np.array([0j if t is int else c for t, c in zip(types, raw)])
+    norm = np.linalg.norm(v)
+    if norm < 1e-3:
+        v = np.array([0j if t is int else 1.0 for t in types])
+        norm = np.linalg.norm(v)
+    out = []
+    for t, c in zip(types, v / norm):
+        if t is int:
+            out.append(0)
+        elif t in (complex, np.complex128):
+            out.append(t(c))
+        else:
+            out.append(t(math.copysign(abs(c), c.real)))
+    return tuple(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(typed_spinors(), st.integers(1, 30), st.integers(1, 30))
+@example((Fraction(3, 5), 0, np.complex128(0.8j)), 3, 4)
+@example((0, np.float64(-1.0), 0), 30, 1)
+def test_written_out_sums_are_the_contraction_to_the_bit(spinor, m, n):
+    # prob_two_boundary writes its three sums out instead of calling
+    # _strip_forms; every field is the contraction of the geometry's row,
+    # and total, deficit and error_estimate are formed from it as before
+    answer = prob_two_boundary(AbsorptionQuery(spinor, left=m, right=n))
+    row = absorb._site_rows(m, n)
+    p_left, p_right, trapped = _strip_forms([row[:6], row[6:12], row[12:]], spinor)
+    total = p_left + p_right
+    want = (p_left, p_right, total, trapped, abs(total + trapped - 1.0), trapped)
+    got = dataclasses.astuple(answer)
+    assert [type(v) for v in got] == [float] * 6
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
 
 
 def smallest_eigenvalue(x):
