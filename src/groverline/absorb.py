@@ -90,6 +90,18 @@ probability of boundaries at -N and +M and spinor (gamma, beta, alpha).
 
 The scalar recurrence for the adjacent-left-boundary probabilities p_n
 and the localization-deficit table build on the same machinery.
+
+Imports: the module loads neither numpy nor :mod:`groverline.genfun`, so
+the exact strip route, the query and answer records and the validator
+run in plain Python.  What returns an array or integrates imports numpy
+when called: :func:`absorption_matrices`, :func:`absorption_profile`,
+:func:`theorem4_sequence`, :func:`table1`, the one-boundary form (and so a
+default :func:`prob_one_boundary`), :func:`integrate_periodic` and the
+integrands.  The integrands also import genfun, whose six functions
+(``_GENFUN_NAMES``) they read from this module's globals;
+``"adaptive-split"`` alone imports ``scipy.integrate``.  Those six names
+and the arrays ``_M_INF`` and ``_EXPAND`` are served by the module's
+``__getattr__`` on their first read.
 """
 
 from __future__ import annotations
@@ -100,18 +112,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .genfun import (
-    BRANCH_ANGLES,
-    delta_on_circle,
-    l_closed,
-    lsr_from_previous,
-    r_iterates,
-    s_closed,
-    r_closed,
-)
-from .walk import validate_input, validate_steps
+from ._validate import validate_input, validate_steps
 
 __all__ = [
     "ToleranceError",
@@ -128,6 +129,49 @@ __all__ = [
     "theorem4_sequence",
     "table1",
 ]
+
+#: the genfun functions the circle-quadrature integrands call, which the
+#: benchmark's tracer wraps on this module; the integrands read them from
+#: this module's globals when they run, so such a wrapper takes effect
+_GENFUN_NAMES = (
+    "r_iterates", "lsr_from_previous", "l_closed", "s_closed", "r_closed", "delta_on_circle",
+)
+
+
+def __getattr__(name: str):
+    """Make a numpy- or genfun-backed module name on its first read.
+
+    ``import groverline.absorb`` loads neither numpy nor genfun: the exact
+    strip route and the query records compute in plain floats.  The
+    :data:`_GENFUN_NAMES` and the numpy array ``_EXPAND`` are made here on
+    their first read, from outside the module or through :func:`_lazy`, and
+    stored in the module's globals, so every later read is a plain lookup.
+    A name already set is kept, never replaced.  ``_M_INF`` is served from
+    :func:`_form_rule` and not stored, so that the default one-boundary
+    route adds no name to the module's namespace (see there).
+    """
+    if name in _GENFUN_NAMES:
+        from . import genfun
+
+        value = getattr(genfun, name)
+    elif name == "_M_INF":
+        return _form_rule()[2]
+    elif name == "_EXPAND":
+        # the index that expands rows of 18 upper-triangle entries (last
+        # axis) into the three symmetric 3x3 blocks X_left, X_right, P_trapped
+        import numpy as np
+
+        value = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) + 6 * np.arange(3)[:, None, None]
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, value)
+
+
+def _lazy(name: str):
+    """Module global ``name``, made by :func:`__getattr__` if it is not set yet."""
+    g = globals()
+    return g[name] if name in g else __getattr__(name)
+
 
 class ToleranceError(RuntimeError):
     """Quadrature could not meet the requested tolerance.
@@ -215,12 +259,17 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
 
 
 def _midpoint_mean(f, n: int) -> float:
+    import numpy as np
+
     theta = 2 * np.pi * (np.arange(n) + 0.5) / n
     return float(np.mean(f(theta)))
 
 
 def _adaptive_split(f, spec: QuadratureSpec) -> tuple[float, float]:
+    import numpy as np
     from scipy import integrate
+
+    from .genfun import BRANCH_ANGLES
 
     def f_scalar(theta: float) -> float:
         return float(np.asarray(f(np.array([theta]))).reshape(()))
@@ -330,7 +379,16 @@ class AbsorptionAnswer:
         )
 
 
+def _bind_genfun() -> None:
+    """Set the :data:`_GENFUN_NAMES` as globals for the integrands, keeping any already set."""
+    for name in _GENFUN_NAMES:
+        _lazy(name)
+
+
 def _one_boundary_integrand(m: int, spinor):
+    import numpy as np
+
+    _bind_genfun()
     a, b, g = spinor
 
     def f(theta):
@@ -353,17 +411,6 @@ _INV_Q = 5.0 + 2.0 * math.sqrt(6.0)
 _Q = 1.0 / _INV_Q
 _S_END = math.log(_INV_Q)  # s = -ln y at y = q
 
-#: M_inf, the outer arc's share of every F_m (|l| = 1 there), upper triangle
-#: in (L, S, R) order, LL, LS, LR, SS, SR, RR: a + (b sqrt 2 + c theta_b)/pi
-#: with the rows a, b and c below; LL = 1 - theta_b/pi,
-#: LS = -1 + (2 sqrt 2 + theta_b)/(2pi), LR = -1 + (2 sqrt 2 + 5 theta_b)/(4pi),
-#: SS = (2 sqrt 2 - theta_b)/pi, SR = (5 theta_b - 6 sqrt 2)/(4pi) and
-#: RR = (10 sqrt 2 - 7 theta_b)/(4pi)
-_M_INF = np.array([1.0, -1.0, -1.0, 0.0, 0.0, 0.0]) + (
-    np.array([0.0, 1.0, 0.5, 2.0, -1.5, 2.5]) * math.sqrt(2.0)
-    + np.array([-1.0, 0.5, 1.25, -1.0, 1.25, -1.75]) * BRANCH_ANGLES[0]
-) / math.pi
-
 #: A boundary farther than this is read at this distance, so that 2m - 1
 #: stays a float: F_m - M_inf is about 0.03/m^2, below 2e-21 here, far
 #: under the rounding of M_inf's entries.
@@ -380,12 +427,34 @@ _ONE_BOUNDARY_ERROR = 5e-16
 
 
 @functools.cache
-def _legendre16() -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights on [0, 1], made on first use."""
+def _form_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-boundary form's constants, made on first use.
+
+    The 16-point Gauss-Legendre nodes and weights on [0, 1], and M_inf, the
+    outer arc's share of every F_m (|l| = 1 there), as its upper triangle
+    in (L, S, R) order, LL, LS, LR, SS, SR, RR: a + (b sqrt 2 + c theta_b)/pi
+    with the rows a, b and c below; LL = 1 - theta_b/pi,
+    LS = -1 + (2 sqrt 2 + theta_b)/(2pi), LR = -1 + (2 sqrt 2 + 5 theta_b)/(4pi),
+    SS = (2 sqrt 2 - theta_b)/pi, SR = (5 theta_b - 6 sqrt 2)/(4pi) and
+    RR = (10 sqrt 2 - 7 theta_b)/(4pi).  ``absorb._M_INF`` is this M_inf.
+
+    Kept here, not set as a module global on the first one-boundary query:
+    a name added to the module's namespace makes every specialized global
+    read of this module's functions miss for its next few dozen runs
+    (CPython 3.11), which read as 0.3 us more per two-boundary query over
+    the first queries after it in a fresh process.
+    """
+    import numpy as np
     from numpy.polynomial.legendre import leggauss
 
+    from .genfun import BRANCH_ANGLES
+
     x, w = leggauss(16)
-    return 0.5 * (x + 1.0), 0.5 * w
+    m_inf = np.array([1.0, -1.0, -1.0, 0.0, 0.0, 0.0]) + (
+        np.array([0.0, 1.0, 0.5, 2.0, -1.5, 2.5]) * math.sqrt(2.0)
+        + np.array([-1.0, 0.5, 1.25, -1.0, 1.25, -1.75]) * BRANCH_ANGLES[0]
+    ) / math.pi
+    return 0.5 * (x + 1.0), 0.5 * w, m_inf
 
 
 def _one_boundary_form(m: int) -> list[float]:
@@ -406,8 +475,10 @@ def _one_boundary_form(m: int) -> list[float]:
     m = 1, 96 at m = 10, 368 at m = 10^6 and 560 at :data:`_FAR`.  ``m``
     must be a validated boundary distance.
     """
+    import numpy as np
+
     m = m if m < _FAR else _FAR
-    x, w = _legendre16()
+    x, w, m_inf = _form_rule()
     ys, weights = [], []
     start, width = 0.0, 1.0 / (2 * m - 1)
     while start + width < _S_END:
@@ -424,7 +495,7 @@ def _one_boundary_form(m: int) -> list[float]:
     v, inv = 1.0 - y, 1.0 / y
     r = np.array([y * v, -0.5 * v * v, -0.25 * v * (y * y - 6.0 * y + 1.0) * inv,
                   2.0 * v, 0.5 * v * v * inv, v * inv])
-    return (_M_INF + (r @ weight) / math.pi).tolist()
+    return (m_inf + (r @ weight) / math.pi).tolist()
 
 
 def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> float:
@@ -448,6 +519,9 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
 
 
 def _two_boundary_integrand(m: int, n: int, spinor):
+    import numpy as np
+
+    _bind_genfun()
     a, b, g = spinor
 
     def f(theta):
@@ -539,10 +613,6 @@ _CLAMP = 14
 #: first two-boundary read builds all K^2 rows at once (:func:`_load_rows`),
 #: then never changed.
 _ROWS: tuple | None = None
-
-#: The index that expands rows of 18 upper-triangle entries (last axis) into
-#: the three symmetric 3x3 blocks X_left, X_right, P_trapped
-_EXPAND = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) + 6 * np.arange(3)[:, None, None]
 
 
 def _load_rows() -> tuple:
@@ -651,8 +721,10 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     spinor psi^H (X_left + X_right + P_trapped) psi = 1 up to the entries'
     rounding, a few ulp, so one call answers every spinor of the geometry.
     """
+    import numpy as np
+
     validate_input(left=m, right=n)
-    return tuple(np.array(_site_rows(m, n))[_EXPAND])
+    return tuple(np.array(_site_rows(m, n))[_lazy("_EXPAND")])
 
 
 def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -676,6 +748,8 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mirror to the bit, since the table stores X_left alone.  The clamp's
     truncation error is below 1e-20.
     """
+    import numpy as np
+
     validate_steps(width, 2, "width")
     width = int(width)
     rows = np.empty((width - 1, 18))
@@ -686,7 +760,7 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows[inner.start:inner.stop] = _site_rows(_CLAMP, _CLAMP)
     near = [*head, *tail]
     rows[near] = [_site_rows(s + 1, width - 1 - s) for s in near]
-    return tuple(rows[:, _EXPAND].swapaxes(0, 1))
+    return tuple(rows[:, _lazy("_EXPAND")].swapaxes(0, 1))
 
 
 def prob_two_boundary(
@@ -783,6 +857,8 @@ def theorem4_sequence(max_n: int) -> np.ndarray:
     follows the rational recurrence p_next = (2 + 3p)/(3 + 4p), whose
     fixed point 1/sqrt(2) is the no-right-boundary limit.
     """
+    import numpy as np
+
     validate_steps(max_n, 0, "max_n")
     out = np.empty(max_n + 1)
     out[0] = 0.0
@@ -832,6 +908,8 @@ def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row
     the true step there is below 1e-20, under the rounding of the
     table's entries.
     """
+    import numpy as np
+
     validate_steps(max_n, 2, "max_n")
     answers = [
         prob_two_boundary(AbsorptionQuery(spinor=(0, 0, 1), left=2, right=n), spec)

@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from ._validate import validate_input, validate_steps
 from .absorb import (
     AbsorptionQuery,
     QuadratureSpec,
@@ -33,7 +34,7 @@ from .absorb import (
     theorem4_sequence,
 )
 from .localize import oscillation_trace
-from .walk import BoundarySpec, CoinSpinor, WindowWalk, validate_input, validate_steps
+from .walk import BoundarySpec, CoinSpinor, WindowWalk
 
 __all__ = ["main"]
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .walk import validate_steps
+from ._validate import validate_steps
 
 __all__ = [
     "BranchPointError",

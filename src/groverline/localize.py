@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import BoundarySpec, CoinSpinor, WindowWalk, validate_steps
+from ._validate import validate_steps
+from .walk import BoundarySpec, CoinSpinor, WindowWalk
 
 __all__ = [
     "OscillationTrace",

@@ -2,8 +2,9 @@
 
 The load checks run in a fresh interpreter, so modules imported by other
 tests in this process cannot hide or fake a load.  The surface checks pin
-the public names, the names that moved to the test oracles or were
-deleted, and the ``absorb`` attributes the benchmark's tracer wraps.
+the public names, each the object its defining module holds though most
+are resolved on first access, the names that moved to the test oracles or
+were deleted, and the ``absorb`` attributes the benchmark's tracer wraps.
 """
 
 import functools
@@ -15,11 +16,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-PROBE = """\
+LOADED = """\
 import contextlib, io, json, sys
 
 def loaded():
     return {
+        "numpy": "numpy" in sys.modules,
         "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
         "integrate": "scipy.integrate" in sys.modules,
         "fft": "numpy.fft" in sys.modules,
@@ -30,6 +32,11 @@ def loaded():
 seen = {}
 import groverline as gl
 seen["import"] = loaded()
+"""
+
+#: the routes in turn, each one-boundary and series route before the first
+#: two-boundary read, which loads the strip table
+PROBE = LOADED + """\
 gl.one_boundary_series(70)
 gl.two_boundary_series(3, 70)
 seen["short_series"] = loaded()
@@ -59,13 +66,31 @@ seen["adaptive_split"] = loaded()
 print(json.dumps(seen))
 """
 
+#: the numpy-free path: a two-boundary query and its answers before any
+#: route that loads numpy; then the first access to a walk name loads it
+NUMPY_PROBE = LOADED + """\
+q = gl.AbsorptionQuery((0, 0, 1), left=2, right=3)
+seen["query"] = loaded()
+gl.prob_two_boundary(q)
+seen["prob_two_boundary"] = loaded()
+gl.absorption_answer(gl.AbsorptionQuery((0.6, 0.8j, 0), left=20, right=5))
+seen["absorption_answer_two"] = loaded()
+seen["walk_bound_before"] = "run_walk" in vars(gl)
+gl.run_walk
+seen["run_walk"] = loaded()
+seen["walk_bound_after"] = "run_walk" in vars(gl)
+seen["all_bound"] = all(name in vars(gl) for name in gl.__all__)
+seen["hook_gone"] = "__getattr__" not in vars(gl) and "__dir__" not in vars(gl)
+print(json.dumps(seen))
+"""
+
 
 @functools.lru_cache(maxsize=None)
-def _probe() -> dict:
+def _probe(script: str = PROBE) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -80,7 +105,7 @@ def test_scipy_stays_off_the_default_routes():
     assert not seen["short_series"]["fft"]
     assert seen["series"]["fft"]
     assert seen["series"]["scipy"] == []
-    # the default routes, the exact strip solve included, are numpy-only
+    # the default routes, the exact strip route included, load no scipy
     for step in ("prob_one_boundary", "prob_one_boundary_far", "absorption_answer_one",
                  "prob_two_boundary",
                  "absorption_profile", "table1", "theorem4"):
@@ -88,6 +113,30 @@ def test_scipy_stays_off_the_default_routes():
     assert seen["theorem4_rc"] == 0
     # the probe does see a load: the explicit cross-check route makes one
     assert seen["adaptive_split"]["integrate"]
+
+
+def test_numpy_stays_off_the_exact_strip_route():
+    # the package import, a query and the default two-boundary answers run
+    # in plain floats and load neither numpy nor scipy; the import loads no
+    # strip table either
+    for seen in (_probe(), _probe(NUMPY_PROBE)):
+        assert not seen["import"]["numpy"]
+        assert seen["import"]["scipy"] == []
+        assert not seen["import"]["table"]
+    seen = _probe(NUMPY_PROBE)
+    for step in ("query", "prob_two_boundary", "absorption_answer_two"):
+        assert not seen[step]["numpy"], step
+        assert seen[step]["scipy"] == [], step
+    assert seen["prob_two_boundary"]["table"]
+    # the probe does see a load: the first access to a walk name imports
+    # the four numpy-backed modules, numpy with them, binds every public
+    # name on the package and removes the hook, so later loads are plain
+    assert not seen["walk_bound_before"]
+    assert seen["run_walk"]["numpy"]
+    assert seen["walk_bound_after"]
+    assert seen["all_bound"]
+    assert seen["hook_gone"]
+    assert _probe()["absorption_profile"]["numpy"]
 
 
 def test_strip_table_loads_on_the_first_two_boundary_query():
@@ -149,6 +198,52 @@ def test_public_surface_is_pinned():
     assert set(groverline.__all__) == PUBLIC
     for name in groverline.__all__:
         assert getattr(groverline, name) is not None, name
+
+
+def test_lazy_names_are_their_modules_objects():
+    # most public names are resolved on first access; each is the very
+    # object its defining module holds, by attribute, by from-import and
+    # by import *
+    import groverline
+    from groverline import _validate, absorb, genfun, localize, series, walk
+
+    homes = {}
+    for module in (absorb, genfun, localize, series, walk):
+        for name in PUBLIC & set(module.__all__):
+            homes[name] = module
+            assert getattr(groverline, name) is getattr(module, name), name
+    assert set(homes) == PUBLIC
+    namespace = {}
+    exec("from groverline import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == PUBLIC
+    for name, value in namespace.items():
+        assert value is getattr(homes[name], name), name
+    from groverline import run_walk
+    assert run_walk is walk.run_walk
+    listed = dir(groverline)
+    assert set(groverline.__all__) <= set(listed)
+    assert {"absorb", "genfun", "localize", "series", "walk"} <= set(listed)
+    for module in (genfun, localize, series, walk):
+        assert getattr(groverline, module.__name__.rsplit(".", 1)[1]) is module
+    # the one validator, re-exported by walk
+    assert walk.validate_input is _validate.validate_input
+    assert walk.validate_steps is _validate.validate_steps
+    assert walk.INIT_NORM_TOL is _validate.INIT_NORM_TOL
+
+
+def test_unknown_names_raise_attribute_error():
+    import pytest
+
+    import groverline
+    from groverline import absorb
+
+    for module in (groverline, absorb):
+        with pytest.raises(AttributeError, match="'nope'"):
+            module.nope
+        assert not hasattr(module, "nope")
+    with pytest.raises(ImportError):
+        from groverline import nope  # noqa: F401
 
 
 def test_moved_and_deleted_names_are_gone():

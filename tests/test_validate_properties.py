@@ -24,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groverline import walk  # noqa: E402
+from groverline import _validate  # noqa: E402
 from groverline.walk import INIT_NORM_TOL, validate_input  # noqa: E402
 
 
@@ -149,7 +149,7 @@ def test_unit_spinor_of_builtin_types_takes_one_pass(monkeypatch):
     def refuse(c):
         raise AssertionError("the full checks ran")
 
-    monkeypatch.setattr(walk, "cmath", types.SimpleNamespace(isfinite=refuse))
+    monkeypatch.setattr(_validate, "cmath", types.SimpleNamespace(isfinite=refuse))
     for psi in ((0.6, 0.8j, 0), (0, 0, 1), (0.48, -0.6, 0.64j)):
         assert validate_input(psi, left=1, right=2) is psi
     with pytest.raises(AssertionError, match="full checks"):
