@@ -3,14 +3,14 @@
 It imports no numpy, so that the routes which compute in plain floats, the
 exact strip route and the query records, load none: a numpy scalar can
 only reach it once numpy is loaded, and ``_is_reduced`` looks numpy up in
-``sys.modules`` instead of importing it.  :mod:`groverline.walk`
+``sys.modules`` instead of importing it.  ``numbers`` and ``cmath`` are
+imported only by the checks that exact built-in types skip, so a valid
+query of plain ints and floats loads neither.  :mod:`groverline.walk`
 re-exports the same objects.
 """
 
 from __future__ import annotations
 
-import cmath
-import numbers
 import sys
 
 __all__ = ["INIT_NORM_TOL", "validate_input", "validate_steps"]
@@ -58,6 +58,8 @@ def validate_input(spinor=_NO_SPINOR, **boundaries) -> tuple | None:
     for name, v in boundaries.items():
         if v is None or (type(v) is int and v >= 1):
             continue
+        import numbers
+
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
             raise ValueError(f"{name} boundary must be an integer >= 1, got {v!r}")
     if spinor is _NO_SPINOR:
@@ -77,6 +79,9 @@ def validate_input(spinor=_NO_SPINOR, **boundaries) -> tuple | None:
                 return comps
         except OverflowError:  # the checks below give its message
             pass
+    import cmath
+    import numbers
+
     for i, c in enumerate(comps):
         if type(c) in _BUILTIN_NUMBERS:
             continue
@@ -119,7 +124,10 @@ def validate_steps(steps, minimum: int = 0, name: str = "steps") -> None:
     count as an integer here; numpy integers do.  Raises
     :class:`ValueError`.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {steps!r}")
+    if type(steps) is not int:  # bool is never an exact int
+        import numbers
+
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {steps!r}")
     if steps < minimum:
         raise ValueError(f"{name} must be >= {minimum}")

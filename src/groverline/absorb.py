@@ -92,16 +92,18 @@ The scalar recurrence for the adjacent-left-boundary probabilities p_n
 and the localization-deficit table build on the same machinery.
 
 Imports: the module loads neither numpy nor :mod:`groverline.genfun`, so
-the exact strip route, the query and answer records and the validator
-run in plain Python.  What returns an array or integrates imports numpy
-when called: :func:`absorption_matrices`, :func:`absorption_profile`,
-:func:`theorem4_sequence`, :func:`table1`, the one-boundary form (and so a
-default :func:`prob_one_boundary`), :func:`integrate_periodic` and the
-integrands.  The integrands also import genfun, whose six functions
-(``_GENFUN_NAMES``) they read from this module's globals;
-``"adaptive-split"`` alone imports ``scipy.integrate``.  Those six names
-and the arrays ``_M_INF`` and ``_EXPAND`` are served by the module's
-``__getattr__`` on their first read.
+the exact strip route, :func:`table1` on it, the query and answer records
+and the validator run in plain Python.  Nor does it load
+:mod:`dataclasses`: the four records are written out on :class:`_Record`,
+which serves the dataclass protocol on demand.  What returns an array or
+integrates imports numpy when called: :func:`absorption_matrices`,
+:func:`absorption_profile`, :func:`theorem4_sequence`, the one-boundary
+form (and so a default :func:`prob_one_boundary`),
+:func:`integrate_periodic` and the integrands.  The integrands also
+import genfun, whose six functions (``_GENFUN_NAMES``) they read from this
+module's globals; ``"adaptive-split"`` alone imports ``scipy.integrate``.
+Those six names and the arrays ``_M_INF`` and ``_EXPAND`` are served by
+the module's ``__getattr__`` on their first read.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
-from dataclasses import dataclass, replace
+import operator
+import reprlib
 
 from ._validate import validate_input, validate_steps
 
@@ -186,8 +188,95 @@ class ToleranceError(RuntimeError):
         self.error = error
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _DataclassAttribute:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record, made on first read.
+
+    The first read of either, from the class or an instance, as
+    :func:`dataclasses.fields`, :func:`dataclasses.replace`,
+    :func:`dataclasses.astuple`, :func:`dataclasses.asdict` and
+    :func:`dataclasses.is_dataclass` make it, imports :mod:`dataclasses`,
+    applies ``dataclass(frozen=True)`` to a throwaway twin of the record
+    (its name, module, annotations and defaults) and sets the twin's two
+    attributes on the record class, where every later read finds them.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner):
+        from dataclasses import dataclass
+
+        names = owner.__match_args__  # _Record itself has none: AttributeError
+        twin = dataclass(frozen=True)(type(owner.__name__, (), {
+            "__module__": owner.__module__,
+            "__qualname__": owner.__qualname__,
+            "__annotations__": dict(owner.__annotations__),
+            **{name: owner.__dict__[name] for name in names if name in owner.__dict__},
+        }))
+        for attr in ("__dataclass_fields__", "__dataclass_params__"):
+            setattr(owner, attr, getattr(twin, attr))
+        return getattr(owner, self.name)
+
+
+class _Record:
+    """Base of the four frozen records: what ``@dataclass(frozen=True)`` made, written out.
+
+    ``import dataclasses`` imports :mod:`inspect` (with ``ast``, ``dis`` and
+    ``tokenize``): of the 9.4 ms a fresh ``import groverline`` took while
+    the records were decorated, about 6 ms was that import and about 3 ms
+    the four decorators (2-vCPU x86_64, Python 3.11, ``-X importtime``).
+    Without them it takes 0.8 ms.  A subclass declares its fields
+    as annotations, with their defaults, and writes its own ``__init__``,
+    which fills the instance's ``__dict__``.  The base gives it what the
+    decorator generated on Python 3.10-3.12: ``__match_args__``, ``==``
+    (the field tuples, for instances of the same class only, so a record
+    never equals a bare tuple), ``hash`` of the field tuple, a recursion-safe
+    ``repr``, and a ``__setattr__`` and ``__delattr__`` that raise
+    :class:`dataclasses.FrozenInstanceError` with the decorator's message.
+    ``__dataclass_fields__`` and ``__dataclass_params__`` are made on first
+    read (:class:`_DataclassAttribute`), so the :mod:`dataclasses`
+    functions work on the records and only code that calls them loads it;
+    :func:`dataclasses.replace` calls the subclass's ``__init__``, so it
+    validates again.  Pickling and copying take the instance's ``__dict__``
+    as a dataclass's do.
+
+    The records of :mod:`groverline.walk` and :mod:`groverline.localize`
+    stay ``@dataclass``: those modules import numpy, which loads
+    :mod:`inspect` anyway.
+    """
+
+    __dataclass_fields__ = _DataclassAttribute()
+    __dataclass_params__ = _DataclassAttribute()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)
+        cls._field_values = operator.attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == other._field_values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._field_values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class QuadratureSpec(_Record):
     """How to average a function over the circle.
 
     ``method`` is one of
@@ -215,13 +304,20 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     max_points: int = 2 ** 22
 
-    def __post_init__(self):
-        if self.method not in ("trapezoid", "adaptive-split"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        tol = self.abs_tol
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-            raise ValueError(f"abs_tol must be a finite positive real, got {tol!r}")
-        validate_steps(self.max_points, 16, "max_points")
+    def __init__(
+        self, method: str = "trapezoid", abs_tol: float = 1e-12, max_points: int = 2 ** 22
+    ) -> None:
+        if method not in ("trapezoid", "adaptive-split"):
+            raise ValueError(f"unknown quadrature method {method!r}")
+        # imported here, not by the module: only the quadrature routes build a spec
+        import numbers
+
+        if isinstance(abs_tol, bool) or not (
+            isinstance(abs_tol, numbers.Real) and 0 < abs_tol < math.inf
+        ):
+            raise ValueError(f"abs_tol must be a finite positive real, got {abs_tol!r}")
+        validate_steps(max_points, 16, "max_points")
+        self.__dict__.update(method=method, abs_tol=abs_tol, max_points=max_points)
 
 
 def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
@@ -296,21 +392,21 @@ def _adaptive_split(f, spec: QuadratureSpec) -> tuple[float, float]:
     return value, abserr
 
 
-@dataclass(frozen=True, init=False)
-class AbsorptionQuery:
+class AbsorptionQuery(_Record):
     """Initial spinor plus at least one absorbing boundary.
 
     The spinor is stored as the tuple of components that
     :func:`validate_input` returns, so a one-shot iterable is read once and
     answers like its tuple, and a query built from a numpy array hashes.
-    ``__init__`` is written out: the generated one of a frozen dataclass
-    sets each field through its own ``object.__setattr__`` call and then
-    calls ``__post_init__``, while this one runs the boundary check and the
-    :func:`validate_input` call and then fills the instance's ``__dict__``
-    in one call.  Fields, defaults, signature, ``==``, ``hash``
-    and ``repr`` are the dataclass's, and :func:`dataclasses.replace` calls
-    this ``__init__``, so it validates again.  A NamedTuple would build as
-    fast, but it is a tuple: it equals a bare tuple of its values, and
+    ``__init__`` runs the boundary check and the :func:`validate_input`
+    call and then fills the instance's ``__dict__`` in one call, where a
+    frozen dataclass's generated one set each field through its own
+    ``object.__setattr__`` call.  Fields, defaults, signature, ``==``,
+    ``hash`` and ``repr`` are those ``@dataclass(frozen=True)`` gave it,
+    now written out by :class:`_Record`, so building a query loads no
+    :mod:`dataclasses`, and :func:`dataclasses.replace` calls this
+    ``__init__``, so it validates again.  A NamedTuple would build as fast,
+    but it is a tuple: it equals a bare tuple of its values, and
     :func:`dataclasses.replace` refuses it.
     """
 
@@ -330,8 +426,7 @@ class AbsorptionQuery:
         self.__dict__.update(spinor=spinor, left=left, right=right)
 
 
-@dataclass(frozen=True, init=False)
-class AbsorptionAnswer:
+class AbsorptionAnswer(_Record):
     """Left/right absorption plus the never-absorbed deficit.
 
     A side without a boundary reports ``None``.  With one boundary the
@@ -348,7 +443,7 @@ class AbsorptionAnswer:
     the instance's ``__dict__`` in one call instead of one
     ``object.__setattr__`` call per field, which took a good part of a
     cached strip query, and the routes pass the fields by position, which
-    binds faster than keywords.  It stays a frozen dataclass, not a
+    binds faster than keywords.  It is a :class:`_Record`, not a
     NamedTuple, so :func:`dataclasses.replace` works on it and it never
     equals a bare tuple.
     """
@@ -578,7 +673,7 @@ def _circle_answer(m, n, spinor, spec: QuadratureSpec) -> AbsorptionAnswer:
                     f"{rule.method} is accurate for one boundary up to m = {reach}, got m = {near}"
                 )
             if rule.abs_tol > _REACH_TOL:
-                rule = replace(rule, abs_tol=_REACH_TOL)
+                rule = QuadratureSpec(rule.method, _REACH_TOL, rule.max_points)
             f = _one_boundary_integrand(near, psi)
         else:
             rule, f = spec, _two_boundary_integrand(near, far, psi)
@@ -867,8 +962,7 @@ def theorem4_sequence(max_n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(_Record):
     """One row of the two-boundary probability table (left boundary fixed at -2).
 
     ``deficit_scaled`` is (s(n) - s(n+1)) * 1e12, the localization deficit
@@ -888,6 +982,28 @@ class Table1Row:
     error_estimate: float
     precision_ok: bool
 
+    def __init__(
+        self,
+        n: int,
+        left: float,
+        right: float,
+        total: float,
+        deficit_scaled: float | None,
+        log2_deficit: float | None,
+        error_estimate: float,
+        precision_ok: bool,
+    ) -> None:
+        self.__dict__.update(
+            n=n,
+            left=left,
+            right=right,
+            total=total,
+            deficit_scaled=deficit_scaled,
+            log2_deficit=log2_deficit,
+            error_estimate=error_estimate,
+            precision_ok=precision_ok,
+        )
+
 
 def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row]:
     """Left/right/total absorption for right boundaries 1..max_n, left at 2, coin R.
@@ -906,10 +1022,9 @@ def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row
     (:func:`absorption_matrices`), so with ``spec=None`` the deficit step
     of every row n >= 14 is exactly 0.0 and its ``log2_deficit`` is None:
     the true step there is below 1e-20, under the rounding of the
-    table's entries.
+    table's entries.  ``log2_deficit`` is :func:`math.log2` of the step, so
+    the table loads no numpy on the exact route.
     """
-    import numpy as np
-
     validate_steps(max_n, 2, "max_n")
     answers = [
         prob_two_boundary(AbsorptionQuery(spinor=(0, 0, 1), left=2, right=n), spec)
@@ -923,7 +1038,7 @@ def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row
             right=ans.p_right,
             total=ans.total,
             deficit_scaled=step,
-            log2_deficit=float(np.log2(step)) if step is not None and step > 0 else None,
+            log2_deficit=math.log2(step) if step is not None and step > 0 else None,
             error_estimate=ans.error_estimate,
             precision_ok=ans.error_estimate <= 1e-12,
         )

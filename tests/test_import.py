@@ -84,6 +84,38 @@ seen["hook_gone"] = "__getattr__" not in vars(gl) and "__dir__" not in vars(gl)
 print(json.dumps(seen))
 """
 
+#: the modules the query records, the validator and the exact strip route
+#: do without: the records write out what ``@dataclass(frozen=True)`` made,
+#: and the validator imports ``numbers`` and ``cmath`` only for inputs that
+#: are not exact built-in types
+HEAVY = ("dataclasses", "inspect", "numbers", "cmath", "numpy")
+
+#: the package import, a default two-boundary query and ``table1`` load none
+#: of ``HEAVY``; then the dataclass functions still work on the records, and
+#: the first of them loads ``dataclasses``
+RECORD_PROBE = """\
+import json, sys
+
+HEAVY = %r
+seen = {}
+import groverline as gl
+seen["import"] = [m for m in HEAVY if m in sys.modules]
+answer = gl.prob_two_boundary(gl.AbsorptionQuery((0.6, 0.8j, 0), left=2, right=3))
+seen["prob_two_boundary"] = [m for m in HEAVY if m in sys.modules]
+rows = gl.table1(6)
+seen["table1"] = [m for m in HEAVY if m in sys.modules]
+import dataclasses
+seen["fields"] = [f.name for f in dataclasses.fields(gl.AbsorptionAnswer)]
+seen["replaced"] = repr(dataclasses.replace(answer, trapped=None))
+seen["row"] = list(dataclasses.astuple(rows[0]))
+try:
+    dataclasses.replace(gl.QuadratureSpec(), abs_tol=0)
+except ValueError as err:
+    seen["refused"] = str(err)
+seen["after"] = [m for m in HEAVY if m in sys.modules]
+print(json.dumps(seen))
+""" % (HEAVY,)
+
 
 @functools.lru_cache(maxsize=None)
 def _probe(script: str = PROBE) -> dict:
@@ -137,6 +169,22 @@ def test_numpy_stays_off_the_exact_strip_route():
     assert seen["all_bound"]
     assert seen["hook_gone"]
     assert _probe()["absorption_profile"]["numpy"]
+
+
+def test_records_and_validator_load_no_heavy_module():
+    seen = _probe(RECORD_PROBE)
+    for step in ("import", "prob_two_boundary", "table1"):
+        assert seen[step] == [], step
+    # the dataclass protocol is served on demand, in the same interpreter
+    assert seen["fields"] == ["p_left", "p_right", "total", "deficit", "error_estimate",
+                              "trapped"]
+    assert seen["replaced"].startswith("AbsorptionAnswer(p_left=0.4230209740742")
+    assert seen["replaced"].endswith(", trapped=None)")
+    assert seen["row"][0] == 1 and len(seen["row"]) == 8
+    assert seen["refused"] == "abs_tol must be a finite positive real, got 0"
+    # the probe does see a load: the dataclass functions import dataclasses
+    assert "dataclasses" in seen["after"] and "inspect" in seen["after"]
+    assert "numpy" not in seen["after"]
 
 
 def test_strip_table_loads_on_the_first_two_boundary_query():

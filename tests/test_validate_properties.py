@@ -14,6 +14,7 @@ same message.
 import cmath
 import math
 import numbers
+import sys
 import types
 
 import numpy as np
@@ -24,7 +25,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groverline import _validate  # noqa: E402
 from groverline.walk import INIT_NORM_TOL, validate_input  # noqa: E402
 
 
@@ -145,11 +145,12 @@ def test_near_unit_spinors_at_the_tolerance_edges(radius, theta, phi, kind):
 
 def test_unit_spinor_of_builtin_types_takes_one_pass(monkeypatch):
     # the fast path answers without the finiteness checks; a numpy scalar
-    # is no exact built-in type and takes them
+    # is no exact built-in type and takes them.  The full checks import
+    # cmath when they run, so the stand-in goes where that import finds it
     def refuse(c):
         raise AssertionError("the full checks ran")
 
-    monkeypatch.setattr(_validate, "cmath", types.SimpleNamespace(isfinite=refuse))
+    monkeypatch.setitem(sys.modules, "cmath", types.SimpleNamespace(isfinite=refuse))
     for psi in ((0.6, 0.8j, 0), (0, 0, 1), (0.48, -0.6, 0.64j)):
         assert validate_input(psi, left=1, right=2) is psi
     with pytest.raises(AssertionError, match="full checks"):
