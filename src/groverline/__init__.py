@@ -12,8 +12,9 @@ Four independent routes to the same physics cross-validate each other:
 * :mod:`groverline.absorb` turns them into absorption probabilities:
   exactly on a finite strip, from a committed table of the strip blocks'
   exact rational entries, correctly rounded; for one boundary from one
-  3x3 form per distance, a fixed 16-node rule in the variable y = -l; and
-  by circle-averaging quadrature as the cross-check of both;
+  3x3 form per distance, read from a committed table of exact forms or
+  summed from their exact asymptotic series; and by circle-averaging
+  quadrature as the cross-check of both;
   :mod:`groverline.localize` extracts the trapped-mass observables from
   long simulator runs.
 
@@ -24,9 +25,11 @@ sparse walk), ``series_oracle.py`` (the coefficient sweep),
 ``genfun_oracle.py`` (the tracked branch, the transfer-matrix forms and
 the identities), ``strip_oracle.py`` (the dense two-solve, 80-bit and
 float mirror-split strip solves), ``exact_oracle.py`` (the exact
-rational strip blocks, which write and check the committed table) and
+rational strip blocks, which write and check the committed table),
 ``exact_one_boundary.py`` (the exact one-boundary forms, from a moment
-recurrence in Fractions).
+recurrence in Fractions, and their series, which write and check the
+committed one-boundary table) and ``one_boundary_rule.py`` (a 16-node
+Gauss-Legendre rule for the same forms).
 
 ``import groverline`` loads no numpy and no ``dataclasses``: it imports
 :mod:`groverline.absorb`, whose exact strip route and query records
@@ -40,11 +43,11 @@ modules themselves, are resolved on first access (PEP 562): the first
 access to any of them imports all four, and numpy with them, and sets
 every one of their names in the package's globals, so later lookups are
 plain.  In ``absorb``, the functions that return arrays
-or integrate import numpy when called: the one-boundary form, the circle
-quadrature, ``absorption_matrices``, ``absorption_profile`` and
-``theorem4_sequence``.  A default two-boundary query and ``table1`` load
-none, and the dataclass functions (``fields``, ``replace``, ...) load
-``dataclasses`` only when called.
+or integrate import numpy when called: the circle quadrature,
+``absorption_matrices``, ``absorption_profile`` and
+``theorem4_sequence``.  A default one- or two-boundary query and
+``table1`` load none, and the dataclass functions (``fields``,
+``replace``, ...) load ``dataclasses`` only when called.
 """
 
 from importlib import import_module as _import_module

@@ -50,16 +50,22 @@ is a coordinate on each half of it, and
 
     F_m = M_inf + (1/pi) int_q^1 R(y) y^(2m-2) dy / sqrt((y - q)(1/q - y))
 
-with R a Laurent polynomial in y.  The branch corner maps to y = 1, where
-the integrand is smooth, and the only singularity left, 1/sqrt(y - q) at
-theta = 0, is removed by y = q + (y1 - q) u^2 on the last panel.
-``_one_boundary_form`` evaluates it with one fixed rule, 16 Gauss-Legendre
-nodes per panel, for every m: no refinement loop, no tolerance and no
-reach.  The form is its six upper-triangle entries, in a strip row's
-order; a query reads it as one contraction, ``_strip_forms``, and a right
-boundary reads the coin-reversed spinor.
-``tests/exact_one_boundary.py`` computes F_m exactly from the moments of
-y, and holds the rule to it.
+with R a Laurent polynomial in y.  In s = -ln y, with n = 2m - 1, that is
+F_m = M_inf + (1/(2 sqrt2 pi)) int_0^ln(1/q) e^(-n s) g(s) ds, where g is
+analytic for |s| < 2.29 and its Taylor coefficients c_k at s = 0 are
+rational, so Watson's lemma gives an asymptotic series of F_m - M_inf in
+1/n with rational coefficients k! c_k / (2 sqrt2 pi).
+``tests/exact_one_boundary.py`` computes F_m exactly from the
+moments of y, and the c_k in Fractions, and writes the generated module
+``_one_boundary_table``: M_inf, F_1..F_15 and 14 series coefficients per
+entry, each the float nearest its exact value (``--write``; ``--check``
+compares it bit for bit).  ``_one_boundary_form`` reads F_m from the table
+for m <= 15 and sums the series by Horner's rule farther out, in plain
+floats: no quadrature, no refinement loop, no tolerance and no reach.  The
+table is imported on the first one-boundary read, not by ``import
+groverline``.  The form is its six upper-triangle entries, in a strip
+row's order; a query reads it as one contraction, ``_strip_forms``, and a
+right boundary reads the coin-reversed spinor.
 
 Circle quadrature (cross-check route, with an explicit
 :class:`QuadratureSpec`): the total absorption probability is also the
@@ -92,23 +98,22 @@ The scalar recurrence for the adjacent-left-boundary probabilities p_n
 and the localization-deficit table build on the same machinery.
 
 Imports: the module loads neither numpy nor :mod:`groverline.genfun`, so
-the exact strip route, :func:`table1` on it, the query and answer records
-and the validator run in plain Python.  Nor does it load
-:mod:`dataclasses`: the four records are written out on :class:`_Record`,
-which serves the dataclass protocol on demand.  What returns an array or
-integrates imports numpy when called: :func:`absorption_matrices`,
-:func:`absorption_profile`, :func:`theorem4_sequence`, the one-boundary
-form (and so a default :func:`prob_one_boundary`),
-:func:`integrate_periodic` and the integrands.  The integrands also
-import genfun, whose six functions (``_GENFUN_NAMES``) they read from this
-module's globals; ``"adaptive-split"`` alone imports ``scipy.integrate``.
-Those six names and the arrays ``_M_INF`` and ``_EXPAND`` are served by
-the module's ``__getattr__`` on their first read.
+the exact strip route, :func:`table1` on it, the one-boundary form route,
+the query and answer records and the validator run in plain Python.  Nor
+does it load :mod:`dataclasses`: the four records are written out on
+:class:`_Record`, which serves the dataclass protocol on demand.  What
+returns an array or integrates imports numpy when called:
+:func:`absorption_matrices`, :func:`absorption_profile`,
+:func:`theorem4_sequence`, :func:`integrate_periodic` and the integrands.
+The integrands also import genfun, whose six functions
+(``_GENFUN_NAMES``) they read from this module's globals;
+``"adaptive-split"`` alone imports ``scipy.integrate``.  Those six names,
+the array ``_EXPAND`` and the tuple ``_M_INF`` are served by the module's
+``__getattr__`` on their first read.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -144,20 +149,24 @@ def __getattr__(name: str):
     """Make a numpy- or genfun-backed module name on its first read.
 
     ``import groverline.absorb`` loads neither numpy nor genfun: the exact
-    strip route and the query records compute in plain floats.  The
-    :data:`_GENFUN_NAMES` and the numpy array ``_EXPAND`` are made here on
-    their first read, from outside the module or through :func:`_lazy`, and
-    stored in the module's globals, so every later read is a plain lookup.
-    A name already set is kept, never replaced.  ``_M_INF`` is served from
-    :func:`_form_rule` and not stored, so that the default one-boundary
-    route adds no name to the module's namespace (see there).
+    strip route, the one-boundary forms and the query records compute in
+    plain floats.  The :data:`_GENFUN_NAMES` and the numpy array
+    ``_EXPAND`` are made here on their first read, from outside the module
+    or through :func:`_lazy`, and stored in the module's globals, so every
+    later read is a plain lookup.  A name already set is kept, never
+    replaced.  ``_M_INF``, M_inf's six upper-triangle entries, is served
+    from the one-boundary table and not stored: a name added to the
+    module's namespace makes every specialized global read of this
+    module's functions miss for its next few dozen runs (CPython 3.11), so
+    the default one-boundary route adds none: it fills the ``_ONE`` that
+    the module declares up front.
     """
     if name in _GENFUN_NAMES:
         from . import genfun
 
         value = getattr(genfun, name)
     elif name == "_M_INF":
-        return _form_rule()[2]
+        return (_ONE or _load_one())[1]
     elif name == "_EXPAND":
         # the index that expands rows of 18 upper-triangle entries (last
         # axis) into the three symmetric 3x3 blocks X_left, X_right, P_trapped
@@ -500,97 +509,60 @@ def _one_boundary_integrand(m: int, spinor):
     return f
 
 
-#: q = 5 - 2 sqrt 6 = -l(1), the near end of y = -l on the inner arc, and
-#: 1/q; q is taken as 1/(5 + 2 sqrt 6), which has no cancellation
-_INV_Q = 5.0 + 2.0 * math.sqrt(6.0)
-_Q = 1.0 / _INV_Q
-_S_END = math.log(_INV_Q)  # s = -ln y at y = q
-
 #: A boundary farther than this is read at this distance, so that 2m - 1
 #: stays a float: F_m - M_inf is about 0.03/m^2, below 2e-21 here, far
 #: under the rounding of M_inf's entries.
 _FAR = 2 ** 32
 
 #: The error estimate of a one-boundary answer on the form route, the
-#: largest distance measured, rounded up: 1.1e-16 to the 30-digit reference
+#: largest distance measured, rounded up: 5.6e-17 to the 30-digit reference
 #: of tests/test_one_boundary_reach.py (coins L, S, R and a mixed spinor,
-#: m = 1 to 10^6), 2.4e-16 to the exact forms of
+#: m = 1 to 10^6), 2.0e-16 to the exact forms of
 #: tests/exact_one_boundary.py (100 random unit spinors, m = 1-40, 100, 200
-#: and 400).  Every entry of F_m is within 1.2e-16 of the exact one for
-#: m = 1..400.
+#: and 400).  Every entry of F_m is within 4.7e-17 of the exact one for
+#: m = 1..400: the table's are correctly rounded, and the series' 14 terms
+#: are truncated 2.8e-18 from the exact form at m = 16, less beyond.
 _ONE_BOUNDARY_ERROR = 5e-16
 
-
-@functools.cache
-def _form_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one-boundary form's constants, made on first use.
-
-    The 16-point Gauss-Legendre nodes and weights on [0, 1], and M_inf, the
-    outer arc's share of every F_m (|l| = 1 there), as its upper triangle
-    in (L, S, R) order, LL, LS, LR, SS, SR, RR: a + (b sqrt 2 + c theta_b)/pi
-    with the rows a, b and c below; LL = 1 - theta_b/pi,
-    LS = -1 + (2 sqrt 2 + theta_b)/(2pi), LR = -1 + (2 sqrt 2 + 5 theta_b)/(4pi),
-    SS = (2 sqrt 2 - theta_b)/pi, SR = (5 theta_b - 6 sqrt 2)/(4pi) and
-    RR = (10 sqrt 2 - 7 theta_b)/(4pi).  ``absorb._M_INF`` is this M_inf.
-
-    Kept here, not set as a module global on the first one-boundary query:
-    a name added to the module's namespace makes every specialized global
-    read of this module's functions miss for its next few dozen runs
-    (CPython 3.11), which read as 0.3 us more per two-boundary query over
-    the first queries after it in a fresh process.
-    """
-    import numpy as np
-    from numpy.polynomial.legendre import leggauss
-
-    from .genfun import BRANCH_ANGLES
-
-    x, w = leggauss(16)
-    m_inf = np.array([1.0, -1.0, -1.0, 0.0, 0.0, 0.0]) + (
-        np.array([0.0, 1.0, 0.5, 2.0, -1.5, 2.5]) * math.sqrt(2.0)
-        + np.array([-1.0, 0.5, 1.25, -1.0, 1.25, -1.75]) * BRANCH_ANGLES[0]
-    ) / math.pi
-    return 0.5 * (x + 1.0), 0.5 * w, m_inf
+#: The one-boundary table: the forms F_1..F_15, M_inf and the series' rows
+#: from k = 14 down to 1.  ``None`` until the first one-boundary read
+#: imports ``_one_boundary_table`` (:func:`_load_one`), then never changed.
+_ONE: tuple | None = None
 
 
-def _one_boundary_form(m: int) -> list[float]:
+def _load_one() -> tuple:
+    """The committed forms, M_inf and series rows, imported on first use."""
+    global _ONE
+    from ._one_boundary_table import FORMS, M_INF, SERIES
+
+    _ONE = FORMS, M_INF, SERIES[::-1]
+    return _ONE
+
+
+def _one_boundary_form(m: int) -> tuple[float, ...]:
     """F_m, the form of a left boundary m sites away, as its upper triangle.
 
     Six floats, LL, LS, LR, SS, SR, RR, the order of each block of a
     strip row, so :func:`_strip_forms` reads both.
 
-    F_m = M_inf + (1/pi) int_q^1 R(y) y^(2m-2) dy / sqrt((y - q)(1/q - y)),
-    with y = -l on the inner arc and R's entries LL = y(1 - y),
-    LS = -(1 - y)^2/2, LR = -(1 - y)(y^2 - 6y + 1)/(4y), SS = 2(1 - y),
-    SR = (1 - y)^2/(2y) and RR = (1 - y)/y.  The rule: 16 Gauss-Legendre
-    nodes per panel in s = -ln y, the first panel [0, 1/(2m - 1)], about
-    the width of y^(2m-2)'s peak at y = 1, each next panel twice as wide.
-    The panel that reaches y = q is taken in u, y = q + (y1 - q) u^2, where
-    1/sqrt(y - q) dy = 2 sqrt(y1 - q) du: y - q is never formed there,
-    which would put an entry 2.8e-15 off at m = 1.  That is 32 nodes at
-    m = 1, 96 at m = 10, 368 at m = 10^6 and 560 at :data:`_FAR`.  ``m``
-    must be a validated boundary distance.
+    F_m = M_inf + (1/(2 sqrt2 pi)) int_0^ln(1/q) e^(-(2m-1)s) g(s) ds, with
+    g analytic at s = 0 and its Taylor coefficients rational
+    (``tests/exact_one_boundary.py``).  For m <= 15 the form is a row of
+    the committed table, each entry correctly rounded; farther, it is
+    Watson's series M_inf + sum_k (k! c_k / (2 sqrt2 pi)) x^(k+1),
+    x = 1/(2m - 1), summed by Horner's rule over its 14 committed terms in
+    plain floats.  ``m`` must be a validated boundary distance.
     """
-    import numpy as np
-
-    m = m if m < _FAR else _FAR
-    x, w, m_inf = _form_rule()
-    ys, weights = [], []
-    start, width = 0.0, 1.0 / (2 * m - 1)
-    while start + width < _S_END:
-        y = np.exp(-(start + width * x))
-        ys.append(y)
-        weights.append(width * w * y / np.sqrt((y - _Q) * (_INV_Q - y)))
-        start, width = start + width, 2.0 * width
-    top = math.exp(-start) - _Q
-    y = _Q + top * x * x
-    ys.append(y)
-    weights.append(2.0 * math.sqrt(top) * w / np.sqrt(_INV_Q - y))
-    y = np.concatenate(ys)
-    weight = np.concatenate(weights) * y ** (2 * m - 2)
-    v, inv = 1.0 - y, 1.0 / y
-    r = np.array([y * v, -0.5 * v * v, -0.25 * v * (y * y - 6.0 * y + 1.0) * inv,
-                  2.0 * v, 0.5 * v * v * inv, v * inv])
-    return (m_inf + (r @ weight) / math.pi).tolist()
+    forms, m_inf, series = _ONE or _load_one()
+    if m <= len(forms):
+        return forms[m - 1]
+    x = 1.0 / (2 * (m if m < _FAR else _FAR) - 1)
+    a = b = c = d = e = f = 0.0
+    for t0, t1, t2, t3, t4, t5 in series:
+        a, b, c = (a + t0) * x, (b + t1) * x, (c + t2) * x
+        d, e, f = (d + t3) * x, (e + t4) * x, (f + t5) * x
+    l0, l1, l2, l3, l4, l5 = m_inf
+    return l0 + a * x, l1 + b * x, l2 + c * x, l3 + d * x, l4 + e * x, l5 + f * x
 
 
 def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> float:
@@ -599,7 +571,8 @@ def prob_one_boundary(m: int, spinor, spec: QuadratureSpec | None = None) -> flo
     The circle mean (1/2pi) int |alpha L + beta S + gamma R|^2 |L|^(2m-2)
     dtheta, by linearity of the evolution and the projections a Hermitian
     form psi^H F_m psi.  With ``spec=None`` (production) F_m is
-    ``_one_boundary_form``'s fixed 16-node rule in y = -L, within
+    ``_one_boundary_form``'s committed exact form (m <= 15) or exact
+    asymptotic series (m >= 16), in plain floats, within
     :data:`_ONE_BOUNDARY_ERROR` of the 30-digit reference for every m >= 1.
     With ``QuadratureSpec("adaptive-split", ...)`` scipy's adaptive
     quadrature integrates the circle mean instead, as a cross-check; a

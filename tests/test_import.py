@@ -84,6 +84,27 @@ seen["hook_gone"] = "__getattr__" not in vars(gl) and "__dir__" not in vars(gl)
 print(json.dumps(seen))
 """
 
+#: the numpy-free one-boundary path: default one-boundary queries, near and
+#: far, before any route that loads numpy; then the first two-boundary read
+ONE_BOUNDARY_MODULES = ("numpy", "numpy.polynomial", "groverline.genfun", "groverline._strip_table")
+ONE_PROBE = """\
+import json, sys
+
+MODULES = %r
+seen = {}
+import groverline as gl
+gl.prob_one_boundary(3, (0, 0, 1))
+seen["prob_one_boundary"] = [m for m in MODULES if m in sys.modules]
+gl.prob_one_boundary(5000, (0.6, 0.8j, 0))
+seen["prob_one_boundary_far"] = [m for m in MODULES if m in sys.modules]
+gl.absorption_answer(gl.AbsorptionQuery((0, 1, 0), right=20))
+seen["absorption_answer_one"] = [m for m in MODULES if m in sys.modules]
+seen["table"] = "groverline._one_boundary_table" in sys.modules
+gl.prob_two_boundary(gl.AbsorptionQuery((0, 0, 1), left=2, right=3))
+seen["prob_two_boundary"] = [m for m in MODULES if m in sys.modules]
+print(json.dumps(seen))
+""" % (ONE_BOUNDARY_MODULES,)
+
 #: the modules the query records, the validator and the exact strip route
 #: do without: the records write out what ``@dataclass(frozen=True)`` made,
 #: and the validator imports ``numbers`` and ``cmath`` only for inputs that
@@ -171,6 +192,17 @@ def test_numpy_stays_off_the_exact_strip_route():
     assert _probe()["absorption_profile"]["numpy"]
 
 
+def test_default_one_boundary_queries_load_no_numpy():
+    # the form route reads a committed table and sums a series in plain
+    # floats: no numpy, no Gauss-Legendre nodes, no genfun and no strip table
+    seen = _probe(ONE_PROBE)
+    for step in ("prob_one_boundary", "prob_one_boundary_far", "absorption_answer_one"):
+        assert seen[step] == [], step
+    assert seen["table"]
+    # the probe does see a load: the first two-boundary read imports the strip table
+    assert seen["prob_two_boundary"] == ["groverline._strip_table"]
+
+
 def test_records_and_validator_load_no_heavy_module():
     seen = _probe(RECORD_PROBE)
     for step in ("import", "prob_two_boundary", "table1"):
@@ -219,7 +251,9 @@ PUBLIC = {
 #: the float strip solve, now a test oracle, the corner-mapped
 #: Gauss-Legendre rule, which the one-boundary form replaced, and the
 #: per-geometry row slots, which the table of all rows built at load replaced,
-#: and the nested 3x3 row builder, which the flat rows of 18 floats replaced
+#: the nested 3x3 row builder, which the flat rows of 18 floats replaced, and
+#: the one-boundary panel rule, now a test oracle, which the committed table
+#: and series of exact forms replaced
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
@@ -232,6 +266,7 @@ GONE = (
     "_solve_strip", "_mirror_doubling", "_STEIN_MAX_DOUBLINGS", "_SQRT_EPS", "_SQRT_HALF",
     "_strip_cache", "_GAUSS_SPLIT_ORDERS", "_gauss_split_rule", "_gauss_split_mean",
     "_ONE_BOUNDARY_SPEC", "_strip_rows", "_table_rows", "_symmetric",
+    "_form_rule", "_S_END",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",

@@ -10,12 +10,12 @@ arccos(-1/3), so the inner arc (-theta_b, theta_b) is split at 0 and at
 its own, with its corner at an end.
 
 Measured against it, for coins L, S, R and the spinor (0.48, -0.6, 0.64i):
-the default route, the form F_m in y = -l, is within 1.1e-16 at every m
-tested, 1 to 10^6, and has no reach.  adaptive-split is within 1.1e-12 up
-to m = 59 and 7.8e-6 off at m = 60 (coin L), with an error estimate below
-its abs_tol, so past m = 59 it is refused with ``ValueError``.  Its reach
-was measured at abs_tol 1e-10, and a looser abs_tol is tightened to 1e-10
-for a one-boundary side.
+the default route, the form F_m from the committed table (m <= 15) or
+its exact series, is within 5.6e-17 at every m tested, 1 to 10^6, and has
+no reach.  adaptive-split is within 1.1e-12 up to m = 59 and 7.8e-6 off at
+m = 60 (coin L), with an error estimate below its abs_tol, so past m = 59
+it is refused with ``ValueError``.  Its reach was measured at abs_tol
+1e-10, and a looser abs_tol is tightened to 1e-10 for a one-boundary side.
 """
 
 import functools
@@ -66,8 +66,7 @@ def reference(m, coin):
 @pytest.mark.parametrize("m", (1, 2, 3, 59, 60, 100, 1024, 1025, 1250, 5000, 10 ** 6))
 def test_default_route_matches_the_reference(m, coin):
     # no reach: m = 60 and up are refused by adaptive-split, and the default
-    # route answers them as it answers m = 1; measured: at most 1.1e-16 off
-    # (m = 1, coin S), 7.7e-17 from m = 2 on
+    # route answers them as it answers m = 1; measured: at most 5.6e-17 off
     got = prob_one_boundary(m, SPINORS[coin])
     assert abs(got - reference(m, coin)) <= absorb._ONE_BOUNDARY_ERROR
 
