@@ -48,25 +48,16 @@ or integrate import numpy when called: the circle quadrature,
 ``theorem4_sequence``.  A default one- or two-boundary query and
 ``table1`` load none, and the dataclass functions (``fields``,
 ``replace``, ...) load ``dataclasses`` only when called.
+
+Each public name is written once: absorb's in ``absorb.__all__``, from
+which they are imported here, and the lazy modules' in ``_LAZY_MODULES``.
+The package's ``__all__`` is the two together, sorted.
 """
 
 from importlib import import_module as _import_module
 
-from .absorb import (
-    AbsorptionAnswer,
-    AbsorptionQuery,
-    QuadratureSpec,
-    Table1Row,
-    ToleranceError,
-    absorption_answer,
-    absorption_matrices,
-    absorption_profile,
-    integrate_periodic,
-    prob_one_boundary,
-    prob_two_boundary,
-    table1,
-    theorem4_sequence,
-)
+from . import absorb
+from .absorb import *  # noqa: F403
 
 #: the public names of the four numpy-backed modules
 _LAZY_MODULES = {
@@ -113,39 +104,5 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsorptionAnswer",
-    "AbsorptionQuery",
-    "AbsorptionReport",
-    "BoundarySpec",
-    "BranchPointError",
-    "CoinSpinor",
-    "OscillationTrace",
-    "PoleError",
-    "QuadratureSpec",
-    "Table1Row",
-    "ToleranceError",
-    "TruncatedSeries",
-    "WindowWalk",
-    "absorption_answer",
-    "absorption_matrices",
-    "absorption_profile",
-    "delta",
-    "delta_on_circle",
-    "grover_coin",
-    "integrate_periodic",
-    "l_closed",
-    "one_boundary_series",
-    "oscillation_trace",
-    "prob_one_boundary",
-    "prob_two_boundary",
-    "r_closed",
-    "residual_near_origin",
-    "run_walk",
-    "s_closed",
-    "stationary_profile",
-    "table1",
-    "theorem4_sequence",
-    "two_boundary_series",
-    "two_peak_profile",
-]
+#: absorb's names, imported above, and the lazy ones, in one sorted list
+__all__ = sorted([*absorb.__all__, *_LAZY_NAMES])

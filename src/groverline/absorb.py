@@ -95,7 +95,9 @@ probability of boundaries at -N and +M and spinor (gamma, beta, alpha).
   (:data:`_ONE_BOUNDARY_REACH`).
 
 The scalar recurrence for the adjacent-left-boundary probabilities p_n
-and the localization-deficit table build on the same machinery.
+builds on the same machinery.  The localization-deficit table,
+:func:`table1`, reads its probabilities from a route and, on the exact
+route, its deficit steps from the flat band's trapped-mass recurrence.
 
 Imports: the module loads neither numpy nor :mod:`groverline.genfun`, so
 the exact strip route, :func:`table1` on it, the one-boundary form route,
@@ -107,9 +109,10 @@ returns an array or integrates imports numpy when called:
 :func:`theorem4_sequence`, :func:`integrate_periodic` and the integrands.
 The integrands also import genfun, whose six functions
 (``_GENFUN_NAMES``) they read from this module's globals;
-``"adaptive-split"`` alone imports ``scipy.integrate``.  Those six names,
-the array ``_EXPAND`` and the tuple ``_M_INF`` are served by the module's
-``__getattr__`` on their first read.
+``"adaptive-split"`` alone imports ``scipy.integrate``.  Those six names
+are the only ones the module's ``__getattr__`` serves, on their first
+read; the index ``_EXPAND`` that expands a strip row into its blocks is a
+plain nested list, which numpy reads as one integer-array index.
 """
 
 from __future__ import annotations
@@ -146,42 +149,21 @@ _GENFUN_NAMES = (
 
 
 def __getattr__(name: str):
-    """Make a numpy- or genfun-backed module name on its first read.
+    """Bind one of the :data:`_GENFUN_NAMES` on its first read.
 
     ``import groverline.absorb`` loads neither numpy nor genfun: the exact
     strip route, the one-boundary forms and the query records compute in
-    plain floats.  The :data:`_GENFUN_NAMES` and the numpy array
-    ``_EXPAND`` are made here on their first read, from outside the module
-    or through :func:`_lazy`, and stored in the module's globals, so every
-    later read is a plain lookup.  A name already set is kept, never
-    replaced.  ``_M_INF``, M_inf's six upper-triangle entries, is served
-    from the one-boundary table and not stored: a name added to the
-    module's namespace makes every specialized global read of this
-    module's functions miss for its next few dozen runs (CPython 3.11), so
-    the default one-boundary route adds none: it fills the ``_ONE`` that
-    the module declares up front.
+    plain floats.  A genfun function read from outside the module, or by
+    :func:`_bind_genfun`, is imported here and stored in the module's
+    globals, so every later read is a plain lookup.  A name already set,
+    such as a tracer's wrapper, is kept, never replaced.  Every other name
+    raises ``AttributeError``.
     """
-    if name in _GENFUN_NAMES:
-        from . import genfun
-
-        value = getattr(genfun, name)
-    elif name == "_M_INF":
-        return (_ONE or _load_one())[1]
-    elif name == "_EXPAND":
-        # the index that expands rows of 18 upper-triangle entries (last
-        # axis) into the three symmetric 3x3 blocks X_left, X_right, P_trapped
-        import numpy as np
-
-        value = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) + 6 * np.arange(3)[:, None, None]
-    else:
+    if name not in _GENFUN_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, value)
+    from . import genfun
 
-
-def _lazy(name: str):
-    """Module global ``name``, made by :func:`__getattr__` if it is not set yet."""
-    g = globals()
-    return g[name] if name in g else __getattr__(name)
+    return globals().setdefault(name, getattr(genfun, name))
 
 
 class ToleranceError(RuntimeError):
@@ -341,6 +323,8 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
     ``"adaptive-split"`` hands ``f`` to scipy's adaptive quadrature.  No
     query without a :class:`QuadratureSpec` calls this.
     """
+    import numpy as np
+
     if spec.method == "adaptive-split":
         return _adaptive_split(f, spec)
     prev = err = float("nan")
@@ -348,7 +332,7 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
     for size in (64 * 2 ** k for k in itertools.count()):
         if size > spec.max_points:
             break
-        cur = _midpoint_mean(f, size)
+        cur = float(np.mean(f(2 * np.pi * (np.arange(size) + 0.5) / size)))
         err = abs(cur - prev)
         if err < spec.abs_tol:
             return cur, err
@@ -361,13 +345,6 @@ def integrate_periodic(f, spec: QuadratureSpec) -> tuple[float, float]:
         value=prev,
         error=err,
     )
-
-
-def _midpoint_mean(f, n: int) -> float:
-    import numpy as np
-
-    theta = 2 * np.pi * (np.arange(n) + 0.5) / n
-    return float(np.mean(f(theta)))
 
 
 def _adaptive_split(f, spec: QuadratureSpec) -> tuple[float, float]:
@@ -486,7 +463,7 @@ class AbsorptionAnswer(_Record):
 def _bind_genfun() -> None:
     """Set the :data:`_GENFUN_NAMES` as globals for the integrands, keeping any already set."""
     for name in _GENFUN_NAMES:
-        _lazy(name)
+        __getattr__(name)
 
 
 def _one_boundary_integrand(m: int, spinor):
@@ -682,6 +659,13 @@ _CLAMP = 14
 #: then never changed.
 _ROWS: tuple | None = None
 
+#: The index that expands rows of 18 upper-triangle entries (last axis) into
+#: the three symmetric 3x3 blocks X_left, X_right and P_trapped, block k
+#: from entries 6k..6k+5.  A nested list, which numpy reads as one
+#: integer-array index, so it needs no numpy.
+_EXPAND = [[[6 * k + i for i in row] for row in ((0, 1, 2), (1, 3, 4), (2, 4, 5))]
+           for k in range(3)]
+
 
 def _load_rows() -> tuple:
     """Every clamped geometry's row of 18 floats, from the committed table.
@@ -792,7 +776,7 @@ def absorption_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     import numpy as np
 
     validate_input(left=m, right=n)
-    return tuple(np.array(_site_rows(m, n))[_lazy("_EXPAND")])
+    return tuple(np.array(_site_rows(m, n))[_EXPAND])
 
 
 def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -828,7 +812,7 @@ def absorption_profile(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows[inner.start:inner.stop] = _site_rows(_CLAMP, _CLAMP)
     near = [*head, *tail]
     rows[near] = [_site_rows(s + 1, width - 1 - s) for s in near]
-    return tuple(rows[:, _lazy("_EXPAND")].swapaxes(0, 1))
+    return tuple(rows[:, _EXPAND].swapaxes(0, 1))
 
 
 def prob_two_boundary(
@@ -982,28 +966,46 @@ def table1(max_n: int = 6, spec: QuadratureSpec | None = None) -> list[Table1Row
     """Left/right/total absorption for right boundaries 1..max_n, left at 2, coin R.
 
     The deficit column is scaled by 1e12 and reported with its log2, per
-    the reference table's convention.  The deficit step s(n) - s(n+1) is
-    the difference of the answers' deficits.  With ``spec=None`` the exact
-    strip route answers and each deficit is the directly computed trapped
-    mass, which loses less to cancellation than the difference of the
-    totals.  With a :class:`QuadratureSpec` the circle quadrature answers
-    and each deficit is 1 - total; with the left boundary at 2 every total
-    lies in [0.5, 1], where 1 - total is exact, so the step is the
-    difference of the totals to the bit.
+    the reference table's convention.  Row n's deficit step is
+    s(n) - s(n+1) = t(n+1) - t(n), the growth of the never-absorbed mass
+    t(n) = 1 - s(n) when the right boundary moves from n to n + 1.
 
-    The exact route reads every right boundary n >= K = 14 at 14
-    (:func:`absorption_matrices`), so with ``spec=None`` the deficit step
-    of every row n >= 14 is exactly 0.0 and its ``log2_deficit`` is None:
-    the true step there is below 1e-20, under the rounding of the
-    table's entries.  ``log2_deficit`` is :func:`math.log2` of the step, so
-    the table loads no numpy on the exact route.
+    With ``spec=None`` the exact strip route answers, and the steps come
+    from the flat band's recurrence for that trapped mass of coin R,
+    t(0) = 0, t(n+1) = 16/(40 - t(n)) (the flat band of Inui, Konno and
+    Segawa, PRE 72, 056112, 2005): the step d(n) = t(n+1) - t(n) obeys
+    d(1) = 2/495 and d(n+1) = 16 d(n) / ((40 - t(n+1)) (40 - t(n))),
+    which is d(n) t(n+1) / (40 - t(n+1)) since 40 - t(n) = 16/t(n+1).
+    That is computed in plain floats, already scaled, with no difference
+    of near-equal terms: each step is within 6.4e-15 relative of the exact
+    rational one for n <= 161; farther the scaled step is a subnormal
+    float and loses digits, and from n = 169 on it underflows to 0.0 and
+    its ``log2_deficit`` is None.  The difference of two trapped masses,
+    each about 0.404 and rounded to half an ulp, lost digits of the step
+    from n = 6 on and every digit from n = 9 on.
+
+    With a :class:`QuadratureSpec` the circle quadrature answers, each
+    deficit is 1 - total and the step is the difference of the answers'
+    deficits; with the left boundary at 2 every total lies in [0.5, 1],
+    where 1 - total is exact, so the step is the difference of the totals
+    to the bit.  ``log2_deficit`` is :func:`math.log2` of the step, so the
+    table loads no numpy on the exact route.
     """
     validate_steps(max_n, 2, "max_n")
     answers = [
         prob_two_boundary(AbsorptionQuery(spinor=(0, 0, 1), left=2, right=n), spec)
         for n in range(1, max_n + 1)
     ]
-    scaled = [(b.deficit - a.deficit) * 1e12 for a, b in zip(answers, answers[1:])]
+    if spec is None:
+        # 1e12 d_n, d_n = t_(n+1) - t_n, from t_1 = 2/5, d_1 = 2/495 and
+        # d_(n+1) = d_n t_(n+1) / (40 - t_(n+1)): nothing cancels
+        scaled, t, d = [], 0.4, 2e12 / 495
+        for _ in range(max_n - 1):
+            scaled.append(d)
+            t = 16 / (40 - t)
+            d *= t / (40 - t)
+    else:
+        scaled = [(b.deficit - a.deficit) * 1e12 for a, b in zip(answers, answers[1:])]
     return [
         Table1Row(
             n=n,

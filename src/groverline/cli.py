@@ -20,8 +20,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from ._validate import validate_input, validate_steps
 from .absorb import (
     AbsorptionQuery,
@@ -48,7 +46,7 @@ def _cell(x):
     """
     if x is None:
         return None
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     return f"{float(x):.12g}"
 

@@ -882,7 +882,7 @@ class TestTable1:
     def test_deficit_steps_are_exact(self, rows):
         # the trapped mass t_N = 1 - s_N of coin R between -2 and +N obeys
         # t_0 = 0, t_(N+1) = 16 / (40 - t_N); every scaled step
-        # (t_(N+1) - t_N) * 1e12 within 1e-4 (measured at most 3.3e-5)
+        # (t_(N+1) - t_N) * 1e12 within 1e-4 (measured at most 7.5e-9)
         t = [Fraction(0)]
         for _ in range(6):
             t.append(16 / (40 - t[-1]))
@@ -905,16 +905,21 @@ class TestTable1:
         with pytest.raises(ValueError):
             table1(max_n=1)
 
-    def test_steps_past_the_clamp_are_zero(self, rows):
-        # the exact route reads every right boundary n >= K at K, so those
-        # deficit steps are exactly 0.0 (the true step is below 1e-20);
-        # rows n <= 6 are unchanged to the bit
-        wide = table1(max_n=20)
-        k = absorb._CLAMP
+    def test_steps_follow_the_recurrence_past_the_clamp(self, rows):
+        # the exact route steps the trapped mass by its recurrence, not by
+        # differences of rounded deficits (which read 0.0 from n = 9 on, and
+        # past the clamp at K = 14 read the same row): every scaled step for
+        # n = 1..40 within 1e-13 relative of the exact one (measured at most
+        # 1.1e-15); rows n <= 6 are unchanged to the bit
+        wide = table1(max_n=41)
+        t = [Fraction(0)]
+        for _ in range(42):
+            t.append(16 / (40 - t[-1]))
+        for n, row in enumerate(wide[:-1], 1):
+            exact = float((t[n + 1] - t[n]) * 10 ** 12)
+            assert abs(row.deficit_scaled - exact) <= 1e-13 * exact, n
+            assert row.log2_deficit == math.log2(row.deficit_scaled), n
         assert wide[:5] == rows[:5]
         assert dataclasses.replace(wide[5], deficit_scaled=None, log2_deficit=None) == rows[5]
-        assert wide[5].deficit_scaled > 0
-        for row in wide[k - 1 : -1]:
-            assert row.deficit_scaled == 0.0 and row.log2_deficit is None
         assert wide[-1].deficit_scaled is None
         assert all(row.precision_ok for row in wide)

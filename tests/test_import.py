@@ -107,13 +107,15 @@ print(json.dumps(seen))
 
 #: the modules the query records, the validator and the exact strip route
 #: do without: the records write out what ``@dataclass(frozen=True)`` made,
-#: and the validator imports ``numbers`` and ``cmath`` only for inputs that
-#: are not exact built-in types
-HEAVY = ("dataclasses", "inspect", "numbers", "cmath", "numpy")
+#: the validator imports ``numbers`` and ``cmath`` only for inputs that are
+#: not exact built-in types, and ``table1`` steps its deficits in plain
+#: floats, not ``Fraction``s
+HEAVY = ("dataclasses", "inspect", "numbers", "cmath", "numpy", "fractions", "decimal")
 
-#: the package import, a default two-boundary query and ``table1`` load none
-#: of ``HEAVY``; then the dataclass functions still work on the records, and
-#: the first of them loads ``dataclasses``
+#: the package import, a default two-boundary query, ``table1`` and the
+#: strip row index ``absorb._EXPAND`` load none of ``HEAVY``; then the
+#: dataclass functions still work on the records, and the first of them
+#: loads ``dataclasses``
 RECORD_PROBE = """\
 import json, sys
 
@@ -125,6 +127,8 @@ answer = gl.prob_two_boundary(gl.AbsorptionQuery((0.6, 0.8j, 0), left=2, right=3
 seen["prob_two_boundary"] = [m for m in HEAVY if m in sys.modules]
 rows = gl.table1(6)
 seen["table1"] = [m for m in HEAVY if m in sys.modules]
+seen["expand"] = len(gl.absorb._EXPAND)
+seen["expanded"] = [m for m in HEAVY if m in sys.modules]
 import dataclasses
 seen["fields"] = [f.name for f in dataclasses.fields(gl.AbsorptionAnswer)]
 seen["replaced"] = repr(dataclasses.replace(answer, trapped=None))
@@ -205,8 +209,9 @@ def test_default_one_boundary_queries_load_no_numpy():
 
 def test_records_and_validator_load_no_heavy_module():
     seen = _probe(RECORD_PROBE)
-    for step in ("import", "prob_two_boundary", "table1"):
+    for step in ("import", "prob_two_boundary", "table1", "expanded"):
         assert seen[step] == [], step
+    assert seen["expand"] == 3
     # the dataclass protocol is served on demand, in the same interpreter
     assert seen["fields"] == ["p_left", "p_right", "total", "deficit", "error_estimate",
                               "trapped"]
@@ -251,9 +256,10 @@ PUBLIC = {
 #: the float strip solve, now a test oracle, the corner-mapped
 #: Gauss-Legendre rule, which the one-boundary form replaced, and the
 #: per-geometry row slots, which the table of all rows built at load replaced,
-#: the nested 3x3 row builder, which the flat rows of 18 floats replaced, and
+#: the nested 3x3 row builder, which the flat rows of 18 floats replaced,
 #: the one-boundary panel rule, now a test oracle, which the committed table
-#: and series of exact forms replaced
+#: and series of exact forms replaced, and absorb's second path to its lazy
+#: names and its served M_inf, which the module hook no longer makes
 GONE = (
     "BranchTrace", "OMEGA", "two_boundary_eval", "lambda_pm", "r_closed_two_boundary",
     "r_closed_uncorrected", "check_prop8", "check_prop10", "check_contraction",
@@ -266,7 +272,7 @@ GONE = (
     "_solve_strip", "_mirror_doubling", "_STEIN_MAX_DOUBLINGS", "_SQRT_EPS", "_SQRT_HALF",
     "_strip_cache", "_GAUSS_SPLIT_ORDERS", "_gauss_split_rule", "_gauss_split_mean",
     "_ONE_BOUNDARY_SPEC", "_strip_rows", "_table_rows", "_symmetric",
-    "_form_rule", "_S_END",
+    "_form_rule", "_S_END", "_lazy", "_M_INF",
 )
 GONE_SERIES_METHODS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
